@@ -95,14 +95,14 @@ def cmd_gen_synth(args) -> int:
     )
     ds = generate_synthetic(spec)
     serialize_dataset(ds, args.out)
-    print(f"wrote {len(ds.observations)} observations to {args.out}")
+    print(f"wrote {len(ds.t)} observations to {args.out}")
     return 0
 
 
 def _train_once(ds, config):
     ds = split_dataset(ds, seed=config.split_seed)
-    model, history = train(ds, config)
     aux = build_aux(ds, config)
+    model, history = train(aux, ds, config)
     metrics = evaluate(model, aux, ds, config)
     return ds, model, history, metrics
 

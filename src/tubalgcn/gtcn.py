@@ -99,12 +99,12 @@ def preprocess_adjacency(raw, mode: str = "sym_normalized") -> AdjacencyTensor:
         raise ValueError("adjacency weights must be real and nonnegative")
     if mode not in ("raw_self_loops", "sym_normalized"):
         raise ValueError(f"unknown preprocessing mode {mode!r}")
-    eye = np.eye(n)[:, :, None]
-    a_hat = a + eye
+    a_hat = a + np.eye(n)[:, :, None]  # a new array, scaled in place below; raw is untouched
     if mode == "sym_normalized":
         deg = a_hat.sum(axis=1)  # (N, T) row sums per slice
         inv_sqrt = 1.0 / np.sqrt(deg)
-        a_hat = a_hat * inv_sqrt[:, None, :] * inv_sqrt[None, :, :]
+        a_hat *= inv_sqrt[:, None, :]
+        a_hat *= inv_sqrt[None, :, :]
     return AdjacencyTensor(a_hat, mode)
 
 

@@ -131,8 +131,7 @@ class ModelAux:
     n_nodes: int
     n_slots: int
     transforms: dict  # kind -> TransformMatrix (built at branch T)
-    a_hat: dict  # kind -> preprocessed (possibly padded) adjacency (N, N, T_b)
-    a_hat_transformed: dict  # kind -> a_hat x_3 M, cached
+    a_hat_transformed: dict  # kind -> preprocessed (padded for haar) adjacency x_3 M
     a_hat_transformed_conj: dict  # kind -> conjugate of the above, cached
     branch_weights: dict  # kind -> ensemble weight
 
@@ -172,7 +171,6 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     else:
         branch_weights = {kinds[0]: 1.0}
     transforms = {}
-    a_hat = {}
     a_hat_t = {}
     for kind in kinds:
         t_b = _branch_slots(kind, ds.n_slots)
@@ -182,12 +180,10 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
             padded = np.zeros((ds.n_nodes, ds.n_nodes, t_b))
             padded[:, :, : ds.n_slots] = a_hat_base
         transforms[kind] = tm
-        a_hat[kind] = padded
         a_hat_t[kind] = m_transform(padded, tm.m)
+    # conj() of a real array is the array itself, so only DFT pays for a copy.
     a_hat_t_conj = {k: v.conj() for k, v in a_hat_t.items()}
-    return ModelAux(
-        ds.n_nodes, ds.n_slots, transforms, a_hat, a_hat_t, a_hat_t_conj, branch_weights
-    )
+    return ModelAux(ds.n_nodes, ds.n_slots, transforms, a_hat_t, a_hat_t_conj, branch_weights)
 
 
 def _forward_branch(kind: str, model: ModelParams, aux: ModelAux, activation: str):
@@ -245,8 +241,9 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
     """Loss and exact analytic gradients over the training batch.
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
-    one-based time indices.  Returns (loss_value, gradients) with the
-    gradient dict keyed like ``ModelParams.flatten``.
+    one-based time indices.  Returns (loss_value, gradients, h, y_hat): the
+    gradient dict is keyed like ``ModelParams.flatten``, h is the
+    representation tensor and y_hat the batch predictions.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(model, aux, config.activation)
@@ -318,7 +315,7 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {key}")
-    return total, grads, h
+    return total, grads, h, y_hat
 
 
 @dataclass
@@ -389,16 +386,16 @@ class EarlyStopping:
         return self.consecutive_rises >= self.patience
 
 
-def train(ds: DynamicGraphDataset, config: TrainConfig):
+def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
-    Returns (best ModelParams, history) where history is a list of dicts
-    with epoch, train_loss, train_mae, val_mae.  The returned parameters
-    are those of the best validation epoch.
+    ``aux`` is ``build_aux(ds, config)``.  Returns (best ModelParams,
+    history) where history is a list of dicts with epoch, train_loss,
+    train_mae, val_mae.  The returned parameters are those of the best
+    validation epoch.
     """
     if not ds.has_splits:
         raise ValueError("dataset must carry train/val/test splits")
-    aux = build_aux(ds, config)
     model = init_params(ds, config)
     train_batch = ds.subset_arrays(ds.train_idx)
     val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
@@ -409,11 +406,10 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
     history = []
     best_named = None
     for epoch in range(1, config.max_epochs + 1):
-        loss_value, grads, h = compute_gradients(model, aux, train_batch, config)
+        loss_value, grads, h, train_pred = compute_gradients(model, aux, train_batch, config)
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
-        # Validation error at the current parameters (pre-update).
-        train_pred = _predict(h, model.r, *train_batch[:3])
+        # Train and validation error at the current parameters (pre-update).
         train_mae = float(np.mean(np.abs(train_pred - train_batch[3])))
         val_pred = _predict(h, model.r, val_t, val_i, val_j)
         val_mae = float(np.mean(np.abs(val_pred - val_y)))
@@ -476,7 +472,7 @@ def grad_check(
     model = init_params(ds, config)
     batch = ds.subset_arrays(ds.train_idx[: min(n_obs, len(ds.train_idx))])
 
-    _, grads, _ = compute_gradients(model, aux, batch, config)
+    _, grads, _, _ = compute_gradients(model, aux, batch, config)
 
     def loss_now():
         return compute_gradients(model, aux, batch, config)[0]

@@ -104,9 +104,9 @@ class TestAcceptance:
                 continue
             seen.add((t, i, j))
             obs.append(LinkObservation(t, i, j, float(rng.uniform(0.05, 1.0))))
-        ds = split_dataset(DynamicGraphDataset(8, 4, obs), seed=3)
+        ds = split_dataset(DynamicGraphDataset.from_observations(8, 4, obs), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
-        _, hist = train(ds, cfg)
+        _, hist = train(build_aux(ds, cfg), ds, cfg)
         ok = min(h["train_mae"] for h in hist) <= 0.01
         ok &= (time.perf_counter() - started) < 60.0
         _report(5, "ensemble overfits 20 links", ok)
@@ -127,7 +127,7 @@ class TestAcceptance:
             generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=7)), seed=7
         )
         cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        model, hist = train(ds, cfg)
+        model, hist = train(build_aux(ds, cfg), ds, cfg)
         metrics = evaluate(model, build_aux(ds, cfg), ds, cfg)
         ok &= abs(metrics["val_mae"] - min(h["val_mae"] for h in hist)) <= 1e-12
         _report(6, "early stop at tenth consecutive rise, best epoch returned", ok)
@@ -143,7 +143,7 @@ class TestAcceptance:
             for seed in range(5):
                 cfg = TrainConfig(transform=scheme, seed=seed, split_seed=seed)
                 split = split_dataset(ds, seed=cfg.split_seed)
-                model, _ = train(split, cfg)
+                model, _ = train(build_aux(split, cfg), split, cfg)
                 metrics = evaluate(model, build_aux(split, cfg), split, cfg)
                 maes.append(metrics["test_mae"])
             means[scheme] = float(np.mean(maes))
@@ -172,6 +172,6 @@ class TestAcceptance:
     @pytest.mark.parametrize("n_obs,sizes", [(10, (6, 2, 2)), (11, (7, 2, 2)), (101, (61, 20, 20))])
     def test_criterion_9_split_sizes(self, n_obs, sizes):
         obs = [LinkObservation(1, 0, k + 1, 0.5) for k in range(n_obs)]
-        ds = split_dataset(DynamicGraphDataset(n_obs + 1, 1, obs), seed=0)
+        ds = split_dataset(DynamicGraphDataset.from_observations(n_obs + 1, 1, obs), seed=0)
         got = (len(ds.train_idx), len(ds.val_idx), len(ds.test_idx))
         _report(9, f"60/20/20 split of {n_obs} observations", got == sizes)

@@ -89,6 +89,39 @@ class TestTrainEval:
         }
         assert train_lines == eval_lines
 
+    def test_train_builds_aux_once(self, dataset_file, tmp_path, monkeypatch):
+        import tubalgcn.cli
+        import tubalgcn.training
+
+        calls = []
+        real = tubalgcn.training.build_aux
+
+        def counting(ds, config):
+            calls.append(config.transform)
+            return real(ds, config)
+
+        monkeypatch.setattr(tubalgcn.cli, "build_aux", counting)
+        monkeypatch.setattr(tubalgcn.training, "build_aux", counting)
+        self._train(dataset_file, tmp_path, transform="ensemble")
+        assert calls == ["ensemble"]
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5"])
+    def test_bad_weight_in_test_split_fails(self, dataset_file, tmp_path, capsys, weight):
+        from tubalgcn.data import parse_dataset, split_dataset
+
+        row = int(split_dataset(parse_dataset(dataset_file), seed=0).test_idx[0])
+        lines = dataset_file.read_text().splitlines()
+        lineno = 3 + row  # two header lines, then one line per row
+        fields = lines[lineno - 1].split("\t")
+        lines[lineno - 1] = "\t".join(fields[:3] + [weight])
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(bad), "--max-epochs", "2",
+                   "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert f"bad.tsv:{lineno}: weight" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
     def test_eval_node_mismatch_fails(self, dataset_file, tmp_path):
         ckpt, _ = self._train(dataset_file, tmp_path)
         other = tmp_path / "other.tsv"

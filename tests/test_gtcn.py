@@ -51,6 +51,19 @@ class TestPreprocessAdjacency:
         with pytest.raises(ValueError, match="nonnegative"):
             preprocess_adjacency(raw)
 
+    @pytest.mark.parametrize("mode", ["raw_self_loops", "sym_normalized"])
+    def test_leaves_raw_unchanged_and_matches_out_of_place_form(self, mode):
+        rng = np.random.default_rng(3)
+        raw = rng.uniform(0, 1, size=(6, 6, 4)) * (rng.random((6, 6, 4)) < 0.4)
+        before = raw.copy()
+        out = preprocess_adjacency(raw, mode)
+        np.testing.assert_array_equal(raw, before)
+        expected = raw + np.eye(6)[:, :, None]
+        if mode == "sym_normalized":
+            inv_sqrt = 1.0 / np.sqrt(expected.sum(axis=1))
+            expected = expected * inv_sqrt[:, None, :] * inv_sqrt[None, :, :]
+        np.testing.assert_array_equal(out.a, expected)
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             preprocess_adjacency(np.zeros((2, 3, 1)))

@@ -65,7 +65,7 @@ class TestGradients:
         j_idx = np.array([1])
         f = cfg.embedding_dim
         y_val = h[0, :, 0] @ model.r[:f] + h[1, :, 0] @ model.r[f:]
-        _, grads, _ = compute_gradients(model, aux, (t_idx, i_idx, j_idx, np.array([y_val])), cfg)
+        _, grads, _, _ = compute_gradients(model, aux, (t_idx, i_idx, j_idx, np.array([y_val])), cfg)
         for key, g in grads.items():
             assert np.max(np.abs(g)) <= 1e-12, key
 
@@ -88,7 +88,7 @@ class TestGradients:
         f = cfg.embedding_dim
         y_val = h[0, :, 0] @ model.r[:f] + h[1, :, 0] @ model.r[f:]
         batch = (np.array([1]), np.array([0]), np.array([1]), np.array([y_val]))
-        _, grads, _ = compute_gradients(model, aux, batch, cfg)
+        _, grads, _, _ = compute_gradients(model, aux, batch, cfg)
         named = model.flatten()
         norm = np.sqrt(sum(float(np.sum(a**2)) for a in named.values()))
         for key, arr in named.items():
@@ -160,15 +160,15 @@ class TestTrain:
                 continue
             seen.add((t, i, j))
             obs.append(LinkObservation(t, i, j, float(rng.uniform(0.05, 1.0))))
-        ds = split_dataset(DynamicGraphDataset(8, 4, obs), seed=3)
+        ds = split_dataset(DynamicGraphDataset.from_observations(8, 4, obs), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
-        _, hist = train(ds, cfg)
+        _, hist = train(build_aux(ds, cfg), ds, cfg)
         assert min(h["train_mae"] for h in hist) <= 0.01
 
     def test_returns_best_validation_epoch(self):
         ds = small_dataset(seed=7, n=10)
         cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        model, hist = train(ds, cfg)
+        model, hist = train(build_aux(ds, cfg), ds, cfg)
         aux = build_aux(ds, cfg)
         metrics = evaluate(model, aux, ds, cfg)
         best_val = min(h["val_mae"] for h in hist)
@@ -177,14 +177,14 @@ class TestTrain:
     def test_deterministic_history(self):
         ds = small_dataset(seed=8, n=10)
         cfg = TrainConfig(embedding_dim=4, transform="dft", max_epochs=30, patience=30, seed=8)
-        _, h1 = train(ds, cfg)
-        _, h2 = train(ds, cfg)
+        _, h1 = train(build_aux(ds, cfg), ds, cfg)
+        _, h2 = train(build_aux(ds, cfg), ds, cfg)
         assert h1 == h2
 
     def test_loss_decreases_initially(self):
         ds = small_dataset(seed=9, n=12)
         cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=6, patience=6, seed=9)
-        _, hist = train(ds, cfg)
+        _, hist = train(build_aux(ds, cfg), ds, cfg)
         losses = [h["train_loss"] for h in hist]
         assert losses[-1] < losses[0]
 
@@ -193,7 +193,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10)
-        model, _ = train(ds, cfg)
+        model, _ = train(build_aux(ds, cfg), ds, cfg)
         path = tmp_path / "m.npz"
         save_checkpoint(path, model, cfg, extra={"note": "x"})
         named, cfg2, extra = load_checkpoint(path)
