@@ -24,16 +24,19 @@ from .gtcn import (
     AdjacencyTensor,
     EnsembleWeights,
     GtcnLayerParams,
+    TubeAdjacency,
     ensemble_combine,
     gtcn_forward,
     message_passing_oracle,
     preprocess_adjacency,
+    preprocess_tubes,
 )
 from .head_loss import LinkObservation, RegressionHead, estimate_weight, loss, mae, rmse
 from .data import (
     DynamicGraphDataset,
     SynthSpec,
     build_adjacency,
+    build_tube_adjacency,
     generate_synthetic,
     parse_dataset,
     serialize_dataset,

@@ -134,13 +134,11 @@ def cmd_eval(args) -> int:
     named, config, _ = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
     model = model_from_named(named, config)
-    if model.e.shape[0] != ds.n_nodes:
-        print(
-            f"error: checkpoint was trained on {model.e.shape[0]} nodes, "
-            f"dataset has {ds.n_nodes}",
-            file=sys.stderr,
-        )
-        return 1
+    sizes = (("nodes", model.e.shape[0], ds.n_nodes), ("time slots", model.u.shape[0], ds.n_slots))
+    for what, trained, have in sizes:
+        if trained != have:
+            print(f"error: checkpoint was trained on {trained} {what}, dataset has {have}", file=sys.stderr)
+            return 1
     ds = split_dataset(ds, seed=config.split_seed)
     aux = build_aux(ds, config)
     metrics = evaluate(model, aux, ds, config)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gtcn import TubeAdjacency
 from .head_loss import LinkObservation
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "parse_dataset",
     "serialize_dataset",
     "split_dataset",
+    "build_tube_adjacency",
     "build_adjacency",
     "generate_synthetic",
 ]
@@ -230,18 +232,23 @@ def split_dataset(ds: DynamicGraphDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0
     return out
 
 
-def build_adjacency(ds: DynamicGraphDataset) -> np.ndarray:
-    """Assemble (N, N, T) from TRAIN observations only; direction preserved.
+def build_tube_adjacency(ds: DynamicGraphDataset) -> TubeAdjacency:
+    """The adjacency of the TRAIN observations over its tube support.
 
-    Validation and test weights never enter the tensor, so the model never
-    sees the values it is evaluated on.
+    Directions are preserved and the support also holds the N self-loop
+    tubes.  Validation and test weights never enter it, so the model never
+    sees the values it is evaluated on.  Memory scales with the number of
+    tubes times T, never with N * N * T.
     """
     if not ds.has_splits:
         raise ValueError("assign splits before building the adjacency tensor")
-    a = np.zeros((ds.n_nodes, ds.n_nodes, ds.n_slots))
     k = ds.train_idx
-    a[ds.i[k], ds.j[k], ds.t[k] - 1] = ds.y[k]
-    return a
+    return TubeAdjacency.from_entries(ds.n_nodes, ds.n_slots, ds.i[k], ds.j[k], ds.t[k] - 1, ds.y[k])
+
+
+def build_adjacency(ds: DynamicGraphDataset) -> np.ndarray:
+    """The dense (N, N, T) form of ``build_tube_adjacency``."""
+    return build_tube_adjacency(ds).to_dense()
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .tensor3 import (
     DimensionMismatchError,
@@ -25,7 +26,9 @@ __all__ = [
     "ACTIVATIONS",
     "GtcnLayerParams",
     "AdjacencyTensor",
+    "TubeAdjacency",
     "EnsembleWeights",
+    "preprocess_tubes",
     "preprocess_adjacency",
     "gtcn_forward",
     "message_passing_oracle",
@@ -85,27 +88,92 @@ class AdjacencyTensor:
     preprocessing: str
 
 
-def preprocess_adjacency(raw, mode: str = "sym_normalized") -> AdjacencyTensor:
+@dataclass(frozen=True)
+class TubeAdjacency:
+    """An (N, N, T) adjacency stored over its tube support.
+
+    The support is every (row, col) pair that is nonzero in some slot, plus
+    every diagonal pair, in CSR order: row i owns tubes
+    ``indptr[i]:indptr[i + 1]``, sorted by column, and tube k holds the slot
+    values ``vals[k]`` of entry (i, ``cols[k]``).  A mode-3 transform mixes
+    only along time, so Â and Â x_3 M share one support.
+    """
+
+    n: int
+    indptr: np.ndarray  # (N + 1,) int64
+    cols: np.ndarray  # (nnz_tubes,) int64
+    vals: np.ndarray  # (nnz_tubes, T)
+
+    @classmethod
+    def from_entries(cls, n: int, n_slots: int, i, j, slot, y) -> "TubeAdjacency":
+        """Entries (i[k], j[k], slot[k]) = y[k], zero-based and unique, over
+        their tubes plus the N self-loop tubes."""
+        key = np.concatenate([np.asarray(i, dtype=np.int64) * n + j, np.arange(n, dtype=np.int64) * (n + 1)])
+        tubes, inverse = np.unique(key, return_inverse=True)
+        vals = np.zeros((len(tubes), n_slots))
+        vals[inverse[: len(y)], slot] = y
+        rows, cols = np.divmod(tubes, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n, indptr, cols, vals)
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "TubeAdjacency":
+        """The nonzero entries of an (N, N, T) array over their tubes."""
+        nz = np.nonzero(a)
+        return cls.from_entries(a.shape[0], a.shape[2], *nz, a[nz])
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def to_dense(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n, self.vals.shape[1]), dtype=self.vals.dtype)
+        a[self.rows, self.cols] = self.vals
+        return a
+
+    def slot_blocks(self) -> sparse.csr_array:
+        """Block-diagonal (T*N, T*N) CSR matrix whose block s is slot s."""
+        n, (nnz, t) = self.n, self.vals.shape
+        offsets = np.arange(t)[:, None]
+        indptr = np.append((self.indptr[:-1] + nnz * offsets).ravel(), t * nnz)
+        indices = (self.cols + n * offsets).ravel()
+        return sparse.csr_array((self.vals.T.ravel(), indices, indptr), shape=(t * n, t * n))
+
+
+def preprocess_tubes(raw: TubeAdjacency, mode: str = "sym_normalized") -> TubeAdjacency:
     """Add self-loops per slice, optionally symmetrically normalized.
 
     raw_self_loops: A^t + I.  sym_normalized: D^-1/2 (A^t + I) D^-1/2 with
-    D the diagonal of row sums of A^t + I.
+    D the diagonal of row sums of A^t + I.  ``raw`` must be nonnegative.
     """
+    if mode not in ("raw_self_loops", "sym_normalized"):
+        raise ValueError(f"unknown preprocessing mode {mode!r}")
+    rows = raw.rows
+    vals = raw.vals.copy()
+    vals[rows == raw.cols] += 1.0
+    if mode == "sym_normalized":
+        # Row sums per slice, (N, T).  bincount adds each row's tubes in
+        # column order, as a dense row sum does; the self-loop keeps every
+        # degree >= 1.
+        n, t = raw.n, vals.shape[1]
+        slot_rows = (rows[:, None] * t + np.arange(t)).ravel()
+        deg = np.bincount(slot_rows, weights=vals.ravel(), minlength=n * t).reshape(n, t)
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        vals *= inv_sqrt[rows]
+        vals *= inv_sqrt[raw.cols]
+    return TubeAdjacency(raw.n, raw.indptr, raw.cols, vals)
+
+
+def preprocess_adjacency(raw, mode: str = "sym_normalized") -> AdjacencyTensor:
+    """Dense form of ``preprocess_tubes``; ``raw`` is an (N, N, T) array."""
     a = as_tensor3(raw)
     n, n2, t = a.shape
     if n != n2:
         raise DimensionMismatchError(f"adjacency must be square per slice, got {a.shape}")
     if np.iscomplexobj(a) or np.any(a < 0):
         raise ValueError("adjacency weights must be real and nonnegative")
-    if mode not in ("raw_self_loops", "sym_normalized"):
-        raise ValueError(f"unknown preprocessing mode {mode!r}")
-    a_hat = a + np.eye(n)[:, :, None]  # a new array, scaled in place below; raw is untouched
-    if mode == "sym_normalized":
-        deg = a_hat.sum(axis=1)  # (N, T) row sums per slice
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        a_hat *= inv_sqrt[:, None, :]
-        a_hat *= inv_sqrt[None, :, :]
-    return AdjacencyTensor(a_hat, mode)
+    return AdjacencyTensor(preprocess_tubes(TubeAdjacency.from_dense(a), mode).to_dense(), mode)
 
 
 def _check_forward_dims(a: np.ndarray, x: np.ndarray, w: np.ndarray, m: TransformMatrix):

@@ -14,17 +14,18 @@ along mode 3) and per-slice transposed matrix products.
 
 from __future__ import annotations
 
+import ctypes
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import DynamicGraphDataset, build_adjacency
+from .data import DynamicGraphDataset, build_tube_adjacency
 from .gtcn import (
     EnsembleWeights,
     activation_grad,
     apply_activation,
-    preprocess_adjacency,
+    preprocess_tubes,
 )
 from .head_loss import params_l2_norm
 from .tensor3 import m_transform
@@ -126,13 +127,18 @@ class ModelParams:
 
 @dataclass
 class ModelAux:
-    """Per-dataset fixed quantities: transforms and pre-transformed adjacency."""
+    """Per-dataset fixed quantities: transforms and pre-transformed adjacency.
+
+    The slices of Â x_3 M are kept as one block-diagonal sparse matrix per
+    branch, so every face-wise product with Â is a single sparse x dense
+    product over the stacked (T_b * N, F) slices.
+    """
 
     n_nodes: int
     n_slots: int
     transforms: dict  # kind -> TransformMatrix (built at branch T)
-    a_hat_transformed: dict  # kind -> preprocessed (padded for haar) adjacency x_3 M
-    a_hat_transformed_conj: dict  # kind -> conjugate of the above, cached
+    a_hat_blocks: dict  # kind -> block-diagonal CSR of Â x_3 M (padded for haar)
+    a_hat_blocks_h: dict  # kind -> conjugate transpose of the above
     branch_weights: dict  # kind -> ensemble weight
 
 
@@ -161,9 +167,8 @@ def init_params(ds: DynamicGraphDataset, config: TrainConfig, seed=None) -> Mode
 
 
 def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
-    """Preprocess the adjacency once per branch (padded for haar)."""
-    raw = build_adjacency(ds)
-    a_hat_base = preprocess_adjacency(raw, config.adjacency_mode).a
+    """Preprocess the adjacency once, transform it per branch (padded for haar)."""
+    a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
     kinds = config.branch_kinds()
     if config.transform == "ensemble":
         w = EnsembleWeights()
@@ -171,35 +176,46 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     else:
         branch_weights = {kinds[0]: 1.0}
     transforms = {}
-    a_hat_t = {}
+    blocks = {}
+    blocks_h = {}
     for kind in kinds:
         t_b = _branch_slots(kind, ds.n_slots)
         tm = build_transform(kind, t_b)
-        padded = a_hat_base
+        vals = a_hat.vals
         if t_b != ds.n_slots:
-            padded = np.zeros((ds.n_nodes, ds.n_nodes, t_b))
-            padded[:, :, : ds.n_slots] = a_hat_base
+            vals = np.zeros((len(vals), t_b))
+            vals[:, : ds.n_slots] = a_hat.vals
+        # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
+        vals = m_transform(vals[:, None, :], tm.m)[:, 0, :]
         transforms[kind] = tm
-        a_hat_t[kind] = m_transform(padded, tm.m)
-    # conj() of a real array is the array itself, so only DFT pays for a copy.
-    a_hat_t_conj = {k: v.conj() for k, v in a_hat_t.items()}
-    return ModelAux(ds.n_nodes, ds.n_slots, transforms, a_hat_t, a_hat_t_conj, branch_weights)
+        blocks[kind] = replace(a_hat, vals=vals).slot_blocks()
+        blocks_h[kind] = blocks[kind].conj().T.tocsr()
+    return ModelAux(ds.n_nodes, ds.n_slots, transforms, blocks, blocks_h, branch_weights)
+
+
+def _slot_product(blocks, x: np.ndarray) -> np.ndarray:
+    """Face-wise product of block-diagonal ``blocks`` with an (N, F, T) tensor.
+
+    The slices are stacked into a (T * N, F) matrix; an ``m_transform``
+    result is already (T, N, F)-contiguous, so stacking it copies nothing.
+    """
+    n, f, t = x.shape
+    stacked = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(t * n, f)
+    return (blocks @ stacked).reshape(t, n, f).transpose(1, 2, 0)
 
 
 def _forward_branch(kind: str, model: ModelParams, aux: ModelAux, activation: str):
     """Run the layer stack for one branch, keeping backprop caches."""
     tm = aux.transforms[kind]
-    ah = aux.a_hat_transformed[kind]
-    t_b = ah.shape[2]
     n, f = model.e.shape
-    x = np.zeros((n, f, t_b))
+    x = np.zeros((n, f, tm.size))
     x[:, :, : aux.n_slots] = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
     caches = []
     for w in model.branch_ws[kind]:
         xh = m_transform(x, tm.m)
         wh = m_transform(w, tm.m)
+        q = _slot_product(aux.a_hat_blocks[kind], xh)
         # matmul over time-stacked slices hits BLAS; einsum would not
-        q = np.matmul(ah.transpose(2, 0, 1), xh.transpose(2, 0, 1)).transpose(1, 2, 0)
         p = np.matmul(q.transpose(2, 0, 1), wh.transpose(2, 0, 1)).transpose(1, 2, 0)
         z = m_transform(p, tm.m_inv)
         s = z.real.copy() if np.iscomplexobj(z) else z
@@ -274,12 +290,9 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
     grads = {"r": g_r, "e": np.zeros_like(model.e), "u": np.zeros_like(model.u)}
     for kind, caches in branch_caches.items():
         tm = aux.transforms[kind]
-        ah = aux.a_hat_transformed[kind]
-        ah_conj = aux.a_hat_transformed_conj[kind]
-        t_b = ah.shape[2]
         m_adj = tm.m.conj().T
         m_inv_adj = tm.m_inv.conj().T
-        g_x = np.zeros((n, f, t_b))
+        g_x = np.zeros((n, f, tm.size))
         g_x[:, :, : aux.n_slots] = aux.branch_weights[kind] * g_h
         for layer in reversed(range(len(caches))):
             cache = caches[layer]
@@ -292,7 +305,7 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
             g_wh = np.matmul(q.conj().transpose(2, 1, 0), g_pt).transpose(1, 2, 0)
             g_w = m_transform(g_wh, m_adj)
             grads[f"w:{kind}:{layer}"] = g_w.real.copy() if np.iscomplexobj(g_w) else g_w
-            g_xh = np.matmul(ah_conj.transpose(2, 1, 0), g_q.transpose(2, 0, 1)).transpose(1, 2, 0)
+            g_xh = _slot_product(aux.a_hat_blocks_h[kind], g_q)
             g_x = m_transform(g_xh, m_adj)
             g_x = g_x.real.copy() if np.iscomplexobj(g_x) else g_x
         g_x_obs = g_x[:, :, : aux.n_slots]
@@ -386,16 +399,40 @@ class EarlyStopping:
         return self.consecutive_rises >= self.patience
 
 
+def _keep_freed_heap():
+    """Let the process reuse its freed heap instead of returning it (glibc).
+
+    Every epoch allocates and frees megabytes of temporaries.  glibc's
+    default trims the heap once twice the largest freed mmap'd block is
+    free at its top; when no block of several MB is ever freed, as with a
+    tube-sparse adjacency, that is ~2 MB, and each epoch faults its
+    temporaries in again (N=200, T=16: ~3,000 page faults per epoch).  The
+    values set are those glibc's own dynamic thresholds reach after a
+    32 MiB block is freed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library symbol table, or not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
     ``aux`` is ``build_aux(ds, config)``.  Returns (best ModelParams,
     history) where history is a list of dicts with epoch, train_loss,
     train_mae, val_mae.  The returned parameters are those of the best
-    validation epoch.
+    validation epoch.  On glibc it raises the process's heap trim and mmap
+    thresholds; see ``_keep_freed_heap``.
     """
     if not ds.has_splits:
         raise ValueError("dataset must carry train/val/test splits")
+    _keep_freed_heap()
     model = init_params(ds, config)
     train_batch = ds.subset_arrays(ds.train_idx)
     val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
@@ -449,6 +486,7 @@ def grad_check(
     h_step: float = 1e-5,
     kappa: float = 1e-4,
     activation: str = "sigmoid",
+    n_layers: int = 1,
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
@@ -466,6 +504,7 @@ def grad_check(
         transform=transform,
         kappa=kappa,
         activation=activation,
+        n_layers=n_layers,
         seed=seed,
     )
     aux = build_aux(ds, config)

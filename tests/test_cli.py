@@ -131,6 +131,20 @@ class TestTrainEval:
                    "--report", str(tmp_path / "e.txt")])
         assert rc == 1
 
+    def test_eval_slot_mismatch_fails(self, tmp_path, capsys):
+        paths = {}
+        for slots in (4, 8):
+            paths[slots] = tmp_path / f"t{slots}.tsv"
+            assert main(["gen-synth", "--nodes", "12", "--slots", str(slots), "--density", "0.5",
+                         "--seed", "3", "--out", str(paths[slots])]) == 0
+        ckpt, _ = self._train(paths[4], tmp_path)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(paths[8]),
+                   "--report", str(tmp_path / "e.txt")])
+        assert rc == 1
+        assert "trained on 4 time slots, dataset has 8" in capsys.readouterr().err
+        assert not (tmp_path / "e.txt").exists()
+
 
 class TestTransformMatrix:
     def test_haar4_rows(self, tmp_path):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tubalgcn.data import DynamicGraphDataset, SynthSpec, generate_synthetic, split_dataset
+from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
+from tubalgcn.gtcn import AdjacencyTensor, GtcnLayerParams, message_passing_oracle, preprocess_adjacency
 from tubalgcn.head_loss import LinkObservation
+from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
     AdamState,
     EarlyStopping,
@@ -78,6 +82,13 @@ class TestGradients:
         rep = grad_check(seed=5, t=3, transform="haar")
         assert rep["passed"], rep
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+    @pytest.mark.parametrize("transform,t", [("dft", 4), ("haar", 3)])
+    def test_finite_differences_two_layers(self, transform, t, activation):
+        rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2)
+        assert rep["passed"], rep
+        assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
+
     def test_norm_gradient(self):
         # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||.
         ds = small_dataset()
@@ -93,6 +104,63 @@ class TestGradients:
         norm = np.sqrt(sum(float(np.sum(a**2)) for a in named.values()))
         for key, arr in named.items():
             np.testing.assert_allclose(grads[key], 0.5 * arr / norm, atol=1e-12)
+
+
+class TestForwardMatchesOracle:
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("mode", ["sym_normalized", "raw_self_loops"])
+    @pytest.mark.parametrize("kind", ["identity", "dft", "dct", "haar"])
+    def test_one_layer(self, kind, mode, t):
+        # The trainer's tube-sparse path against the dense adjacency and the
+        # message-passing oracle; haar at T = 3 and 5 runs zero-padded to 4 and 8.
+        n = 6
+        ds = small_dataset(seed=t, n=n, t=t)
+        cfg = TrainConfig(embedding_dim=3, transform=kind, adjacency_mode=mode, seed=t)
+        aux = build_aux(ds, cfg)
+        model = init_params(ds, cfg)
+        h, _ = forward_model(model, aux, cfg.activation)
+
+        tm = aux.transforms[kind]
+        t_b = tm.size
+        a = np.zeros((n, n, t_b))
+        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), mode).a
+        x = np.zeros((n, cfg.embedding_dim, t_b))
+        x[:, :, :t] = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
+        p = GtcnLayerParams(model.branch_ws[kind][0], cfg.activation)
+        oracle = message_passing_oracle(AdjacencyTensor(a, mode), x, p, tm)
+        assert np.max(np.abs(h - oracle[:, :, :t])) <= 1e-9
+
+        a_hat_t = m_transform(a, tm.m)
+        expected = np.zeros((t_b * n, t_b * n), dtype=a_hat_t.dtype)
+        for s in range(t_b):
+            expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
+        np.testing.assert_allclose(aux.a_hat_blocks[kind].toarray(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aux.a_hat_blocks_h[kind].toarray(), expected.conj().T, rtol=0, atol=1e-12)
+
+
+class TestMemory:
+    def test_aux_and_epoch_allocate_no_dense_adjacency(self):
+        # N = 2000, T = 8, 0.1 % of node pairs linked in every slot.  The
+        # embedding is small so that the N x F x T activations stay far
+        # below the bound and only an N x N x T allocation could break it.
+        n, t, edges = 2000, 8, 4000
+        rng = np.random.default_rng(0)
+        i, j = np.divmod(rng.choice(n * n, size=edges, replace=False), n)
+        slots = np.tile(np.arange(1, t + 1), edges)
+        y = rng.uniform(0.05, 1.0, size=edges * t)
+        ds = split_dataset(DynamicGraphDataset(n, t, slots, np.repeat(i, t), np.repeat(j, t), y), seed=0)
+        cfg = TrainConfig(embedding_dim=4, transform="ensemble")
+        model = init_params(ds, cfg)
+        batch = ds.subset_arrays(ds.train_idx)
+        tracemalloc.start()
+        try:
+            aux = build_aux(ds, cfg)
+            compute_gradients(model, aux, batch, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = n * n * t * np.dtype(np.float64).itemsize
+        assert peak < dense_bytes / 10, f"peak {peak} bytes"
 
 
 class TestAdam:
