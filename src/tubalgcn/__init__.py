@@ -6,7 +6,6 @@ from .tensor3 import (
     DimensionMismatchError,
     facewise_product,
     fold3,
-    m_inverse_transform,
     m_product,
     m_transform,
     mode_n_product,
@@ -21,17 +20,17 @@ from .transforms import (
     build_transform,
 )
 from .gtcn import (
-    AdjacencyTensor,
     EnsembleWeights,
-    GtcnLayerParams,
     TubeAdjacency,
     ensemble_combine,
-    gtcn_forward,
+    layer_backward,
+    layer_forward,
     message_passing_oracle,
     preprocess_adjacency,
     preprocess_tubes,
+    transformed_blocks,
 )
-from .head_loss import LinkObservation, RegressionHead, estimate_weight, loss, mae, rmse
+from .head_loss import LinkObservation, loss, mae, predict, rmse
 from .data import (
     DynamicGraphDataset,
     SynthSpec,

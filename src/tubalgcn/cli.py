@@ -18,6 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import SynthSpec, generate_synthetic, parse_dataset, serialize_dataset, split_dataset
+from .gtcn import ACTIVATIONS, ADJACENCY_MODES
 from .training import (
     TrainConfig,
     build_aux,
@@ -79,8 +80,8 @@ def _add_train_flags(p):
     p.add_argument("--kappa", type=float, default=1e-4)
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--activation", choices=("sigmoid", "relu", "identity"), default="sigmoid")
-    p.add_argument("--adjacency", choices=("sym_normalized", "raw_self_loops"), default="sym_normalized")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="sigmoid")
+    p.add_argument("--adjacency", choices=ADJACENCY_MODES, default="sym_normalized")
     p.add_argument("--layers", type=int, default=1)
 
 

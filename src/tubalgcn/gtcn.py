@@ -4,12 +4,13 @@ preprocessing, and the diversified-transform ensemble.
 The layer computes H = sigma(A * X * W) where * is the M-product.  The
 chain is evaluated in the transform domain once: hat all three operands,
 multiply slices, apply the inverse transform, take the real part, then
-the activation.
+the activation.  ``layer_forward`` and ``layer_backward`` are the one
+implementation of the layer; training and the oracle tests both run them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -24,13 +25,14 @@ from .transforms import TransformMatrix
 
 __all__ = [
     "ACTIVATIONS",
-    "GtcnLayerParams",
-    "AdjacencyTensor",
+    "ADJACENCY_MODES",
     "TubeAdjacency",
     "EnsembleWeights",
     "preprocess_tubes",
     "preprocess_adjacency",
-    "gtcn_forward",
+    "transformed_blocks",
+    "layer_forward",
+    "layer_backward",
     "message_passing_oracle",
     "ensemble_combine",
     "apply_activation",
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("sigmoid", "relu", "identity")
+
+ADJACENCY_MODES = ("sym_normalized", "raw_self_loops")
 
 PRE_ACTIVATION_IMAG_TOL = 1e-8
 
@@ -62,30 +66,6 @@ def activation_grad(s: np.ndarray, activation: str) -> np.ndarray:
     if activation == "identity":
         return np.ones_like(s)
     raise ValueError(f"unknown activation {activation!r}")
-
-
-@dataclass(frozen=True)
-class GtcnLayerParams:
-    """Learnable weight tensor W of shape (F_in, F_out, T) plus activation."""
-
-    w: np.ndarray
-    activation: str = "sigmoid"
-
-    def __post_init__(self):
-        w = as_tensor3(self.w)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight tensor contains non-finite entries")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
-class AdjacencyTensor:
-    """Preprocessed adjacency tensor of shape (N, N, T)."""
-
-    a: np.ndarray
-    preprocessing: str
 
 
 @dataclass(frozen=True)
@@ -147,7 +127,7 @@ def preprocess_tubes(raw: TubeAdjacency, mode: str = "sym_normalized") -> TubeAd
     raw_self_loops: A^t + I.  sym_normalized: D^-1/2 (A^t + I) D^-1/2 with
     D the diagonal of row sums of A^t + I.  ``raw`` must be nonnegative.
     """
-    if mode not in ("raw_self_loops", "sym_normalized"):
+    if mode not in ADJACENCY_MODES:
         raise ValueError(f"unknown preprocessing mode {mode!r}")
     rows = raw.rows
     vals = raw.vals.copy()
@@ -165,7 +145,7 @@ def preprocess_tubes(raw: TubeAdjacency, mode: str = "sym_normalized") -> TubeAd
     return TubeAdjacency(raw.n, raw.indptr, raw.cols, vals)
 
 
-def preprocess_adjacency(raw, mode: str = "sym_normalized") -> AdjacencyTensor:
+def preprocess_adjacency(raw, mode: str = "sym_normalized") -> np.ndarray:
     """Dense form of ``preprocess_tubes``; ``raw`` is an (N, N, T) array."""
     a = as_tensor3(raw)
     n, n2, t = a.shape
@@ -173,30 +153,57 @@ def preprocess_adjacency(raw, mode: str = "sym_normalized") -> AdjacencyTensor:
         raise DimensionMismatchError(f"adjacency must be square per slice, got {a.shape}")
     if np.iscomplexobj(a) or np.any(a < 0):
         raise ValueError("adjacency weights must be real and nonnegative")
-    return AdjacencyTensor(preprocess_tubes(TubeAdjacency.from_dense(a), mode).to_dense(), mode)
+    return preprocess_tubes(TubeAdjacency.from_dense(a), mode).to_dense()
 
 
-def _check_forward_dims(a: np.ndarray, x: np.ndarray, w: np.ndarray, m: TransformMatrix):
-    n, n2, t = a.shape
-    if x.shape[0] != n or x.shape[2] != t:
-        raise DimensionMismatchError(f"features {x.shape} incompatible with adjacency {a.shape}")
-    if w.shape[0] != x.shape[1] or w.shape[2] != t:
-        raise DimensionMismatchError(f"weights {w.shape} incompatible with features {x.shape}")
-    if m.size != t:
-        raise DimensionMismatchError(f"transform size {m.size} != T={t}")
+def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix):
+    """Â x_3 M as a block-diagonal CSR matrix, plus its conjugate transpose.
+
+    Â's slots are zero-padded up to ``tm.size`` (the Haar branch runs at the
+    next power of two), then each tube is transformed; block s of the
+    result is slice s of Â x_3 M.
+    """
+    vals = a.vals
+    if tm.size > vals.shape[1]:
+        vals = np.zeros((len(vals), tm.size))
+        vals[:, : a.vals.shape[1]] = a.vals
+    # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
+    vals = m_transform(vals[:, None, :], tm.m)[:, 0, :]
+    blocks = replace(a, vals=vals).slot_blocks()
+    return blocks, blocks.conj().T.tocsr()
 
 
-def gtcn_forward(
-    a: AdjacencyTensor, x, p: GtcnLayerParams, m: TransformMatrix
-) -> np.ndarray:
-    """One convolution layer: sigma(A * X * W) with * the M-product."""
-    x = as_tensor3(x)
-    _check_forward_dims(a.a, x, p.w, m)
-    ah = m_transform(a.a, m.m)
-    xh = m_transform(x, m.m)
-    wh = m_transform(p.w, m.m)
-    ph = facewise_product(facewise_product(ah, xh), wh)
-    z = m_transform(ph, m.m_inv)
+def _slot_product(blocks, x: np.ndarray) -> np.ndarray:
+    """Face-wise product of block-diagonal ``blocks`` with an (N, F, T) tensor.
+
+    The slices are stacked into a (T * N, F) matrix; an ``m_transform``
+    result is already (T, N, F)-contiguous, so stacking it copies nothing.
+    """
+    n, f, t = x.shape
+    stacked = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(t * n, f)
+    return (blocks @ stacked).reshape(t, n, f).transpose(1, 2, 0)
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    return z.real.copy() if np.iscomplexobj(z) else z
+
+
+def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
+    """One layer, sigma(Â * X * W), on ``blocks`` from ``transformed_blocks``.
+
+    ``x`` is (N, F_in, T) and ``w`` is (F_in, F_out, T) with T = ``tm.size``.
+    Returns H and the cache that ``layer_backward`` needs.
+    """
+    n, f_in, t = x.shape
+    if w.shape[0] != f_in or w.shape[2] != t or blocks.shape != (t * n, t * n):
+        raise DimensionMismatchError(
+            f"features {x.shape}, weights {w.shape} and adjacency blocks {blocks.shape} disagree"
+        )
+    xh = m_transform(x, tm.m)
+    wh = m_transform(w, tm.m)
+    q = _slot_product(blocks, xh)
+    p = facewise_product(q, wh)
+    z = m_transform(p, tm.m_inv)
     if np.iscomplexobj(z):
         residue = np.max(np.abs(z.imag))
         if residue > PRE_ACTIVATION_IMAG_TOL:
@@ -204,27 +211,48 @@ def gtcn_forward(
                 f"pre-activation imaginary residue {residue:.3e} exceeds "
                 f"{PRE_ACTIVATION_IMAG_TOL:.0e} (stage: inverse transform)"
             )
-        z = np.ascontiguousarray(z.real)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite pre-activation values (stage: convolution chain)")
-    return apply_activation(z, p.activation)
+    s = _real(z)
+    if not np.all(np.isfinite(s)):
+        raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
+    return apply_activation(s, activation), {"q": q, "wh": wh, "s": s}
 
 
-def message_passing_oracle(
-    a: AdjacencyTensor, x, p: GtcnLayerParams, m: TransformMatrix
-) -> np.ndarray:
+def layer_backward(blocks_h, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
+    """Gradients (dL/dX, dL/dW) of one layer from dL/dH.
+
+    ``blocks_h`` is the conjugate transpose from ``transformed_blocks``.
+    Every stage but the activation is (complex-)linear, so backprop is the
+    adjoint transform along mode 3 and per-slice conjugate-transposed products.
+    """
+    m_adj = tm.m.conj().T
+    g_s = g_h * activation_grad(cache["s"], activation)
+    g_p = m_transform(g_s, tm.m_inv.conj().T)
+    g_q = facewise_product(g_p, cache["wh"].conj().transpose(1, 0, 2))
+    g_wh = facewise_product(cache["q"].conj().transpose(1, 0, 2), g_p)
+    g_w = _real(m_transform(g_wh, m_adj))
+    g_x = _real(m_transform(_slot_product(blocks_h, g_q), m_adj))
+    return g_x, g_w
+
+
+def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmoid") -> np.ndarray:
     """Entrywise nested-loop evaluation of the layer, for testing only.
 
-    Expands the M-product chain node by node: temporal mixing of every
-    adjacency entry and feature vector through the transform matrix,
-    per-slice aggregation over the (self-loop augmented) neighborhood,
-    feature mixing by the transformed weight slices, then the inverse
-    transform and the activation.  Quadratic loops; small instances only.
+    ``a`` is the dense (N, N, T) preprocessed adjacency.  Expands the
+    M-product chain node by node: temporal mixing of every adjacency entry
+    and feature vector through the transform matrix, per-slice aggregation
+    over the (self-loop augmented) neighborhood, feature mixing by the
+    transformed weight slices, then the inverse transform and the
+    activation.  Quadratic loops; small instances only.
     """
+    a = as_tensor3(a)
     x = as_tensor3(x)
-    _check_forward_dims(a.a, x, p.w, m)
-    n = a.a.shape[0]
-    f_in, f_out, t = p.w.shape
+    w = as_tensor3(w)
+    n, n2, t = a.shape
+    if n2 != n or x.shape[0] != n or x.shape[2] != t:
+        raise DimensionMismatchError(f"features {x.shape} incompatible with adjacency {a.shape}")
+    if w.shape[0] != x.shape[1] or w.shape[2] != t or m.size != t:
+        raise DimensionMismatchError(f"weights {w.shape} or transform size {m.size} incompatible with {x.shape}")
+    f_in, f_out, _ = w.shape
     mm = m.m
     mi = m.m_inv
     dtype = np.complex128 if np.iscomplexobj(mm) else np.float64
@@ -235,9 +263,9 @@ def message_passing_oracle(
     wh = np.zeros((f_in, f_out, t), dtype=dtype)
     for s in range(t):
         for k in range(t):
-            ah[:, :, s] += mm[s, k] * a.a[:, :, k]
+            ah[:, :, s] += mm[s, k] * a[:, :, k]
             xh[:, :, s] += mm[s, k] * x[:, :, k]
-            wh[:, :, s] += mm[s, k] * p.w[:, :, k]
+            wh[:, :, s] += mm[s, k] * w[:, :, k]
 
     h = np.zeros((n, f_out, t), dtype=dtype)
     for i in range(n):
@@ -254,7 +282,7 @@ def message_passing_oracle(
             out[:, :, s] += mi[s, k] * h[:, :, k]
     if np.iscomplexobj(out):
         out = out.real.copy()
-    return apply_activation(out, p.activation)
+    return apply_activation(out, activation)
 
 
 @dataclass(frozen=True)
@@ -272,14 +300,21 @@ class EnsembleWeights:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"ensemble weights must sum to 1, got {total}")
 
+    def by_branch(self) -> dict:
+        return {"dft": self.alpha, "dct": self.beta, "haar": self.chi}
 
-def ensemble_combine(h_dft, h_dct, h_haar, w: EnsembleWeights) -> np.ndarray:
-    """Weighted sum of the three branch representation tensors."""
-    h_dft = as_tensor3(h_dft)
-    h_dct = as_tensor3(h_dct)
-    h_haar = as_tensor3(h_haar)
-    if not (h_dft.shape == h_dct.shape == h_haar.shape):
-        raise DimensionMismatchError(
-            f"branch shapes differ: {h_dft.shape}, {h_dct.shape}, {h_haar.shape}"
-        )
-    return w.alpha * h_dft + w.beta * h_dct + w.chi * h_haar
+
+def ensemble_combine(branch_h: dict, branch_weights: dict) -> np.ndarray:
+    """Weighted sum of the branch representation tensors, in ``branch_h`` order.
+
+    ``branch_h`` maps a branch kind to its (N, F, T) tensor and
+    ``branch_weights`` the kind to its weight.
+    """
+    hs = {kind: as_tensor3(h) for kind, h in branch_h.items()}
+    shapes = {h.shape for h in hs.values()}
+    if len(shapes) != 1:
+        raise DimensionMismatchError(f"branch shapes differ: {sorted(shapes)}")
+    out = np.zeros(shapes.pop())
+    for kind, h in hs.items():
+        out += branch_weights[kind] * h
+    return out

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RegressionHead",
     "LinkObservation",
-    "estimate_weight",
-    "estimate_weights_batch",
+    "predict",
     "loss",
     "params_l2_norm",
     "mae",
@@ -28,38 +26,28 @@ class LinkObservation:
     y: float
 
 
-@dataclass(frozen=True)
-class RegressionHead:
-    """Aggregation vector r of length 2*F_out applied to [h_i || h_j]."""
+def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
+    """y_hat = [h_i^t || h_j^t] . r for every link (t one-based).
 
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(r)):
-            raise ValueError("regression vector contains non-finite entries")
-        object.__setattr__(self, "r", r)
-
-
-def estimate_weight(h: np.ndarray, obs: LinkObservation, head: RegressionHead) -> float:
-    """y_hat = [h_i^t || h_j^t] . r for a single link."""
+    The endpoint rows are gathered from the time-major (N * T, F) layout of
+    ``h``.  Returns y_hat and (hi, hj, rows_i, rows_j): the gathered rows and
+    their row numbers, which the backward pass scatters onto.
+    """
     n, f, t = h.shape
-    if not (1 <= obs.t <= t) or not (0 <= obs.i < n) or not (0 <= obs.j < n):
-        raise IndexError(f"observation (t={obs.t}, i={obs.i}, j={obs.j}) out of range for {h.shape}")
-    if head.r.shape[0] != 2 * f:
-        raise ValueError(f"head length {head.r.shape[0]} != 2*F_out = {2 * f}")
-    concat = np.concatenate([h[obs.i, :, obs.t - 1], h[obs.j, :, obs.t - 1]])
-    return float(concat @ head.r)
-
-
-def estimate_weights_batch(
-    h: np.ndarray, t_idx: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray, head: RegressionHead
-) -> np.ndarray:
-    """Vectorized estimate_weight over index arrays (t_idx is 1-based)."""
-    f = h.shape[1]
-    hi = h[i_idx, :, t_idx - 1]
-    hj = h[j_idx, :, t_idx - 1]
-    return hi @ head.r[:f] + hj @ head.r[f:]
+    if r.shape != (2 * f,):
+        raise ValueError(f"head length {r.shape} != 2*F_out = {2 * f}")
+    if len(t_idx) and (
+        min(t_idx.min() - 1, i_idx.min(), j_idx.min()) < 0
+        or t_idx.max() > t
+        or max(i_idx.max(), j_idx.max()) >= n
+    ):
+        raise IndexError(f"link indices out of range for representation {h.shape}")
+    h_rows = np.ascontiguousarray(h.transpose(0, 2, 1)).reshape(n * t, f)
+    rows_i = i_idx * t + (t_idx - 1)
+    rows_j = j_idx * t + (t_idx - 1)
+    hi = h_rows[rows_i]
+    hj = h_rows[rows_j]
+    return hi @ r[:f] + hj @ r[f:], (hi, hj, rows_i, rows_j)
 
 
 def params_l2_norm(param_arrays) -> float:
@@ -70,18 +58,18 @@ def params_l2_norm(param_arrays) -> float:
     return float(np.sqrt(total))
 
 
-def loss(y, y_hat, param_arrays=(), kappa: float = 0.0) -> float:
+def loss(y, y_hat, param_arrays=(), kappa: float = 0.0, squared_reg: bool = False) -> float:
     """Sum of squared residuals over the training entries plus kappa * ||Theta||_2.
 
-    The regularizer is the plain (unsquared) L2 norm of the flattened
-    parameter vector; see ``training.compute_gradients`` for the squared
-    variant flag.
+    The regularizer is the plain L2 norm of the flattened parameter vector,
+    or its square when ``squared_reg`` is set.
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     data_term = float(np.sum((y - y_hat) ** 2))
     if kappa != 0.0:
-        return data_term + kappa * params_l2_norm(param_arrays)
+        norm = params_l2_norm(param_arrays)
+        return data_term + kappa * (norm**2 if squared_reg else norm)
     return data_term
 
 

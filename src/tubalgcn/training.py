@@ -7,29 +7,32 @@ branches when the ensemble is selected, and read out by the regression
 head.  Everything is trained full-batch with Adam on the squared-error
 objective plus an L2-norm regularizer.
 
-Gradients are derived by hand: every stage is (complex-)linear except the
-activation, so backprop is the adjoint transform (conjugate transpose
-along mode 3) and per-slice transposed matrix products.
+Gradients are derived by hand; each layer's backward pass is
+``gtcn.layer_backward``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
-from dataclasses import asdict, dataclass, field, replace
+import zipfile
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import DynamicGraphDataset, build_tube_adjacency
 from .gtcn import (
+    ACTIVATIONS,
+    ADJACENCY_MODES,
     EnsembleWeights,
-    activation_grad,
-    apply_activation,
+    ensemble_combine,
+    layer_backward,
+    layer_forward,
     preprocess_tubes,
+    transformed_blocks,
 )
-from .head_loss import params_l2_norm
-from .tensor3 import m_transform
-from .transforms import TransformMatrix, build_transform, next_power_of_two
+from .head_loss import loss, mae, params_l2_norm, predict, rmse
+from .transforms import build_transform, next_power_of_two
 
 __all__ = [
     "TrainConfig",
@@ -79,6 +82,10 @@ class TrainConfig:
             raise ValueError("n_layers must be >= 1")
         if self.transform not in TRANSFORM_CHOICES:
             raise ValueError(f"transform must be one of {TRANSFORM_CHOICES}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.adjacency_mode not in ADJACENCY_MODES:
+            raise ValueError(f"adjacency_mode must be one of {ADJACENCY_MODES}, got {self.adjacency_mode!r}")
 
     def branch_kinds(self):
         if self.transform == "ensemble":
@@ -103,7 +110,6 @@ class ModelParams:
     e: np.ndarray  # (N, F)
     u: np.ndarray  # (T, F)
     r: np.ndarray  # (2F,)
-    ensemble: EnsembleWeights = field(default_factory=EnsembleWeights)
 
     def flatten(self) -> dict:
         """Name every learnable array for the optimizer and checkpoints."""
@@ -171,86 +177,35 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
     kinds = config.branch_kinds()
     if config.transform == "ensemble":
-        w = EnsembleWeights()
-        branch_weights = {"dft": w.alpha, "dct": w.beta, "haar": w.chi}
+        branch_weights = EnsembleWeights().by_branch()
     else:
         branch_weights = {kinds[0]: 1.0}
     transforms = {}
     blocks = {}
     blocks_h = {}
     for kind in kinds:
-        t_b = _branch_slots(kind, ds.n_slots)
-        tm = build_transform(kind, t_b)
-        vals = a_hat.vals
-        if t_b != ds.n_slots:
-            vals = np.zeros((len(vals), t_b))
-            vals[:, : ds.n_slots] = a_hat.vals
-        # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
-        vals = m_transform(vals[:, None, :], tm.m)[:, 0, :]
+        tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
         transforms[kind] = tm
-        blocks[kind] = replace(a_hat, vals=vals).slot_blocks()
-        blocks_h[kind] = blocks[kind].conj().T.tocsr()
+        blocks[kind], blocks_h[kind] = transformed_blocks(a_hat, tm)
     return ModelAux(ds.n_nodes, ds.n_slots, transforms, blocks, blocks_h, branch_weights)
 
 
-def _slot_product(blocks, x: np.ndarray) -> np.ndarray:
-    """Face-wise product of block-diagonal ``blocks`` with an (N, F, T) tensor.
-
-    The slices are stacked into a (T * N, F) matrix; an ``m_transform``
-    result is already (T, N, F)-contiguous, so stacking it copies nothing.
-    """
-    n, f, t = x.shape
-    stacked = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(t * n, f)
-    return (blocks @ stacked).reshape(t, n, f).transpose(1, 2, 0)
-
-
-def _forward_branch(kind: str, model: ModelParams, aux: ModelAux, activation: str):
-    """Run the layer stack for one branch, keeping backprop caches."""
-    tm = aux.transforms[kind]
-    n, f = model.e.shape
-    x = np.zeros((n, f, tm.size))
-    x[:, :, : aux.n_slots] = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
-    caches = []
-    for w in model.branch_ws[kind]:
-        xh = m_transform(x, tm.m)
-        wh = m_transform(w, tm.m)
-        q = _slot_product(aux.a_hat_blocks[kind], xh)
-        # matmul over time-stacked slices hits BLAS; einsum would not
-        p = np.matmul(q.transpose(2, 0, 1), wh.transpose(2, 0, 1)).transpose(1, 2, 0)
-        z = m_transform(p, tm.m_inv)
-        s = z.real.copy() if np.iscomplexobj(z) else z
-        if not np.all(np.isfinite(s)):
-            raise FloatingPointError(f"non-finite pre-activation in {kind} branch")
-        h = apply_activation(s, activation)
-        caches.append({"q": q, "wh": wh, "s": s})
-        x = h
-    return x, caches
-
-
 def forward_model(model: ModelParams, aux: ModelAux, activation: str):
-    """Representation tensor (N, F, T) plus per-branch caches."""
+    """Representation tensor (N, F, T) plus per-branch layer caches."""
+    n, f = model.e.shape
+    x0 = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
     branch_h = {}
     branch_caches = {}
-    for kind in aux.transforms:
-        h_full, caches = _forward_branch(kind, model, aux, activation)
-        branch_h[kind] = h_full
+    for kind, tm in aux.transforms.items():
+        x = np.zeros((n, f, tm.size))
+        x[:, :, : aux.n_slots] = x0
+        caches = []
+        for w in model.branch_ws[kind]:
+            x, cache = layer_forward(aux.a_hat_blocks[kind], x, w, tm, activation)
+            caches.append(cache)
+        branch_h[kind] = x[:, :, : aux.n_slots]
         branch_caches[kind] = caches
-    n, f = model.e.shape
-    h = np.zeros((n, f, aux.n_slots))
-    for kind, h_full in branch_h.items():
-        h += aux.branch_weights[kind] * h_full[:, :, : aux.n_slots]
-    return h, branch_caches
-
-
-def _flatten_time_major(h: np.ndarray) -> np.ndarray:
-    """(N, F, T) -> (N*T, F) so per-observation rows gather contiguously."""
-    n, f, t = h.shape
-    return np.ascontiguousarray(h.transpose(0, 2, 1)).reshape(n * t, f)
-
-
-def _predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx) -> np.ndarray:
-    f = h.shape[1]
-    return h[i_idx, :, t_idx - 1] @ r[:f] + h[j_idx, :, t_idx - 1] @ r[f:]
+    return ensemble_combine(branch_h, aux.branch_weights), branch_caches
 
 
 def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainConfig):
@@ -266,62 +221,41 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
     n, f = model.e.shape
     t_n = aux.n_slots
     r = model.r
-    h_rows = _flatten_time_major(h)
-    flat_i = i_idx * t_n + (t_idx - 1)
-    flat_j = j_idx * t_n + (t_idx - 1)
-    hi = h_rows[flat_i]
-    hj = h_rows[flat_j]
-    y_hat = hi @ r[:f] + hj @ r[f:]
-    residual = y_hat - y
-    data_loss = float(np.sum(residual**2))
+    y_hat, (hi, hj, rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
+    named = model.flatten()
+    total = loss(y, y_hat, named.values(), config.kappa, config.squared_reg)
 
-    g_yhat = 2.0 * residual
+    g_yhat = 2.0 * (y_hat - y)
     g_r = np.concatenate([hi.T @ g_yhat, hj.T @ g_yhat])
 
     # Scatter the head gradient back onto (node, slot) rows; bincount per
     # feature beats np.add.at by a wide margin at this size.
-    flat_all = np.concatenate([flat_i, flat_j])
+    rows_all = np.concatenate([rows_i, rows_j])
     g_h_rows = np.empty((n * t_n, f))
     for k in range(f):
         w_all = np.concatenate([g_yhat * r[k], g_yhat * r[f + k]])
-        g_h_rows[:, k] = np.bincount(flat_all, weights=w_all, minlength=n * t_n)
+        g_h_rows[:, k] = np.bincount(rows_all, weights=w_all, minlength=n * t_n)
     g_h = np.ascontiguousarray(g_h_rows.reshape(n, t_n, f).transpose(0, 2, 1))
 
     grads = {"r": g_r, "e": np.zeros_like(model.e), "u": np.zeros_like(model.u)}
     for kind, caches in branch_caches.items():
         tm = aux.transforms[kind]
-        m_adj = tm.m.conj().T
-        m_inv_adj = tm.m_inv.conj().T
         g_x = np.zeros((n, f, tm.size))
         g_x[:, :, : aux.n_slots] = aux.branch_weights[kind] * g_h
         for layer in reversed(range(len(caches))):
-            cache = caches[layer]
-            g_s = g_x * activation_grad(cache["s"], config.activation)
-            g_p = m_transform(g_s, m_inv_adj)
-            wh = cache["wh"]
-            q = cache["q"]
-            g_pt = g_p.transpose(2, 0, 1)
-            g_q = np.matmul(g_pt, wh.conj().transpose(2, 1, 0)).transpose(1, 2, 0)
-            g_wh = np.matmul(q.conj().transpose(2, 1, 0), g_pt).transpose(1, 2, 0)
-            g_w = m_transform(g_wh, m_adj)
-            grads[f"w:{kind}:{layer}"] = g_w.real.copy() if np.iscomplexobj(g_w) else g_w
-            g_xh = _slot_product(aux.a_hat_blocks_h[kind], g_q)
-            g_x = m_transform(g_xh, m_adj)
-            g_x = g_x.real.copy() if np.iscomplexobj(g_x) else g_x
+            g_x, grads[f"w:{kind}:{layer}"] = layer_backward(
+                aux.a_hat_blocks_h[kind], g_x, caches[layer], tm, config.activation
+            )
         g_x_obs = g_x[:, :, : aux.n_slots]
         grads["e"] += (g_x_obs * (1.0 + model.u.T[None, :, :])).sum(axis=2)
         grads["u"] += np.einsum("nft,nf->tf", g_x_obs, model.e)
 
-    named = model.flatten()
-    total = data_loss
     if config.kappa != 0.0:
-        norm = params_l2_norm(named.values())
         if config.squared_reg:
-            total += config.kappa * norm**2
             for key, arr in named.items():
                 grads[key] = grads[key] + 2.0 * config.kappa * arr
         else:
-            total += config.kappa * norm
+            norm = params_l2_norm(named.values())
             if norm > 0:
                 for key, arr in named.items():
                     grads[key] = grads[key] + config.kappa * arr / norm
@@ -447,9 +381,8 @@ def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
         # Train and validation error at the current parameters (pre-update).
-        train_mae = float(np.mean(np.abs(train_pred - train_batch[3])))
-        val_pred = _predict(h, model.r, val_t, val_i, val_j)
-        val_mae = float(np.mean(np.abs(val_pred - val_y)))
+        train_mae = mae(train_batch[3], train_pred)
+        val_mae = mae(val_y, predict(h, model.r, val_t, val_i, val_j)[0])
         history.append(
             {"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae}
         )
@@ -470,9 +403,9 @@ def evaluate(model: ModelParams, aux: ModelAux, ds: DynamicGraphDataset, config:
     out = {}
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
-        pred = _predict(h, model.r, t_idx, i_idx, j_idx)
-        out[f"{name}_mae"] = float(np.mean(np.abs(pred - y)))
-        out[f"{name}_rmse"] = float(np.sqrt(np.mean((pred - y) ** 2)))
+        pred, _ = predict(h, model.r, t_idx, i_idx, j_idx)
+        out[f"{name}_mae"] = mae(y, pred)
+        out[f"{name}_rmse"] = rmse(y, pred)
     return out
 
 
@@ -555,13 +488,31 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig, extra=None):
 
 
 def load_checkpoint(path):
-    """Returns (named parameter dict, TrainConfig, extra metadata)."""
-    with np.load(path) as z:
+    """Returns (named parameter dict, TrainConfig, extra metadata).
+
+    A file that ``save_checkpoint`` did not write raises ValueError naming it.
+    """
+    foreign = f"{path}: not a tubalgcn checkpoint"
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{foreign} ({exc})") from exc
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ValueError(f"{foreign} (it is a single .npy array)")
+    with z:
+        if "__meta__" not in z.files:
+            raise ValueError(f"{foreign} (it has no __meta__ record)")
         meta = json.loads(bytes(z["__meta__"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
+        missing = sorted(set(meta["param_keys"]) - set(z.files))
+        if missing:
+            raise ValueError(f"{foreign} (it lacks the arrays {missing})")
         named = {k: z[k] for k in meta["param_keys"]}
-    config = TrainConfig(**meta["config"])
+    try:
+        config = TrainConfig(**meta["config"])
+    except TypeError as exc:  # a config field this version does not know
+        raise ValueError(f"{foreign} ({exc})") from exc
     return named, config, meta.get("extra", {})
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,26 @@ class TestTrainEval:
                    "--report", str(tmp_path / "e.txt")])
         assert rc == 1
         assert "trained on 4 time slots, dataset has 8" in capsys.readouterr().err
+        assert not (tmp_path / "e.txt").exists()
+
+    @pytest.mark.parametrize("kind", ["npz_without_meta", "npz_without_arrays", "unknown_config_field", "not_npz"])
+    def test_eval_foreign_checkpoint_fails(self, dataset_file, tmp_path, capsys, kind):
+        ckpt = tmp_path / "x.npz"
+        if kind == "npz_without_meta":
+            np.savez(ckpt, e=np.zeros((16, 4)))
+        elif kind == "npz_without_arrays":
+            good, _ = self._train(dataset_file, tmp_path / "good")
+            with np.load(good) as z:
+                np.savez(ckpt, __meta__=z["__meta__"], e=z["e"])
+        elif kind == "unknown_config_field":
+            meta = {"version": 1, "config": {"dropout": 0.5}, "param_keys": [], "extra": {}}
+            np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        else:
+            ckpt.write_text("epoch,loss\n1,0.5\n")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file),
+                   "--report", str(tmp_path / "e.txt")])
+        assert rc == 1
+        assert f"error: {ckpt}: not a tubalgcn checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
 
 

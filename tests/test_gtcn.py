@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from tubalgcn.gtcn import (
-    AdjacencyTensor,
     EnsembleWeights,
-    GtcnLayerParams,
+    TubeAdjacency,
     ensemble_combine,
-    gtcn_forward,
+    layer_forward,
     message_passing_oracle,
     preprocess_adjacency,
+    transformed_blocks,
 )
 from tubalgcn.tensor3 import DimensionMismatchError
 from tubalgcn.transforms import build_transform
@@ -16,13 +16,23 @@ from tubalgcn.transforms import build_transform
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
 
-def random_instance(rng, n, f_in, f_out, t, activation="sigmoid"):
+def random_instance(rng, n, f_in, f_out, t):
     raw = rng.uniform(0.0, 1.0, size=(n, n, t))
     raw[np.arange(n), np.arange(n), :] = 0.0
     a = preprocess_adjacency(raw, "sym_normalized")
     x = rng.normal(size=(n, f_in, t))
-    p = GtcnLayerParams(rng.normal(size=(f_in, f_out, t)), activation)
-    return a, x, p
+    w = rng.normal(size=(f_in, f_out, t))
+    return a, x, w
+
+
+def layer(a, x, w, tm, activation="sigmoid"):
+    """The trainer's layer on blocks built from the dense adjacency ``a``."""
+    blocks, _ = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+    return layer_forward(blocks, x, w, tm, activation)[0]
+
+
+def branches(h_dft, h_dct, h_haar):
+    return {"dft": h_dft, "dct": h_dct, "haar": h_haar}
 
 
 class TestPreprocessAdjacency:
@@ -30,12 +40,12 @@ class TestPreprocessAdjacency:
         raw = np.zeros((1, 1, 3))
         for mode in ["raw_self_loops", "sym_normalized"]:
             out = preprocess_adjacency(raw, mode)
-            np.testing.assert_array_equal(out.a, np.ones((1, 1, 3)))
+            np.testing.assert_array_equal(out, np.ones((1, 1, 3)))
 
     def test_sym_normalized_two_nodes(self):
         raw = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1)
         out = preprocess_adjacency(raw, "sym_normalized")
-        np.testing.assert_allclose(out.a[:, :, 0], np.full((2, 2), 0.5), atol=1e-12)
+        np.testing.assert_allclose(out[:, :, 0], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_raw_mode_preserves_off_diagonal(self):
         rng = np.random.default_rng(0)
@@ -43,8 +53,8 @@ class TestPreprocessAdjacency:
         raw[np.arange(4), np.arange(4), :] = 0.0
         out = preprocess_adjacency(raw, "raw_self_loops")
         off = ~np.eye(4, dtype=bool)
-        np.testing.assert_array_equal(out.a[off], raw[off])
-        np.testing.assert_array_equal(out.a[np.arange(4), np.arange(4), :], np.ones((4, 2)))
+        np.testing.assert_array_equal(out[off], raw[off])
+        np.testing.assert_array_equal(out[np.arange(4), np.arange(4), :], np.ones((4, 2)))
 
     def test_negative_weights_rejected(self):
         raw = -np.ones((2, 2, 1))
@@ -62,7 +72,7 @@ class TestPreprocessAdjacency:
         if mode == "sym_normalized":
             inv_sqrt = 1.0 / np.sqrt(expected.sum(axis=1))
             expected = expected * inv_sqrt[:, None, :] * inv_sqrt[None, :, :]
-        np.testing.assert_array_equal(out.a, expected)
+        np.testing.assert_array_equal(out, expected)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -72,57 +82,67 @@ class TestPreprocessAdjacency:
 class TestGtcnForward:
     def test_scalar_facewise_chain(self):
         t = 3
-        a = AdjacencyTensor(np.ones((1, 1, t)), "raw_self_loops")
+        a = np.ones((1, 1, t))
         c = np.array([1.0, 2.0, 3.0]).reshape(1, 1, t)
         d = np.array([4.0, 5.0, 6.0]).reshape(1, 1, t)
-        p = GtcnLayerParams(d, "identity")
-        out = gtcn_forward(a, c, p, build_transform("identity", t))
+        out = layer(a, c, d, build_transform("identity", t), "identity")
         np.testing.assert_allclose(out[0, 0], [4.0, 10.0, 18.0], atol=1e-12)
 
     def test_identity_transform_is_per_slice_convolution(self):
         rng = np.random.default_rng(1)
-        a, x, p = random_instance(rng, 5, 3, 2, 4, activation="identity")
-        out = gtcn_forward(a, x, p, build_transform("identity", 4))
+        a, x, w = random_instance(rng, 5, 3, 2, 4)
+        out = layer(a, x, w, build_transform("identity", 4), "identity")
         for t in range(4):
-            expected = a.a[:, :, t] @ x[:, :, t] @ p.w[:, :, t]
+            expected = a[:, :, t] @ x[:, :, t] @ w[:, :, t]
             assert np.max(np.abs(out[:, :, t] - expected)) <= 1e-10
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_matches_oracle(self, kind):
+    @pytest.mark.parametrize(
+        "kind,slots",
+        [pytest.param(kind, (2, 4), id=kind) for kind in ALL_KINDS]
+        + [pytest.param(kind, (t,), id=f"{kind}-T{t}") for kind in ("identity", "dft", "dct") for t in (3, 5)],
+    )
+    def test_matches_oracle(self, kind, slots):
         rng = np.random.default_rng(2)
         for _ in range(10):
             n = int(rng.integers(2, 7))
             f_in = int(rng.integers(1, 4))
             f_out = int(rng.integers(1, 4))
-            t = int(rng.choice([2, 4]))
-            a, x, p = random_instance(rng, n, f_in, f_out, t)
+            t = int(rng.choice(slots))
+            a, x, w = random_instance(rng, n, f_in, f_out, t)
             tm = build_transform(kind, t)
-            fwd = gtcn_forward(a, x, p, tm)
-            oracle = message_passing_oracle(a, x, p, tm)
+            fwd = layer(a, x, w, tm)
+            oracle = message_passing_oracle(a, x, w, tm)
             assert np.max(np.abs(fwd - oracle)) <= 1e-9
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         n, t = 6, 4
-        a, x, p = random_instance(rng, n, 3, 2, t)
+        a, x, w = random_instance(rng, n, 3, 2, t)
         tm = build_transform("dct", t)
         perm = rng.permutation(n)
-        a_p = AdjacencyTensor(a.a[perm][:, perm, :], a.preprocessing)
-        out = gtcn_forward(a, x, p, tm)
-        out_p = gtcn_forward(a_p, x[perm], p, tm)
+        out = layer(a, x, w, tm)
+        out_p = layer(a[perm][:, perm, :], x[perm], w, tm)
         assert np.max(np.abs(out_p - out[perm])) <= 1e-10
 
     def test_dft_real_output(self):
         rng = np.random.default_rng(4)
-        a, x, p = random_instance(rng, 4, 2, 2, 4)
-        out = gtcn_forward(a, x, p, build_transform("dft", 4))
+        a, x, w = random_instance(rng, 4, 2, 2, 4)
+        out = layer(a, x, w, build_transform("dft", 4))
         assert not np.iscomplexobj(out)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        a, x, p = random_instance(rng, 4, 2, 2, 4)
+        a, x, w = random_instance(rng, 4, 2, 2, 4)
         with pytest.raises(DimensionMismatchError):
-            gtcn_forward(a, x, p, build_transform("dct", 8))
+            layer(a, x, w, build_transform("dct", 8))
+        with pytest.raises(DimensionMismatchError):
+            layer(a, x, w[:1], build_transform("dct", 4))
+
+    def test_complex_weights_fail_the_residue_check(self):
+        rng = np.random.default_rng(6)
+        a, x, w = random_instance(rng, 4, 2, 2, 4)
+        with pytest.raises(ValueError, match=r"imaginary residue .* \(stage: inverse transform\)"):
+            layer(a, x, w + 1j * w, build_transform("dft", 4))
 
 
 class TestMessagePassingOracle:
@@ -130,20 +150,20 @@ class TestMessagePassingOracle:
         # With M = I the temporal mixing disappears and the oracle is the
         # plain per-slice neighborhood aggregation.
         rng = np.random.default_rng(6)
-        a, x, p = random_instance(rng, 4, 2, 2, 3, activation="identity")
+        a, x, w = random_instance(rng, 4, 2, 2, 3)
         tm = build_transform("identity", 3)
-        out = message_passing_oracle(a, x, p, tm)
+        out = message_passing_oracle(a, x, w, tm, "identity")
         for t in range(3):
-            expected = (a.a[:, :, t] @ x[:, :, t]) @ p.w[:, :, t]
+            expected = (a[:, :, t] @ x[:, :, t]) @ w[:, :, t]
             assert np.max(np.abs(out[:, :, t] - expected)) <= 1e-10
 
     def test_single_node_graph(self):
         t = 2
         a = preprocess_adjacency(np.zeros((1, 1, t)), "raw_self_loops")
         x = np.array([0.5, -0.5]).reshape(1, 1, t)
-        p = GtcnLayerParams(np.array([2.0, 3.0]).reshape(1, 1, t), "identity")
+        w = np.array([2.0, 3.0]).reshape(1, 1, t)
         tm = build_transform("identity", t)
-        out = message_passing_oracle(a, x, p, tm)
+        out = message_passing_oracle(a, x, w, tm, "identity")
         np.testing.assert_allclose(out[0, 0], [1.0, -1.5], atol=1e-12)
 
     def test_equivalence_100_seeded_instances(self):
@@ -155,9 +175,9 @@ class TestMessagePassingOracle:
             f_out = int(rng.integers(1, 4))
             t = int(rng.choice([2, 4]))
             kind = ALL_KINDS[seed % 4]
-            a, x, p = random_instance(rng, n, f_in, f_out, t)
+            a, x, w = random_instance(rng, n, f_in, f_out, t)
             tm = build_transform(kind, t)
-            diff = np.max(np.abs(gtcn_forward(a, x, p, tm) - message_passing_oracle(a, x, p, tm)))
+            diff = np.max(np.abs(layer(a, x, w, tm) - message_passing_oracle(a, x, w, tm)))
             worst = max(worst, diff)
         assert worst <= 1e-9
 
@@ -166,20 +186,20 @@ class TestEnsemble:
     def test_identical_inputs_are_fixed_point(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=(3, 2, 4))
-        out = ensemble_combine(h, h, h, EnsembleWeights())
+        out = ensemble_combine(branches(h, h, h), EnsembleWeights().by_branch())
         np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_degenerate_weight_selects_branch(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(2, 2, 2))
-        out = ensemble_combine(z, np.zeros_like(z), np.zeros_like(z), EnsembleWeights(1.0, 0.0, 0.0))
+        out = ensemble_combine(branches(z, np.zeros_like(z), np.zeros_like(z)), EnsembleWeights(1.0, 0.0, 0.0).by_branch())
         np.testing.assert_array_equal(out, z)
 
     def test_elementwise_weighted_sum(self):
         rng = np.random.default_rng(9)
         hs = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
         w = EnsembleWeights(0.2, 0.3, 0.5)
-        out = ensemble_combine(*hs, w)
+        out = ensemble_combine(branches(*hs), w.by_branch())
         expected = np.zeros_like(hs[0])
         for coeff, h in zip([0.2, 0.3, 0.5], hs):
             for idx in np.ndindex(*h.shape):
@@ -196,4 +216,6 @@ class TestEnsemble:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            ensemble_combine(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), EnsembleWeights())
+            ensemble_combine(
+                branches(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3))), EnsembleWeights().by_branch()
+            )

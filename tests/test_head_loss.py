@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from tubalgcn.head_loss import (
-    LinkObservation,
-    RegressionHead,
-    estimate_weight,
-    estimate_weights_batch,
-    loss,
-    mae,
-    params_l2_norm,
-    rmse,
-)
+from tubalgcn.head_loss import loss, mae, params_l2_norm, predict, rmse
+
+
+def predict_one(h, t, i, j, r):
+    """The head's estimate for the single link (t, i, j), t one-based."""
+    y_hat, _ = predict(h, np.asarray(r, dtype=np.float64), np.array([t]), np.array([i]), np.array([j]))
+    return float(y_hat[0])
 
 
 class TestEstimateWeight:
@@ -18,51 +15,53 @@ class TestEstimateWeight:
         h = np.zeros((2, 2, 1))
         h[0, :, 0] = [1.0, 0.0]
         h[1, :, 0] = [0.0, 1.0]
-        head = RegressionHead(np.array([1.0, 2.0, 3.0, 4.0]))
-        obs = LinkObservation(1, 0, 1, 0.0)
-        assert estimate_weight(h, obs, head) == 5.0
+        assert predict_one(h, 1, 0, 1, [1.0, 2.0, 3.0, 4.0]) == 5.0
 
     def test_zero_head_gives_zero(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 2, 4))
-        head = RegressionHead(np.zeros(4))
-        for obs in [LinkObservation(1, 0, 1, 0), LinkObservation(4, 2, 0, 0)]:
-            assert estimate_weight(h, obs, head) == 0.0
+        for t, i, j in [(1, 0, 1), (4, 2, 0)]:
+            assert predict_one(h, t, i, j, np.zeros(4)) == 0.0
 
     def test_matches_concatenate_then_dot_loop(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(4, 3, 2))
         r = rng.normal(size=6)
-        head = RegressionHead(r)
         for t in [1, 2]:
             for i in range(4):
                 for j in range(4):
-                    obs = LinkObservation(t, i, j, 0.0)
                     expected = sum(
                         c * rv
                         for c, rv in zip(list(h[i, :, t - 1]) + list(h[j, :, t - 1]), r)
                     )
-                    assert abs(estimate_weight(h, obs, head) - expected) <= 1e-12
+                    assert abs(predict_one(h, t, i, j, r) - expected) <= 1e-12
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3, 4))
-        head = RegressionHead(rng.normal(size=6))
+        r = rng.normal(size=6)
         t = np.array([1, 3, 4])
         i = np.array([0, 2, 4])
         j = np.array([1, 1, 0])
-        batch = estimate_weights_batch(h, t, i, j, head)
+        batch, (hi, hj, rows_i, rows_j) = predict(h, r, t, i, j)
         for k in range(3):
-            obs = LinkObservation(int(t[k]), int(i[k]), int(j[k]), 0.0)
-            assert abs(batch[k] - estimate_weight(h, obs, head)) <= 1e-12
+            assert abs(batch[k] - predict_one(h, t[k], i[k], j[k], r)) <= 1e-12
+        # The time-major row gather picks the same rows as indexing (N, F, T).
+        np.testing.assert_array_equal(hi, h[i, :, t - 1])
+        np.testing.assert_array_equal(hj, h[j, :, t - 1])
+        np.testing.assert_array_equal(rows_i, i * 4 + t - 1)
+        np.testing.assert_array_equal(rows_j, j * 4 + t - 1)
 
     def test_out_of_range_rejected(self):
         h = np.zeros((2, 2, 2))
-        head = RegressionHead(np.zeros(4))
         with pytest.raises(IndexError):
-            estimate_weight(h, LinkObservation(3, 0, 1, 0.0), head)
+            predict_one(h, 3, 0, 1, np.zeros(4))
         with pytest.raises(IndexError):
-            estimate_weight(h, LinkObservation(1, 0, 2, 0.0), head)
+            predict_one(h, 0, 0, 1, np.zeros(4))
+        with pytest.raises(IndexError):
+            predict_one(h, 1, 0, 2, np.zeros(4))
+        with pytest.raises(ValueError, match="head length"):
+            predict_one(h, 1, 0, 1, np.zeros(3))
 
     def test_linear_in_head_and_embeddings(self):
         rng = np.random.default_rng(3)
@@ -70,17 +69,13 @@ class TestEstimateWeight:
         h2 = rng.normal(size=(3, 2, 2))
         r1 = rng.normal(size=4)
         r2 = rng.normal(size=4)
-        obs = LinkObservation(2, 0, 1, 0.0)
+        link = (2, 0, 1)
         a, b = 0.7, -2.1
-        lhs = estimate_weight(a * h1 + b * h2, obs, RegressionHead(r1))
-        rhs = a * estimate_weight(h1, obs, RegressionHead(r1)) + b * estimate_weight(
-            h2, obs, RegressionHead(r1)
-        )
+        lhs = predict_one(a * h1 + b * h2, *link, r1)
+        rhs = a * predict_one(h1, *link, r1) + b * predict_one(h2, *link, r1)
         assert abs(lhs - rhs) <= 1e-12
-        lhs = estimate_weight(h1, obs, RegressionHead(a * r1 + b * r2))
-        rhs = a * estimate_weight(h1, obs, RegressionHead(r1)) + b * estimate_weight(
-            h1, obs, RegressionHead(r2)
-        )
+        lhs = predict_one(h1, *link, a * r1 + b * r2)
+        rhs = a * predict_one(h1, *link, r1) + b * predict_one(h1, *link, r2)
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -96,6 +91,11 @@ class TestLoss:
         # residuals (1, -2), kappa 0.5, ||Theta||_2 = 2 -> 5 + 1
         params = [np.array([2.0])]
         assert loss([1.0, 0.0], [0.0, 2.0], params, kappa=0.5) == 6.0
+
+    def test_with_squared_regularizer(self):
+        # residuals (1, -2), kappa 0.5, ||Theta||_2^2 = 4 -> 5 + 2
+        params = [np.array([2.0])]
+        assert loss([1.0, 0.0], [0.0, 2.0], params, kappa=0.5, squared_reg=True) == 7.0
 
     def test_kappa_zero_equals_count_times_mse(self):
         rng = np.random.default_rng(4)

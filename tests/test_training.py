@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
-from tubalgcn.gtcn import AdjacencyTensor, GtcnLayerParams, message_passing_oracle, preprocess_adjacency
+from tubalgcn.gtcn import message_passing_oracle, preprocess_adjacency
 from tubalgcn.head_loss import LinkObservation
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
@@ -29,6 +30,13 @@ def small_dataset(seed=0, n=6, t=4):
     return split_dataset(
         generate_synthetic(SynthSpec(n=n, t=t, density=0.8, noise=0.05, seed=seed)), seed=seed
     )
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name,value", [("activation", "tanh"), ("adjacency_mode", "dense")])
+    def test_unknown_choice_fails_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be one of .*'{value}'"):
+            TrainConfig(**{name: value})
 
 
 class TestInit:
@@ -123,11 +131,10 @@ class TestForwardMatchesOracle:
         tm = aux.transforms[kind]
         t_b = tm.size
         a = np.zeros((n, n, t_b))
-        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), mode).a
+        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), mode)
         x = np.zeros((n, cfg.embedding_dim, t_b))
         x[:, :, :t] = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
-        p = GtcnLayerParams(model.branch_ws[kind][0], cfg.activation)
-        oracle = message_passing_oracle(AdjacencyTensor(a, mode), x, p, tm)
+        oracle = message_passing_oracle(a, x, model.branch_ws[kind][0], tm, cfg.activation)
         assert np.max(np.abs(h - oracle[:, :, :t])) <= 1e-9
 
         a_hat_t = m_transform(a, tm.m)
@@ -270,3 +277,17 @@ class TestCheckpoint:
         restored = model_from_named(named, cfg2)
         for key, arr in model.flatten().items():
             np.testing.assert_array_equal(arr, restored.flatten()[key])
+
+    def test_unknown_activation_in_checkpoint_fails_by_name(self, tmp_path):
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(ds, cfg), cfg)
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"]["activation"] = "tanh"
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="activation must be one of .*'tanh'"):
+            load_checkpoint(path)
