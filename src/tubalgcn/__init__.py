@@ -20,7 +20,6 @@ from .transforms import (
     build_transform,
 )
 from .gtcn import (
-    EnsembleWeights,
     TubeAdjacency,
     ensemble_combine,
     layer_backward,
@@ -43,7 +42,6 @@ from .data import (
 )
 from .training import (
     EarlyStopping,
-    ModelParams,
     TrainConfig,
     adam_step,
     compute_gradients,

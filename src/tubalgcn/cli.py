@@ -17,21 +17,19 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import SynthSpec, generate_synthetic, parse_dataset, serialize_dataset, split_dataset
+from .data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset, serialize_dataset, split_dataset
 from .gtcn import ACTIVATIONS, ADJACENCY_MODES
 from .training import (
+    TRANSFORM_CHOICES,
     TrainConfig,
     build_aux,
     evaluate,
     grad_check,
     load_checkpoint,
-    model_from_named,
     save_checkpoint,
     train,
 )
-from .transforms import build_transform
-
-SCHEMES = ("identity", "dft", "dct", "haar", "ensemble")
+from .transforms import TRANSFORM_KINDS, build_transform
 
 
 def _fmt(x) -> str:
@@ -72,7 +70,7 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def _add_train_flags(p):
-    p.add_argument("--transform", choices=SCHEMES, default="ensemble")
+    p.add_argument("--transform", choices=TRANSFORM_CHOICES, default="ensemble")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--embedding-dim", type=int, default=20)
@@ -103,18 +101,18 @@ def cmd_gen_synth(args) -> int:
 def _train_once(ds, config):
     ds = split_dataset(ds, seed=config.split_seed)
     aux = build_aux(ds, config)
-    model, history = train(aux, ds, config)
-    metrics = evaluate(model, aux, ds, config)
-    return ds, model, history, metrics
+    params, history = train(aux, ds, config)
+    metrics = evaluate(params, aux, ds, config)
+    return ds, params, history, metrics
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     ds = parse_dataset(args.data)
     started = time.perf_counter()
-    ds, model, history, metrics = _train_once(ds, config)
+    ds, params, history, metrics = _train_once(ds, config)
     elapsed = time.perf_counter() - started
-    save_checkpoint(args.checkpoint, model, config, extra={"data": str(args.data)})
+    save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data)})
     pairs = [("command", "train"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += [("epochs_run", len(history))]
@@ -132,17 +130,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    named, config, _ = load_checkpoint(args.checkpoint)
+    params, config, _ = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
-    model = model_from_named(named, config)
-    sizes = (("nodes", model.e.shape[0], ds.n_nodes), ("time slots", model.u.shape[0], ds.n_slots))
+    sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
     for what, trained, have in sizes:
         if trained != have:
             print(f"error: checkpoint was trained on {trained} {what}, dataset has {have}", file=sys.stderr)
             return 1
     ds = split_dataset(ds, seed=config.split_seed)
     aux = build_aux(ds, config)
-    metrics = evaluate(model, aux, ds, config)
+    metrics = evaluate(params, aux, ds, config)
     pairs = [("command", "eval"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += sorted(metrics.items())
@@ -165,7 +162,7 @@ def cmd_transform_matrix(args) -> int:
         print(f"wrote {real_path} and {imag_path}")
     else:
         path = f"{args.out}.csv"
-        np.savetxt(path, tm.m.real if np.iscomplexobj(tm.m) else tm.m, delimiter=",")
+        np.savetxt(path, tm.m, delimiter=",")
         print(f"wrote {path}")
     return 0
 
@@ -190,7 +187,7 @@ def cmd_ablation(args) -> int:
     seeds = list(range(args.seeds))
     rows = []
     means = {}
-    for scheme in SCHEMES:
+    for scheme in TRANSFORM_CHOICES:
         maes, rmses = [], []
         for seed in seeds:
             config = TrainConfig(
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--density", type=float, default=0.1)
-    p.add_argument("--pattern", choices=("periodic", "trend", "mixed"), default="mixed")
+    p.add_argument("--pattern", choices=PATTERNS, default="mixed")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -268,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("transform-matrix", help="dump a transform matrix as CSV")
-    p.add_argument("--kind", choices=("identity", "dft", "dct", "haar"), required=True)
+    p.add_argument("--kind", choices=TRANSFORM_KINDS, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--out", default="transform")
     p.set_defaults(func=cmd_transform_matrix)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
-    p.add_argument("--transform", choices=SCHEMES, default="dft")
+    p.add_argument("--transform", choices=TRANSFORM_CHOICES, default="dft")
     p.add_argument("--nodes", type=int, default=5)
     p.add_argument("--features", type=int, default=3)
     p.add_argument("--slots", type=int, default=4)

@@ -18,6 +18,7 @@ from scipy import sparse
 from .tensor3 import (
     DimensionMismatchError,
     as_tensor3,
+    demote_real,
     facewise_product,
     m_transform,
 )
@@ -27,7 +28,6 @@ __all__ = [
     "ACTIVATIONS",
     "ADJACENCY_MODES",
     "TubeAdjacency",
-    "EnsembleWeights",
     "preprocess_tubes",
     "preprocess_adjacency",
     "transformed_blocks",
@@ -42,8 +42,6 @@ __all__ = [
 ACTIVATIONS = ("sigmoid", "relu", "identity")
 
 ADJACENCY_MODES = ("sym_normalized", "raw_self_loops")
-
-PRE_ACTIVATION_IMAG_TOL = 1e-8
 
 
 def apply_activation(s: np.ndarray, activation: str) -> np.ndarray:
@@ -203,15 +201,7 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
     wh = m_transform(w, tm.m)
     q = _slot_product(blocks, xh)
     p = facewise_product(q, wh)
-    z = m_transform(p, tm.m_inv)
-    if np.iscomplexobj(z):
-        residue = np.max(np.abs(z.imag))
-        if residue > PRE_ACTIVATION_IMAG_TOL:
-            raise ValueError(
-                f"pre-activation imaginary residue {residue:.3e} exceeds "
-                f"{PRE_ACTIVATION_IMAG_TOL:.0e} (stage: inverse transform)"
-            )
-    s = _real(z)
+    s = demote_real(m_transform(p, tm.m_inv))
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     return apply_activation(s, activation), {"q": q, "wh": wh, "s": s}
@@ -283,25 +273,6 @@ def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmo
     if np.iscomplexobj(out):
         out = out.real.copy()
     return apply_activation(out, activation)
-
-
-@dataclass(frozen=True)
-class EnsembleWeights:
-    """Convex weights for the three transform branches."""
-
-    alpha: float = 1.0 / 3.0
-    beta: float = 1.0 / 3.0
-    chi: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.chi < 0:
-            raise ValueError("ensemble weights must be nonnegative")
-        total = self.alpha + self.beta + self.chi
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"ensemble weights must sum to 1, got {total}")
-
-    def by_branch(self) -> dict:
-        return {"dft": self.alpha, "dct": self.beta, "haar": self.chi}
 
 
 def ensemble_combine(branch_h: dict, branch_weights: dict) -> np.ndarray:

@@ -29,8 +29,8 @@ class LinkObservation:
 def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
     """y_hat = [h_i^t || h_j^t] . r for every link (t one-based).
 
-    The endpoint rows are gathered from the time-major (N * T, F) layout of
-    ``h``.  Returns y_hat and (hi, hj, rows_i, rows_j): the gathered rows and
+    The endpoint rows are gathered from the node-major (N * T, F) layout of
+    ``h``, where node i at slot t is row ``i * T + t - 1``.  Returns y_hat and (hi, hj, rows_i, rows_j): the gathered rows and
     their row numbers, which the backward pass scatters onto.
     """
     n, f, t = h.shape

@@ -22,10 +22,12 @@ __all__ = [
     "m_transform",
     "facewise_product",
     "m_product",
+    "demote_real",
 ]
 
 # Imaginary residue allowed when demoting a complex result that should be
-# real (e.g. the DFT-based M-product of real operands).
+# real (e.g. the DFT-based M-product of real operands, or a layer's
+# pre-activation).
 IMAG_RESIDUE_TOL = 1e-8
 
 
@@ -122,11 +124,19 @@ def facewise_product(x, y) -> np.ndarray:
     return np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _demote_real(z: np.ndarray, tol: float = IMAG_RESIDUE_TOL) -> np.ndarray:
-    residue = np.max(np.abs(z.imag)) if np.iscomplexobj(z) else 0.0
-    if residue > tol:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance {tol:.0e}")
-    return np.ascontiguousarray(z.real) if np.iscomplexobj(z) else z
+def demote_real(z: np.ndarray) -> np.ndarray:
+    """The real part of an inverse-transform result that should be real.
+
+    Raises ValueError when the imaginary residue exceeds ``IMAG_RESIDUE_TOL``.
+    """
+    if not np.iscomplexobj(z):
+        return z
+    residue = np.max(np.abs(z.imag))
+    if residue > IMAG_RESIDUE_TOL:
+        raise ValueError(
+            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} (stage: inverse transform)"
+        )
+    return np.ascontiguousarray(z.real)
 
 
 def m_product(x, y, tm) -> np.ndarray:
@@ -141,5 +151,5 @@ def m_product(x, y, tm) -> np.ndarray:
     yh = m_transform(y, tm.m)
     z = m_transform(facewise_product(xh, yh), tm.m_inv)
     if not np.iscomplexobj(x) and not np.iscomplexobj(y):
-        return _demote_real(z)
+        return demote_real(z)
     return z

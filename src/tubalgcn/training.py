@@ -19,12 +19,12 @@ import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .data import DynamicGraphDataset, build_tube_adjacency
 from .gtcn import (
     ACTIVATIONS,
     ADJACENCY_MODES,
-    EnsembleWeights,
     ensemble_combine,
     layer_backward,
     layer_forward,
@@ -32,11 +32,11 @@ from .gtcn import (
     transformed_blocks,
 )
 from .head_loss import loss, mae, params_l2_norm, predict, rmse
-from .transforms import build_transform, next_power_of_two
+from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
 
 __all__ = [
     "TrainConfig",
-    "ModelParams",
+    "Branch",
     "ModelAux",
     "EarlyStopping",
     "AdamState",
@@ -48,14 +48,13 @@ __all__ = [
     "train",
     "evaluate",
     "grad_check",
-    "model_from_named",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 CHECKPOINT_VERSION = 1
 
-TRANSFORM_CHOICES = ("identity", "dft", "dct", "haar", "ensemble")
+TRANSFORM_CHOICES = TRANSFORM_KINDS + ("ensemble",)
 
 
 @dataclass(frozen=True)
@@ -93,137 +92,118 @@ class TrainConfig:
         return (self.transform,)
 
 
-@dataclass
-class ModelParams:
-    """All learnable arrays: per-branch layer weights, embeddings, head.
+@dataclass(frozen=True)
+class Branch:
+    """One transform branch: the transform (built at the branch's slot
+    count), Â x_3 M as one block-diagonal CSR matrix (padded for haar), its
+    conjugate transpose, and the branch's weight in the ensemble sum.
 
-    Node features are E[n, :] * (1 + U[t, :]): a static per-node
-    embedding modulated by a per-slot temporal embedding shared across
-    nodes.  A purely static broadcast of E would be annihilated beyond
-    the DC row by every transform here (their non-constant rows sum to
-    zero), leaving the branches blind to temporal structure; the
-    multiplicative modulation puts the node-resolved embeddings into
-    every frequency.
+    Every face-wise product with Â is then a single sparse x dense product
+    over the stacked (T_b * N, F) slices.
     """
 
-    branch_ws: dict  # kind -> list of (F, F, T_branch) arrays
-    e: np.ndarray  # (N, F)
-    u: np.ndarray  # (T, F)
-    r: np.ndarray  # (2F,)
-
-    def flatten(self) -> dict:
-        """Name every learnable array for the optimizer and checkpoints."""
-        out = {}
-        for kind, ws in self.branch_ws.items():
-            for layer, w in enumerate(ws):
-                out[f"w:{kind}:{layer}"] = w
-        out["e"] = self.e
-        out["u"] = self.u
-        out["r"] = self.r
-        return out
-
-    def assign(self, named: dict):
-        for kind, ws in self.branch_ws.items():
-            for layer in range(len(ws)):
-                ws[layer] = named[f"w:{kind}:{layer}"]
-        self.e = named["e"]
-        self.u = named["u"]
-        self.r = named["r"]
+    tm: TransformMatrix
+    blocks: sparse.csr_array
+    blocks_h: sparse.csr_array
+    weight: float
 
 
 @dataclass
 class ModelAux:
-    """Per-dataset fixed quantities: transforms and pre-transformed adjacency.
+    """Per-dataset fixed quantities: one ``Branch`` per transform kind."""
 
-    The slices of Â x_3 M are kept as one block-diagonal sparse matrix per
-    branch, so every face-wise product with Â is a single sparse x dense
-    product over the stacked (T_b * N, F) slices.
-    """
-
-    n_nodes: int
     n_slots: int
-    transforms: dict  # kind -> TransformMatrix (built at branch T)
-    a_hat_blocks: dict  # kind -> block-diagonal CSR of Â x_3 M (padded for haar)
-    a_hat_blocks_h: dict  # kind -> conjugate transpose of the above
-    branch_weights: dict  # kind -> ensemble weight
+    branches: dict  # kind -> Branch
 
 
 def _branch_slots(kind: str, t: int) -> int:
     return next_power_of_two(t) if kind == "haar" else t
 
 
-def init_params(ds: DynamicGraphDataset, config: TrainConfig, seed=None) -> ModelParams:
-    """Glorot-uniform initialization, deterministic given the seed."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def _param_shapes(config: TrainConfig, n_nodes: int, n_slots: int) -> dict:
+    """Shape of every learnable array, keyed and ordered as the parameter dict."""
     f = config.embedding_dim
-    branch_ws = {}
-    for kind in config.branch_kinds():
-        t_b = _branch_slots(kind, ds.n_slots)
-        bound = np.sqrt(6.0 / (f + f))
-        branch_ws[kind] = [
-            rng.uniform(-bound, bound, size=(f, f, t_b)) for _ in range(config.n_layers)
-        ]
-    e_bound = np.sqrt(6.0 / (ds.n_nodes + f))
-    e = rng.uniform(-e_bound, e_bound, size=(ds.n_nodes, f))
-    u_bound = np.sqrt(6.0 / (ds.n_slots + f))
-    u = rng.uniform(-u_bound, u_bound, size=(ds.n_slots, f))
-    r_bound = np.sqrt(6.0 / (2 * f + 1))
-    r = rng.uniform(-r_bound, r_bound, size=2 * f)
-    return ModelParams(branch_ws, e, u, r)
+    shapes = {
+        f"w:{kind}:{layer}": (f, f, _branch_slots(kind, n_slots))
+        for kind in config.branch_kinds()
+        for layer in range(config.n_layers)
+    }
+    shapes.update(e=(n_nodes, f), u=(n_slots, f), r=(2 * f,))
+    return shapes
+
+
+def init_params(ds: DynamicGraphDataset, config: TrainConfig, seed=None) -> dict:
+    """The parameter dict, Glorot-uniform, deterministic given the seed.
+
+    Keys: ``w:<kind>:<layer>`` the (F, F, T_b) layer weights of each branch,
+    ``e`` the (N, F) node embedding, ``u`` the (T, F) temporal embedding and
+    ``r`` the (2F,) head.  Node features are E[n, :] * (1 + U[t, :]): a
+    static per-node embedding modulated by a per-slot temporal embedding
+    shared across nodes.  A purely static broadcast of E would be
+    annihilated beyond the DC row by every transform here (their
+    non-constant rows sum to zero), leaving the branches blind to temporal
+    structure; the multiplicative modulation puts the node-resolved
+    embeddings into every frequency.
+    """
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    params = {}
+    for key, shape in _param_shapes(config, ds.n_nodes, ds.n_slots).items():
+        # fan_in + fan_out; the head maps 2F inputs to one output.
+        fan = shape[0] + (shape[1] if len(shape) > 1 else 1)
+        bound = np.sqrt(6.0 / fan)
+        params[key] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
-    """Preprocess the adjacency once, transform it per branch (padded for haar)."""
+    """Preprocess the adjacency once, transform it per branch (padded for haar).
+
+    The branches are weighted equally in the ensemble sum.
+    """
     a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
     kinds = config.branch_kinds()
-    if config.transform == "ensemble":
-        branch_weights = EnsembleWeights().by_branch()
-    else:
-        branch_weights = {kinds[0]: 1.0}
-    transforms = {}
-    blocks = {}
-    blocks_h = {}
+    branches = {}
     for kind in kinds:
         tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
-        transforms[kind] = tm
-        blocks[kind], blocks_h[kind] = transformed_blocks(a_hat, tm)
-    return ModelAux(ds.n_nodes, ds.n_slots, transforms, blocks, blocks_h, branch_weights)
+        branches[kind] = Branch(tm, *transformed_blocks(a_hat, tm), 1.0 / len(kinds))
+    return ModelAux(ds.n_slots, branches)
 
 
-def forward_model(model: ModelParams, aux: ModelAux, activation: str):
+def forward_model(params: dict, aux: ModelAux, config: TrainConfig):
     """Representation tensor (N, F, T) plus per-branch layer caches."""
-    n, f = model.e.shape
-    x0 = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
+    e, u = params["e"], params["u"]
+    n, f = e.shape
+    x0 = e[:, :, None] * (1.0 + u.T[None, :, :])
     branch_h = {}
     branch_caches = {}
-    for kind, tm in aux.transforms.items():
-        x = np.zeros((n, f, tm.size))
+    for kind, b in aux.branches.items():
+        x = np.zeros((n, f, b.tm.size))
         x[:, :, : aux.n_slots] = x0
         caches = []
-        for w in model.branch_ws[kind]:
-            x, cache = layer_forward(aux.a_hat_blocks[kind], x, w, tm, activation)
+        for layer in range(config.n_layers):
+            x, cache = layer_forward(b.blocks, x, params[f"w:{kind}:{layer}"], b.tm, config.activation)
             caches.append(cache)
         branch_h[kind] = x[:, :, : aux.n_slots]
         branch_caches[kind] = caches
-    return ensemble_combine(branch_h, aux.branch_weights), branch_caches
+    weights = {kind: b.weight for kind, b in aux.branches.items()}
+    return ensemble_combine(branch_h, weights), branch_caches
 
 
-def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainConfig):
+def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
     """Loss and exact analytic gradients over the training batch.
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
     one-based time indices.  Returns (loss_value, gradients, h, y_hat): the
-    gradient dict is keyed like ``ModelParams.flatten``, h is the
-    representation tensor and y_hat the batch predictions.
+    gradient dict is keyed like ``params``, h is the representation tensor
+    and y_hat the batch predictions.
     """
     t_idx, i_idx, j_idx, y = batch
-    h, branch_caches = forward_model(model, aux, config.activation)
-    n, f = model.e.shape
+    h, branch_caches = forward_model(params, aux, config)
+    e, u, r = params["e"], params["u"], params["r"]
+    n, f = e.shape
     t_n = aux.n_slots
-    r = model.r
     y_hat, (hi, hj, rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
-    named = model.flatten()
-    total = loss(y, y_hat, named.values(), config.kappa, config.squared_reg)
+    total = loss(y, y_hat, params.values(), config.kappa, config.squared_reg)
 
     g_yhat = 2.0 * (y_hat - y)
     g_r = np.concatenate([hi.T @ g_yhat, hj.T @ g_yhat])
@@ -237,27 +217,27 @@ def compute_gradients(model: ModelParams, aux: ModelAux, batch, config: TrainCon
         g_h_rows[:, k] = np.bincount(rows_all, weights=w_all, minlength=n * t_n)
     g_h = np.ascontiguousarray(g_h_rows.reshape(n, t_n, f).transpose(0, 2, 1))
 
-    grads = {"r": g_r, "e": np.zeros_like(model.e), "u": np.zeros_like(model.u)}
+    grads = {"r": g_r, "e": np.zeros_like(e), "u": np.zeros_like(u)}
     for kind, caches in branch_caches.items():
-        tm = aux.transforms[kind]
-        g_x = np.zeros((n, f, tm.size))
-        g_x[:, :, : aux.n_slots] = aux.branch_weights[kind] * g_h
+        b = aux.branches[kind]
+        g_x = np.zeros((n, f, b.tm.size))
+        g_x[:, :, : aux.n_slots] = b.weight * g_h
         for layer in reversed(range(len(caches))):
             g_x, grads[f"w:{kind}:{layer}"] = layer_backward(
-                aux.a_hat_blocks_h[kind], g_x, caches[layer], tm, config.activation
+                b.blocks_h, g_x, caches[layer], b.tm, config.activation
             )
         g_x_obs = g_x[:, :, : aux.n_slots]
-        grads["e"] += (g_x_obs * (1.0 + model.u.T[None, :, :])).sum(axis=2)
-        grads["u"] += np.einsum("nft,nf->tf", g_x_obs, model.e)
+        grads["e"] += (g_x_obs * (1.0 + u.T[None, :, :])).sum(axis=2)
+        grads["u"] += np.einsum("nft,nf->tf", g_x_obs, e)
 
     if config.kappa != 0.0:
         if config.squared_reg:
-            for key, arr in named.items():
+            for key, arr in params.items():
                 grads[key] = grads[key] + 2.0 * config.kappa * arr
         else:
-            norm = params_l2_norm(named.values())
+            norm = params_l2_norm(params.values())
             if norm > 0:
-                for key, arr in named.items():
+                for key, arr in params.items():
                     grads[key] = grads[key] + config.kappa * arr / norm
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -358,7 +338,7 @@ def _keep_freed_heap():
 def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
-    ``aux`` is ``build_aux(ds, config)``.  Returns (best ModelParams,
+    ``aux`` is ``build_aux(ds, config)``.  Returns (best parameter dict,
     history) where history is a list of dicts with epoch, train_loss,
     train_mae, val_mae.  The returned parameters are those of the best
     validation epoch.  On glibc it raises the process's heap trim and mmap
@@ -367,43 +347,39 @@ def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     if not ds.has_splits:
         raise ValueError("dataset must carry train/val/test splits")
     _keep_freed_heap()
-    model = init_params(ds, config)
+    params = init_params(ds, config)
     train_batch = ds.subset_arrays(ds.train_idx)
     val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
 
-    named = model.flatten()
-    state = AdamState.for_params(named)
+    state = AdamState.for_params(params)
     stopper = EarlyStopping(config.patience)
     history = []
-    best_named = None
+    best = params
     for epoch in range(1, config.max_epochs + 1):
-        loss_value, grads, h, train_pred = compute_gradients(model, aux, train_batch, config)
+        loss_value, grads, h, train_pred = compute_gradients(params, aux, train_batch, config)
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
         # Train and validation error at the current parameters (pre-update).
         train_mae = mae(train_batch[3], train_pred)
-        val_mae = mae(val_y, predict(h, model.r, val_t, val_i, val_j)[0])
+        val_mae = mae(val_y, predict(h, params["r"], val_t, val_i, val_j)[0])
         history.append(
             {"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae}
         )
         if val_mae <= stopper.best:
-            best_named = {k: a.copy() for k, a in model.flatten().items()}
+            best = params  # adam_step returns new arrays, so no copy is needed
         if stopper.update(val_mae, epoch):
             break
-        named = adam_step(model.flatten(), grads, state, config.learning_rate)
-        model.assign(named)
-    if best_named is not None:
-        model.assign(best_named)
-    return model, history
+        params = adam_step(params, grads, state, config.learning_rate)
+    return best, history
 
 
-def evaluate(model: ModelParams, aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
+def evaluate(params: dict, aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     """MAE/RMSE for every split at the given parameters."""
-    h, _ = forward_model(model, aux, config.activation)
+    h, _ = forward_model(params, aux, config)
     out = {}
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
-        pred, _ = predict(h, model.r, t_idx, i_idx, j_idx)
+        pred, _ = predict(h, params["r"], t_idx, i_idx, j_idx)
         out[f"{name}_mae"] = mae(y, pred)
         out[f"{name}_rmse"] = rmse(y, pred)
     return out
@@ -441,18 +417,17 @@ def grad_check(
         seed=seed,
     )
     aux = build_aux(ds, config)
-    model = init_params(ds, config)
+    params = init_params(ds, config)
     batch = ds.subset_arrays(ds.train_idx[: min(n_obs, len(ds.train_idx))])
 
-    _, grads, _, _ = compute_gradients(model, aux, batch, config)
+    _, grads, _, _ = compute_gradients(params, aux, batch, config)
 
     def loss_now():
-        return compute_gradients(model, aux, batch, config)[0]
+        return compute_gradients(params, aux, batch, config)[0]
 
     report = {}
     max_err = 0.0
-    named = model.flatten()
-    for key, arr in named.items():
+    for key, arr in params.items():
         flat = arr.reshape(-1)  # view into the live parameter array
         g_flat = grads[key].ravel()
         # Probe a bounded number of coordinates per group to keep it fast.
@@ -475,22 +450,22 @@ def grad_check(
     return {"per_group": report, "max_relative_error": max_err, "passed": max_err <= 1e-4}
 
 
-def save_checkpoint(path, model: ModelParams, config: TrainConfig, extra=None):
+def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
     """Binary dump of all parameter arrays plus the config echo."""
-    named = model.flatten()
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "param_keys": sorted(named.keys()),
+        "param_keys": sorted(params.keys()),
         "extra": extra or {},
     }
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **named)
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
 
 
 def load_checkpoint(path):
-    """Returns (named parameter dict, TrainConfig, extra metadata).
+    """Returns (parameter dict, TrainConfig, extra metadata).
 
-    A file that ``save_checkpoint`` did not write raises ValueError naming it.
+    A file that ``save_checkpoint`` did not write, or whose arrays do not
+    match its config, raises ValueError naming it.
     """
     foreign = f"{path}: not a tubalgcn checkpoint"
     try:
@@ -502,30 +477,26 @@ def load_checkpoint(path):
     with z:
         if "__meta__" not in z.files:
             raise ValueError(f"{foreign} (it has no __meta__ record)")
-        meta = json.loads(bytes(z["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta['version']}")
-        missing = sorted(set(meta["param_keys"]) - set(z.files))
+        try:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+            version, keys, fields = meta["version"], set(meta["param_keys"]), meta["config"]
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, or a missing field
+            raise ValueError(f"{foreign} (unreadable __meta__ record: {type(exc).__name__}: {exc})") from exc
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        missing = sorted(keys - set(z.files))
         if missing:
             raise ValueError(f"{foreign} (it lacks the arrays {missing})")
-        named = {k: z[k] for k in meta["param_keys"]}
+        named = {k: z[k] for k in keys}
     try:
-        config = TrainConfig(**meta["config"])
+        config = TrainConfig(**fields)
     except TypeError as exc:  # a config field this version does not know
         raise ValueError(f"{foreign} ({exc})") from exc
-    return named, config, meta.get("extra", {})
-
-
-def model_from_named(named: dict, config: TrainConfig) -> ModelParams:
-    """Rebuild ModelParams from a flat checkpoint dict."""
-    branch_ws = {}
-    for kind in config.branch_kinds():
-        layers = []
-        layer = 0
-        while f"w:{kind}:{layer}" in named:
-            layers.append(np.asarray(named[f"w:{kind}:{layer}"]))
-            layer += 1
-        branch_ws[kind] = layers
-    return ModelParams(
-        branch_ws, np.asarray(named["e"]), np.asarray(named["u"]), np.asarray(named["r"])
-    )
+    try:
+        shapes = _param_shapes(config, named["e"].shape[0], named["u"].shape[0])
+    except (KeyError, IndexError) as exc:  # no e or u, or a 0-d one
+        raise ValueError(f"{foreign} (it has no (N, F) array e and (T, F) array u)") from exc
+    wrong = sorted(k for k in shapes.keys() | named.keys() if k not in named or named[k].shape != shapes.get(k))
+    if wrong:
+        raise ValueError(f"{foreign} (arrays {wrong} are missing or do not fit its config)")
+    return {k: named[k] for k in shapes}, config, meta.get("extra", {})

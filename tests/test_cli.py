@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubalgcn.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +150,13 @@ class TestTrainEval:
         assert "trained on 4 time slots, dataset has 8" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
 
-    @pytest.mark.parametrize("kind", ["npz_without_meta", "npz_without_arrays", "unknown_config_field", "not_npz"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "npz_without_meta", "npz_without_arrays", "unknown_config_field", "not_npz",
+            "meta_not_json", "meta_not_utf8", "meta_without_version", "missing_layer",
+        ],
+    )
     def test_eval_foreign_checkpoint_fails(self, dataset_file, tmp_path, capsys, kind):
         ckpt = tmp_path / "x.npz"
         if kind == "npz_without_meta":
@@ -159,6 +168,21 @@ class TestTrainEval:
         elif kind == "unknown_config_field":
             meta = {"version": 1, "config": {"dropout": 0.5}, "param_keys": [], "extra": {}}
             np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        elif kind in ("meta_not_json", "meta_not_utf8"):
+            raw = b"{not json" if kind == "meta_not_json" else b"\xff\xfe"
+            np.savez(ckpt, __meta__=np.frombuffer(raw, dtype=np.uint8))
+        elif kind == "meta_without_version":
+            meta = {"config": {}, "param_keys": [], "extra": {}}
+            np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        elif kind == "missing_layer":
+            # A two-layer checkpoint whose record and arrays both lack layer 1.
+            good, _ = self._train(dataset_file, tmp_path / "good", extra=("--layers", "2"))
+            with np.load(good) as z:
+                arrays = {k: z[k] for k in z.files if k != "w:dct:1"}
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            meta["param_keys"].remove("w:dct:1")
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(ckpt, **arrays)
         else:
             ckpt.write_text("epoch,loss\n1,0.5\n")
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file),
@@ -166,6 +190,19 @@ class TestTrainEval:
         assert rc == 1
         assert f"error: {ckpt}: not a tubalgcn checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
+
+    def test_eval_of_a_version_1_checkpoint(self, tmp_path, capsys):
+        # ensemble_2layer_v1.npz was written by an earlier release of
+        # `tubalgcn train` (two-layer ensemble, --embedding-dim 3 --seed 1
+        # --max-epochs 30 --patience 30) on this gen-synth graph; its eval
+        # report then read test_mae = 0.17490955675835435.
+        data = tmp_path / "g.tsv"
+        assert main(["gen-synth", "--nodes", "12", "--slots", "4", "--density", "0.5",
+                     "--noise", "0.02", "--seed", "5", "--out", str(data)]) == 0
+        report = tmp_path / "e.txt"
+        assert main(["eval", "--checkpoint", str(DATA / "ensemble_2layer_v1.npz"), "--data", str(data),
+                     "--report", str(report)]) == 0
+        assert "test_mae = 0.17490955675835435" in report.read_text().splitlines()
 
 
 class TestTransformMatrix:

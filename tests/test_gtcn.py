@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tubalgcn.gtcn import (
-    EnsembleWeights,
     TubeAdjacency,
     ensemble_combine,
     layer_forward,
@@ -33,6 +32,10 @@ def layer(a, x, w, tm, activation="sigmoid"):
 
 def branches(h_dft, h_dct, h_haar):
     return {"dft": h_dft, "dct": h_dct, "haar": h_haar}
+
+
+# The model's equal ensemble weights.
+THIRDS = branches(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 class TestPreprocessAdjacency:
@@ -186,36 +189,27 @@ class TestEnsemble:
     def test_identical_inputs_are_fixed_point(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=(3, 2, 4))
-        out = ensemble_combine(branches(h, h, h), EnsembleWeights().by_branch())
+        out = ensemble_combine(branches(h, h, h), THIRDS)
         np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_degenerate_weight_selects_branch(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(2, 2, 2))
-        out = ensemble_combine(branches(z, np.zeros_like(z), np.zeros_like(z)), EnsembleWeights(1.0, 0.0, 0.0).by_branch())
+        out = ensemble_combine(branches(z, np.zeros_like(z), np.zeros_like(z)), branches(1.0, 0.0, 0.0))
         np.testing.assert_array_equal(out, z)
 
     def test_elementwise_weighted_sum(self):
         rng = np.random.default_rng(9)
         hs = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
-        w = EnsembleWeights(0.2, 0.3, 0.5)
-        out = ensemble_combine(branches(*hs), w.by_branch())
+        out = ensemble_combine(branches(*hs), branches(0.2, 0.3, 0.5))
         expected = np.zeros_like(hs[0])
         for coeff, h in zip([0.2, 0.3, 0.5], hs):
             for idx in np.ndindex(*h.shape):
                 expected[idx] += coeff * h[idx]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            EnsembleWeights(0.5, 0.5, 0.5)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            EnsembleWeights(1.2, -0.1, -0.1)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ensemble_combine(
-                branches(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3))), EnsembleWeights().by_branch()
+                branches(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3))), THIRDS
             )

@@ -20,7 +20,6 @@ from tubalgcn.training import (
     grad_check,
     init_params,
     load_checkpoint,
-    model_from_named,
     save_checkpoint,
     train,
 )
@@ -45,22 +44,22 @@ class TestInit:
         cfg = TrainConfig(embedding_dim=4, seed=11)
         a = init_params(ds, cfg)
         b = init_params(ds, cfg)
-        for key, arr in a.flatten().items():
-            np.testing.assert_array_equal(arr, b.flatten()[key])
+        assert list(a) == list(b)
+        for key, arr in a.items():
+            np.testing.assert_array_equal(arr, b[key])
 
     def test_bounds_respected(self):
         ds = small_dataset()
         cfg = TrainConfig(embedding_dim=20, transform="dct", seed=0)
-        model = init_params(ds, cfg)
+        params = init_params(ds, cfg)
         bound = np.sqrt(6.0 / 40.0)
-        for w in model.branch_ws["dct"]:
-            assert np.max(np.abs(w)) <= bound
+        assert np.max(np.abs(params["w:dct:0"])) <= bound
 
     def test_seeds_differ(self):
         ds = small_dataset()
         a = init_params(ds, TrainConfig(embedding_dim=4, seed=1))
         b = init_params(ds, TrainConfig(embedding_dim=4, seed=2))
-        assert np.max(np.abs(a.e - b.e)) > 0
+        assert np.max(np.abs(a["e"] - b["e"])) > 0
 
 
 class TestGradients:
@@ -70,14 +69,14 @@ class TestGradients:
         ds = small_dataset()
         cfg = TrainConfig(embedding_dim=3, transform="dct", kappa=0.0, seed=4)
         aux = build_aux(ds, cfg)
-        model = init_params(ds, cfg)
-        h, _ = forward_model(model, aux, cfg.activation)
+        params = init_params(ds, cfg)
+        h, _ = forward_model(params, aux, cfg)
         t_idx = np.array([1])
         i_idx = np.array([0])
         j_idx = np.array([1])
         f = cfg.embedding_dim
-        y_val = h[0, :, 0] @ model.r[:f] + h[1, :, 0] @ model.r[f:]
-        _, grads, _, _ = compute_gradients(model, aux, (t_idx, i_idx, j_idx, np.array([y_val])), cfg)
+        y_val = h[0, :, 0] @ params["r"][:f] + h[1, :, 0] @ params["r"][f:]
+        _, grads, _, _ = compute_gradients(params, aux, (t_idx, i_idx, j_idx, np.array([y_val])), cfg)
         for key, g in grads.items():
             assert np.max(np.abs(g)) <= 1e-12, key
 
@@ -97,21 +96,23 @@ class TestGradients:
         assert rep["passed"], rep
         assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
 
-    def test_norm_gradient(self):
-        # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||.
+    @pytest.mark.parametrize("squared_reg", [False, True])
+    def test_norm_gradient(self, squared_reg):
+        # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||, and of
+        # kappa * ||Theta||_2^2 it is 2 * kappa * Theta.
         ds = small_dataset()
-        cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, seed=6)
+        cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, squared_reg=squared_reg, seed=6)
         aux = build_aux(ds, cfg)
-        model = init_params(ds, cfg)
-        h, _ = forward_model(model, aux, cfg.activation)
+        params = init_params(ds, cfg)
+        h, _ = forward_model(params, aux, cfg)
         f = cfg.embedding_dim
-        y_val = h[0, :, 0] @ model.r[:f] + h[1, :, 0] @ model.r[f:]
+        y_val = h[0, :, 0] @ params["r"][:f] + h[1, :, 0] @ params["r"][f:]
         batch = (np.array([1]), np.array([0]), np.array([1]), np.array([y_val]))
-        _, grads, _, _ = compute_gradients(model, aux, batch, cfg)
-        named = model.flatten()
-        norm = np.sqrt(sum(float(np.sum(a**2)) for a in named.values()))
-        for key, arr in named.items():
-            np.testing.assert_allclose(grads[key], 0.5 * arr / norm, atol=1e-12)
+        _, grads, _, _ = compute_gradients(params, aux, batch, cfg)
+        norm = np.sqrt(sum(float(np.sum(a**2)) for a in params.values()))
+        for key, arr in params.items():
+            expected = 2 * 0.5 * arr if squared_reg else 0.5 * arr / norm
+            np.testing.assert_allclose(grads[key], expected, atol=1e-12)
 
 
 class TestForwardMatchesOracle:
@@ -125,24 +126,45 @@ class TestForwardMatchesOracle:
         ds = small_dataset(seed=t, n=n, t=t)
         cfg = TrainConfig(embedding_dim=3, transform=kind, adjacency_mode=mode, seed=t)
         aux = build_aux(ds, cfg)
-        model = init_params(ds, cfg)
-        h, _ = forward_model(model, aux, cfg.activation)
+        params = init_params(ds, cfg)
+        h, _ = forward_model(params, aux, cfg)
 
-        tm = aux.transforms[kind]
+        branch = aux.branches[kind]
+        tm = branch.tm
         t_b = tm.size
         a = np.zeros((n, n, t_b))
         a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), mode)
         x = np.zeros((n, cfg.embedding_dim, t_b))
-        x[:, :, :t] = model.e[:, :, None] * (1.0 + model.u.T[None, :, :])
-        oracle = message_passing_oracle(a, x, model.branch_ws[kind][0], tm, cfg.activation)
+        x[:, :, :t] = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
+        oracle = message_passing_oracle(a, x, params[f"w:{kind}:0"], tm, cfg.activation)
         assert np.max(np.abs(h - oracle[:, :, :t])) <= 1e-9
 
         a_hat_t = m_transform(a, tm.m)
         expected = np.zeros((t_b * n, t_b * n), dtype=a_hat_t.dtype)
         for s in range(t_b):
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
-        np.testing.assert_allclose(aux.a_hat_blocks[kind].toarray(), expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(aux.a_hat_blocks_h[kind].toarray(), expected.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(branch.blocks.toarray(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(branch.blocks_h.toarray(), expected.conj().T, rtol=0, atol=1e-12)
+
+    def test_two_layer_haar_keeps_activations_in_padded_slots(self):
+        # T = 3 runs the Haar branch at 4 slots.  Layer 2 sees sigma(z) in the
+        # padded slot, not zero: the oracle is applied twice to the padded
+        # tensor and only the output is cropped.
+        n, t = 6, 3
+        ds = small_dataset(seed=t, n=n, t=t)
+        cfg = TrainConfig(embedding_dim=3, transform="haar", n_layers=2, seed=t)
+        aux = build_aux(ds, cfg)
+        params = init_params(ds, cfg)
+        h, _ = forward_model(params, aux, cfg)
+
+        tm = aux.branches["haar"].tm
+        a = np.zeros((n, n, tm.size))
+        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
+        x = np.zeros((n, cfg.embedding_dim, tm.size))
+        x[:, :, :t] = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
+        for layer in range(2):
+            x = message_passing_oracle(a, x, params[f"w:haar:{layer}"], tm, cfg.activation)
+        assert np.max(np.abs(h - x[:, :, :t])) <= 1e-9
 
 
 class TestMemory:
@@ -157,12 +179,12 @@ class TestMemory:
         y = rng.uniform(0.05, 1.0, size=edges * t)
         ds = split_dataset(DynamicGraphDataset(n, t, slots, np.repeat(i, t), np.repeat(j, t), y), seed=0)
         cfg = TrainConfig(embedding_dim=4, transform="ensemble")
-        model = init_params(ds, cfg)
+        params = init_params(ds, cfg)
         batch = ds.subset_arrays(ds.train_idx)
         tracemalloc.start()
         try:
             aux = build_aux(ds, cfg)
-            compute_gradients(model, aux, batch, cfg)
+            compute_gradients(params, aux, batch, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -243,9 +265,9 @@ class TestTrain:
     def test_returns_best_validation_epoch(self):
         ds = small_dataset(seed=7, n=10)
         cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        model, hist = train(build_aux(ds, cfg), ds, cfg)
+        params, hist = train(build_aux(ds, cfg), ds, cfg)
         aux = build_aux(ds, cfg)
-        metrics = evaluate(model, aux, ds, cfg)
+        metrics = evaluate(params, aux, ds, cfg)
         best_val = min(h["val_mae"] for h in hist)
         assert abs(metrics["val_mae"] - best_val) <= 1e-12
 
@@ -268,15 +290,15 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10)
-        model, _ = train(build_aux(ds, cfg), ds, cfg)
+        params, _ = train(build_aux(ds, cfg), ds, cfg)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, model, cfg, extra={"note": "x"})
-        named, cfg2, extra = load_checkpoint(path)
+        save_checkpoint(path, params, cfg, extra={"note": "x"})
+        restored, cfg2, extra = load_checkpoint(path)
         assert cfg2 == cfg
         assert extra == {"note": "x"}
-        restored = model_from_named(named, cfg2)
-        for key, arr in model.flatten().items():
-            np.testing.assert_array_equal(arr, restored.flatten()[key])
+        assert list(restored) == list(params)
+        for key, arr in params.items():
+            np.testing.assert_array_equal(arr, restored[key])
 
     def test_unknown_activation_in_checkpoint_fails_by_name(self, tmp_path):
         ds = small_dataset(seed=10, n=8)
