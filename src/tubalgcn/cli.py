@@ -99,18 +99,21 @@ def cmd_gen_synth(args) -> int:
 
 
 def _train_once(ds, config):
+    """Split, build the aux, train and evaluate; also returns train()'s seconds."""
     ds = split_dataset(ds, seed=config.split_seed)
     aux = build_aux(ds, config)
+    started = time.perf_counter()
     params, history = train(aux, ds, config)
+    train_s = time.perf_counter() - started
     metrics = evaluate(params, aux, ds, config)
-    return ds, params, history, metrics
+    return ds, params, history, metrics, train_s
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     ds = parse_dataset(args.data)
     started = time.perf_counter()
-    ds, params, history, metrics = _train_once(ds, config)
+    ds, params, history, metrics, train_s = _train_once(ds, config)
     elapsed = time.perf_counter() - started
     save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data)})
     pairs = [("command", "train"), ("data", args.data)]
@@ -125,7 +128,11 @@ def cmd_train(args) -> int:
         pairs,
         tables=[("history", ("epoch", "train_loss", "train_mae", "val_mae"), history_rows)],
     )
-    print(f"trained {len(history)} epochs in {elapsed:.2f}s; test MAE {metrics['test_mae']:.5f}")
+    ms_per_epoch = 1000.0 * train_s / len(history)
+    print(
+        f"trained {len(history)} epochs in {elapsed:.2f}s ({ms_per_epoch:.1f} ms/epoch); "
+        f"test MAE {metrics['test_mae']:.5f}"
+    )
     return 0
 
 
@@ -135,7 +142,11 @@ def cmd_eval(args) -> int:
     sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
     for what, trained, have in sizes:
         if trained != have:
-            print(f"error: checkpoint was trained on {trained} {what}, dataset has {have}", file=sys.stderr)
+            print(
+                f"error: checkpoint {args.checkpoint} was trained on {trained} {what}, "
+                f"dataset has {have} ({args.data})",
+                file=sys.stderr,
+            )
             return 1
     ds = split_dataset(ds, seed=config.split_seed)
     aux = build_aux(ds, config)
@@ -200,7 +211,7 @@ def cmd_ablation(args) -> int:
                 transform=scheme,
                 split_seed=seed,
             )
-            _, _, _, metrics = _train_once(ds_base, config)
+            _, _, _, metrics, _ = _train_once(ds_base, config)
             maes.append(metrics["test_mae"])
             rmses.append(metrics["test_rmse"])
         means[scheme] = float(np.mean(maes))

@@ -29,9 +29,11 @@ class LinkObservation:
 def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
     """y_hat = [h_i^t || h_j^t] . r for every link (t one-based).
 
-    The endpoint rows are gathered from the node-major (N * T, F) layout of
-    ``h``, where node i at slot t is row ``i * T + t - 1``.  Returns y_hat and (hi, hj, rows_i, rows_j): the gathered rows and
-    their row numbers, which the backward pass scatters onto.
+    The head is linear, so every (node, slot) row of ``h`` is scored once
+    per half of the head, ``s_i = r[:F] . h`` and ``s_j = r[F:] . h``, and a
+    link adds two gathered scalars.  Rows are node-major: node i at slot t
+    is row ``i * T + t - 1``.  Returns y_hat and (rows_i, rows_j), the row
+    numbers of the two endpoints, which the backward pass accumulates onto.
     """
     n, f, t = h.shape
     if r.shape != (2 * f,):
@@ -42,12 +44,11 @@ def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
         or max(i_idx.max(), j_idx.max()) >= n
     ):
         raise IndexError(f"link indices out of range for representation {h.shape}")
-    h_rows = np.ascontiguousarray(h.transpose(0, 2, 1)).reshape(n * t, f)
     rows_i = i_idx * t + (t_idx - 1)
     rows_j = j_idx * t + (t_idx - 1)
-    hi = h_rows[rows_i]
-    hj = h_rows[rows_j]
-    return hi @ r[:f] + hj @ r[f:], (hi, hj, rows_i, rows_j)
+    s_i = (r[:f] @ h).ravel()
+    s_j = (r[f:] @ h).ravel()
+    return s_i[rows_i] + s_j[rows_j], (rows_i, rows_j)
 
 
 def params_l2_norm(param_arrays) -> float:

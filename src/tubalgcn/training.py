@@ -79,6 +79,12 @@ class TrainConfig:
             raise ValueError("embedding_dim must be >= 1")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs!r}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (np.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
         if self.transform not in TRANSFORM_CHOICES:
             raise ValueError(f"transform must be one of {TRANSFORM_CHOICES}")
         if self.activation not in ACTIVATIONS:
@@ -196,26 +202,28 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
     one-based time indices.  Returns (loss_value, gradients, h, y_hat): the
     gradient dict is keyed like ``params``, h is the representation tensor
     and y_hat the batch predictions.
+
+    The head's backward pass works per (node, slot) row, like ``predict``:
+    the residual gradient is summed onto each endpoint row with one
+    ``bincount`` per endpoint, giving c_i and c_j, and then
+    ``g_r = [<h, c_i> || <h, c_j>]`` and ``g_h = c_i (x) r[:F] + c_j (x) r[F:]``.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(params, aux, config)
     e, u, r = params["e"], params["u"], params["r"]
     n, f = e.shape
     t_n = aux.n_slots
-    y_hat, (hi, hj, rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
+    y_hat, (rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
     total = loss(y, y_hat, params.values(), config.kappa, config.squared_reg)
 
+    # c[n, t, 0] and c[n, t, 1] sum the residual gradient over the links
+    # whose first and second endpoint is node n at slot t.
     g_yhat = 2.0 * (y_hat - y)
-    g_r = np.concatenate([hi.T @ g_yhat, hj.T @ g_yhat])
-
-    # Scatter the head gradient back onto (node, slot) rows; bincount per
-    # feature beats np.add.at by a wide margin at this size.
-    rows_all = np.concatenate([rows_i, rows_j])
-    g_h_rows = np.empty((n * t_n, f))
-    for k in range(f):
-        w_all = np.concatenate([g_yhat * r[k], g_yhat * r[f + k]])
-        g_h_rows[:, k] = np.bincount(rows_all, weights=w_all, minlength=n * t_n)
-    g_h = np.ascontiguousarray(g_h_rows.reshape(n, t_n, f).transpose(0, 2, 1))
+    c = np.stack(
+        [np.bincount(rows, weights=g_yhat, minlength=n * t_n) for rows in (rows_i, rows_j)], axis=1
+    ).reshape(n, t_n, 2)
+    g_r = (h @ c).sum(axis=0).T.ravel()
+    g_h = r.reshape(2, f).T @ c.transpose(0, 2, 1)
 
     grads = {"r": g_r, "e": np.zeros_like(e), "u": np.zeros_like(u)}
     for kind, caches in branch_caches.items():
@@ -492,6 +500,8 @@ def load_checkpoint(path):
         config = TrainConfig(**fields)
     except TypeError as exc:  # a config field this version does not know
         raise ValueError(f"{foreign} ({exc})") from exc
+    except ValueError as exc:  # a field value TrainConfig rejects
+        raise ValueError(f"{path}: invalid config in checkpoint ({exc})") from exc
     try:
         shapes = _param_shapes(config, named["e"].shape[0], named["u"].shape[0])
     except (KeyError, IndexError) as exc:  # no e or u, or a 0-d one

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +128,38 @@ class TestTrainEval:
         assert f"bad.tsv:{lineno}: weight" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
 
-    def test_eval_node_mismatch_fails(self, dataset_file, tmp_path):
+    def test_eval_node_mismatch_fails(self, dataset_file, tmp_path, capsys):
         ckpt, _ = self._train(dataset_file, tmp_path)
         other = tmp_path / "other.tsv"
         assert main(["gen-synth", "--nodes", "9", "--slots", "4", "--density", "0.5",
                      "--seed", "3", "--out", str(other)]) == 0
+        capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(other),
                    "--report", str(tmp_path / "e.txt")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {ckpt} was trained on 16 nodes, dataset has 9 ({other})\n"
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--max-epochs", "0", "max_epochs"),
+            ("--lr", "nan", "learning_rate"),
+            ("--lr", "-1", "learning_rate"),
+            ("--kappa", "-1", "kappa"),
+        ],
+    )
+    def test_bad_hyperparameter_fails_by_name(self, dataset_file, tmp_path, capsys, flag, value, field):
+        rc = main(["train", "--data", str(dataset_file), flag, value,
+                   "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+        assert not (tmp_path / "m.npz").exists() and not (tmp_path / "r.txt").exists()
+
+    def test_train_prints_ms_per_epoch(self, dataset_file, tmp_path, capsys):
+        self._train(dataset_file, tmp_path)
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"trained 15 epochs in \d+\.\d\ds \(\d+\.\d ms/epoch\); test MAE \d\.\d{5}\n", out), out
 
     def test_eval_slot_mismatch_fails(self, tmp_path, capsys):
         paths = {}

@@ -43,12 +43,13 @@ class TestEstimateWeight:
         t = np.array([1, 3, 4])
         i = np.array([0, 2, 4])
         j = np.array([1, 1, 0])
-        batch, (hi, hj, rows_i, rows_j) = predict(h, r, t, i, j)
+        batch, (rows_i, rows_j) = predict(h, r, t, i, j)
         for k in range(3):
             assert abs(batch[k] - predict_one(h, t[k], i[k], j[k], r)) <= 1e-12
-        # The time-major row gather picks the same rows as indexing (N, F, T).
-        np.testing.assert_array_equal(hi, h[i, :, t - 1])
-        np.testing.assert_array_equal(hj, h[j, :, t - 1])
+        # The node-major row numbers pick the same rows as indexing (N, F, T).
+        h_rows = h.transpose(0, 2, 1).reshape(5 * 4, 3)
+        np.testing.assert_array_equal(h_rows[rows_i], h[i, :, t - 1])
+        np.testing.assert_array_equal(h_rows[rows_j], h[j, :, t - 1])
         np.testing.assert_array_equal(rows_i, i * 4 + t - 1)
         np.testing.assert_array_equal(rows_j, j * 4 + t - 1)
 

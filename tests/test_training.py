@@ -1,11 +1,12 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
-from tubalgcn.gtcn import message_passing_oracle, preprocess_adjacency
+from tubalgcn.gtcn import ACTIVATIONS, layer_backward, message_passing_oracle, preprocess_adjacency
 from tubalgcn.head_loss import LinkObservation
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
@@ -31,10 +32,28 @@ def small_dataset(seed=0, n=6, t=4):
     )
 
 
+BAD_HYPERPARAMETERS = [
+    ("max_epochs", 0),
+    ("max_epochs", -3),
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("learning_rate", 0.0),
+    ("learning_rate", -1.0),
+    ("kappa", float("nan")),
+    ("kappa", float("inf")),
+    ("kappa", -1.0),
+]
+
+
 class TestConfig:
     @pytest.mark.parametrize("name,value", [("activation", "tanh"), ("adjacency_mode", "dense")])
     def test_unknown_choice_fails_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be one of .*'{value}'"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value", BAD_HYPERPARAMETERS)
+    def test_bad_hyperparameter_fails_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
             TrainConfig(**{name: value})
 
 
@@ -113,6 +132,57 @@ class TestGradients:
         for key, arr in params.items():
             expected = 2 * 0.5 * arr if squared_reg else 0.5 * arr / norm
             np.testing.assert_allclose(grads[key], expected, atol=1e-12)
+
+
+class TestHeadGradient:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_gathered_row_reference(self, n_layers, activation):
+        # Reference: gather the (B, F) endpoint rows, form g_r from them,
+        # scatter g_h onto (node, slot) with np.add.at and backpropagate it
+        # through every branch.  Links (1, 0, 1) and (1, 0, 2) share node 0's
+        # row at slot 1; (2, 1, 2) and (2, 2, 1) use each other's rows from
+        # the other side; (2, 3, 3) is a self pair.
+        ds = small_dataset(seed=12)
+        cfg = TrainConfig(
+            embedding_dim=3, transform="ensemble", kappa=0.0, activation=activation, n_layers=n_layers, seed=12
+        )
+        aux = build_aux(ds, cfg)
+        params = init_params(ds, cfg)
+        t = np.array([1, 1, 2, 2, 2, 3])
+        i = np.array([0, 0, 1, 2, 3, 4])
+        j = np.array([1, 2, 2, 1, 3, 0])
+        y = np.random.default_rng(12).uniform(size=len(t))
+        _, grads, h, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
+
+        e, u, r = params["e"], params["u"], params["r"]
+        n, f, n_slots = h.shape
+        hi, hj = h[i, :, t - 1], h[j, :, t - 1]
+        ref_y_hat = hi @ r[:f] + hj @ r[f:]
+        g = 2.0 * (ref_y_hat - y)
+        ref = {"r": np.concatenate([hi.T @ g, hj.T @ g]), "e": np.zeros_like(e), "u": np.zeros_like(u)}
+        g_h = np.zeros((n, n_slots, f))
+        np.add.at(g_h, (i, t - 1), g[:, None] * r[:f])
+        np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
+        _, caches = forward_model(params, aux, cfg)
+        for kind, b in aux.branches.items():
+            g_x = np.zeros((n, f, b.tm.size))
+            g_x[:, :, :n_slots] = b.weight * g_h.transpose(0, 2, 1)
+            for layer in reversed(range(n_layers)):
+                g_x, ref[f"w:{kind}:{layer}"] = layer_backward(
+                    b.blocks_h, g_x, caches[kind][layer], b.tm, activation
+                )
+            ref["e"] += (g_x[:, :, :n_slots] * (1.0 + u.T[None, :, :])).sum(axis=2)
+            ref["u"] += np.einsum("nft,nf->tf", g_x[:, :, :n_slots], e)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+        close(y_hat, ref_y_hat)
+        assert grads.keys() == ref.keys()
+        for key, want in ref.items():
+            assert np.max(np.abs(want)) > 0, key
+            close(grads[key], want)
 
 
 class TestForwardMatchesOracle:
@@ -312,4 +382,19 @@ class TestCheckpoint:
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="activation must be one of .*'tanh'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,value", BAD_HYPERPARAMETERS)
+    def test_bad_hyperparameter_in_checkpoint_fails_by_name(self, tmp_path, name, value):
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(ds, cfg), cfg)
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"][name] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid config in checkpoint \\({name} must be "):
             load_checkpoint(path)
