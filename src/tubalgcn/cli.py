@@ -185,6 +185,9 @@ def cmd_grad_check(args) -> int:
         f=args.features,
         t=args.slots,
         transform=args.transform,
+        activation=args.activation,
+        n_layers=args.layers,
+        adjacency_mode=args.adjacency,
     )
     for key in sorted(report["per_group"]):
         print(f"{key}: max relative error {report['per_group'][key]:.3e}")
@@ -287,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=3)
     p.add_argument("--slots", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--activation", choices=ACTIVATIONS, default="sigmoid")
+    p.add_argument("--adjacency", choices=ADJACENCY_MODES, default="sym_normalized")
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("ablation", help="train all schemes across seeds, emit a table")

@@ -155,18 +155,20 @@ def preprocess_adjacency(raw, mode: str = "sym_normalized") -> np.ndarray:
 
 
 def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix):
-    """Â x_3 M as a block-diagonal CSR matrix, plus its conjugate transpose.
+    """The kept slices of Â x_3 M as a block-diagonal CSR matrix, plus its
+    conjugate transpose.
 
     Â's slots are zero-padded up to ``tm.size`` (the Haar branch runs at the
-    next power of two), then each tube is transformed; block s of the
-    result is slice s of Â x_3 M.
+    next power of two), then each tube is transformed by ``tm.m_kept``;
+    block s of the result is slice s of Â x_3 M, for s < K (K = T//2 + 1
+    for the DFT, T otherwise).
     """
     vals = a.vals
     if tm.size > vals.shape[1]:
         vals = np.zeros((len(vals), tm.size))
         vals[:, : a.vals.shape[1]] = a.vals
     # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
-    vals = m_transform(vals[:, None, :], tm.m)[:, 0, :]
+    vals = m_transform(vals[:, None, :], tm.m_kept)[:, 0, :]
     blocks = replace(a, vals=vals).slot_blocks()
     return blocks, blocks.conj().T.tocsr()
 
@@ -190,18 +192,24 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
     """One layer, sigma(Â * X * W), on ``blocks`` from ``transformed_blocks``.
 
     ``x`` is (N, F_in, T) and ``w`` is (F_in, F_out, T) with T = ``tm.size``.
-    Returns H and the cache that ``layer_backward`` needs.
+    The chain runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``);
+    the slices of P that must be real for real operands are checked with
+    ``demote_real`` before the inverse.  Returns H and the cache that
+    ``layer_backward`` needs.
     """
     n, f_in, t = x.shape
-    if w.shape[0] != f_in or w.shape[2] != t or blocks.shape != (t * n, t * n):
+    k = tm.kept
+    if w.shape[0] != f_in or w.shape[2] != t or blocks.shape != (k * n, k * n):
         raise DimensionMismatchError(
             f"features {x.shape}, weights {w.shape} and adjacency blocks {blocks.shape} disagree"
         )
-    xh = m_transform(x, tm.m)
-    wh = m_transform(w, tm.m)
+    xh = m_transform(x, tm.m_kept)
+    wh = m_transform(w, tm.m_kept)
     q = _slot_product(blocks, xh)
     p = facewise_product(q, wh)
-    s = demote_real(m_transform(p, tm.m_inv))
+    if np.iscomplexobj(p):
+        p[:, :, tm.real_slices] = demote_real(p[:, :, tm.real_slices])
+    s = _real(m_transform(p, tm.m_inv_kept))
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     return apply_activation(s, activation), {"q": q, "wh": wh, "s": s}
@@ -212,11 +220,12 @@ def layer_backward(blocks_h, g_h: np.ndarray, cache: dict, tm: TransformMatrix, 
 
     ``blocks_h`` is the conjugate transpose from ``transformed_blocks``.
     Every stage but the activation is (complex-)linear, so backprop is the
-    adjoint transform along mode 3 and per-slice conjugate-transposed products.
+    adjoint transform along mode 3 and per-slice conjugate-transposed
+    products, on the kept slices: g_P = m_inv_kept^H g_S.
     """
-    m_adj = tm.m.conj().T
+    m_adj = tm.m_kept.conj().T
     g_s = g_h * activation_grad(cache["s"], activation)
-    g_p = m_transform(g_s, tm.m_inv.conj().T)
+    g_p = m_transform(g_s, tm.m_inv_kept.conj().T)
     g_q = facewise_product(g_p, cache["wh"].conj().transpose(1, 0, 2))
     g_wh = facewise_product(cache["q"].conj().transpose(1, 0, 2), g_p)
     g_w = _real(m_transform(g_wh, m_adj))

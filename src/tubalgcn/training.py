@@ -85,6 +85,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+        for name in ("seed", "split_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.transform not in TRANSFORM_CHOICES:
             raise ValueError(f"transform must be one of {TRANSFORM_CHOICES}")
         if self.activation not in ACTIVATIONS:
@@ -101,11 +104,12 @@ class TrainConfig:
 @dataclass(frozen=True)
 class Branch:
     """One transform branch: the transform (built at the branch's slot
-    count), Â x_3 M as one block-diagonal CSR matrix (padded for haar), its
-    conjugate transpose, and the branch's weight in the ensemble sum.
+    count), the K kept slices of Â x_3 M as one block-diagonal CSR matrix
+    (padded for haar), its conjugate transpose, and the branch's weight in
+    the ensemble sum.
 
     Every face-wise product with Â is then a single sparse x dense product
-    over the stacked (T_b * N, F) slices.
+    over the stacked (K * N, F) slices.
     """
 
     tm: TransformMatrix
@@ -404,6 +408,7 @@ def grad_check(
     kappa: float = 1e-4,
     activation: str = "sigmoid",
     n_layers: int = 1,
+    adjacency_mode: str = "sym_normalized",
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
@@ -421,6 +426,7 @@ def grad_check(
         transform=transform,
         kappa=kappa,
         activation=activation,
+        adjacency_mode=adjacency_mode,
         n_layers=n_layers,
         seed=seed,
     )

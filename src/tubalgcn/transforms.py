@@ -9,7 +9,7 @@ unitary/orthogonal with a cheap exact inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,26 @@ INVERSE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """An invertible T x T transform with its precomputed inverse."""
+    """An invertible T x T transform with its precomputed inverse.
+
+    ``m_kept`` (K x T) and ``m_inv_kept`` (T x K) are the pair the layer
+    runs on.  A complex M whose rows k and T-k are conjugates (the DFT) maps
+    a real tube to a Hermitian one, so only its leading K = T//2 + 1 slices
+    carry information: ``m_kept`` is those rows of M, and ``m_inv_kept`` the
+    leading K columns of M_inv with each column that has a conjugate partner
+    doubled, so that Re(m_inv_kept @ m_kept @ x) = x for real x.  For a real M,
+    K = T and the pair is ``m``/``m_inv`` itself.  ``real_slices`` are the
+    kept slices that are real for real input: slice 0, and T/2 for even T,
+    under the DFT; every slice under a real M.
+    """
 
     kind: str
     size: int
     m: np.ndarray
     m_inv: np.ndarray
+    m_kept: np.ndarray = field(init=False, repr=False)
+    m_inv_kept: np.ndarray = field(init=False, repr=False)
+    real_slices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         t = self.size
@@ -49,10 +63,31 @@ class TransformMatrix:
             )
         object.__setattr__(self, "m", _readonly(self.m))
         object.__setattr__(self, "m_inv", _readonly(self.m_inv))
+        kept = t // 2 + 1 if self.is_complex else t
+        k = np.arange(kept)
+        paired = (k > 0) & (2 * k < t) & self.is_complex
+        # Views of the read-only matrices where nothing is doubled.
+        m_kept = self.m[:kept]
+        m_inv_kept = self.m_inv[:, :kept]
+        if paired.any():
+            m_inv_kept = _readonly(m_inv_kept * np.where(paired, 2.0, 1.0))
+        err = np.max(np.abs((m_inv_kept @ m_kept).real - np.eye(t)))
+        if err > INVERSE_TOL:
+            raise ValueError(
+                f"Re(M_inv_kept @ M_kept) deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e})"
+            )
+        object.__setattr__(self, "m_kept", m_kept)
+        object.__setattr__(self, "m_inv_kept", m_inv_kept)
+        object.__setattr__(self, "real_slices", tuple(int(s) for s in k[~paired]))
 
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.m)
+
+    @property
+    def kept(self) -> int:
+        """K, the number of transform-domain slices the layer stores."""
+        return self.m_kept.shape[0]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -147,6 +147,8 @@ class TestTrainEval:
             ("--lr", "nan", "learning_rate"),
             ("--lr", "-1", "learning_rate"),
             ("--kappa", "-1", "kappa"),
+            ("--seed", "-1", "seed"),
+            ("--split-seed", "-1", "split_seed"),
         ],
     )
     def test_bad_hyperparameter_fails_by_name(self, dataset_file, tmp_path, capsys, flag, value, field):
@@ -269,6 +271,11 @@ class TestGradCheckCommand:
 
     def test_ensemble_passes(self):
         assert main(["grad-check", "--transform", "ensemble"]) == 0
+
+    def test_two_dft_layers_at_odd_slots_pass(self, capsys):
+        assert main(["grad-check", "--transform", "dft", "--slots", "5", "--layers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "w:dft:1: max relative error" in out and out.endswith("PASS\n")
 
 
 class TestAblationCommand:

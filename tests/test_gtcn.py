@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalgcn.gtcn import (
     TubeAdjacency,
@@ -102,7 +104,8 @@ class TestGtcnForward:
     @pytest.mark.parametrize(
         "kind,slots",
         [pytest.param(kind, (2, 4), id=kind) for kind in ALL_KINDS]
-        + [pytest.param(kind, (t,), id=f"{kind}-T{t}") for kind in ("identity", "dft", "dct") for t in (3, 5)],
+        + [pytest.param(kind, (t,), id=f"{kind}-T{t}") for kind in ("identity", "dft", "dct") for t in (3, 5)]
+        + [pytest.param("dft", (t,), id=f"dft-T{t}") for t in (1, 2, 6)],
     )
     def test_matches_oracle(self, kind, slots):
         rng = np.random.default_rng(2)
@@ -116,6 +119,21 @@ class TestGtcnForward:
             fwd = layer(a, x, w, tm)
             oracle = message_passing_oracle(a, x, w, tm)
             assert np.max(np.abs(fwd - oracle)) <= 1e-9
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        f_in=st.integers(1, 3),
+        f_out=st.integers(1, 3),
+        t=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dft_half_spectrum_matches_oracle(self, n, f_in, f_out, t, seed):
+        # The DFT branch stores T//2 + 1 slices; the oracle uses all T.
+        a, x, w = random_instance(np.random.default_rng(seed), n, f_in, f_out, t)
+        tm = build_transform("dft", t)
+        assert tm.kept == t // 2 + 1
+        assert np.max(np.abs(layer(a, x, w, tm) - message_passing_oracle(a, x, w, tm))) <= 1e-9
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)

@@ -120,6 +120,30 @@ class TestMTransform:
         with pytest.raises(DimensionMismatchError):
             m_transform(np.zeros((2, 2, 3)), np.eye(4))
 
+    @pytest.mark.parametrize("t", [1, 2, 5, 6, 9])
+    def test_kept_rows_match_complex_gemm(self, t):
+        # A K x T matrix maps T slots to K; a complex matrix on a real tensor
+        # runs as a real GEMM and must agree with the complex one.
+        rng = np.random.default_rng(t)
+        x = rng.normal(size=(3, 2, t))
+        m = build_dft(t).m_kept
+        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [2])).transpose(1, 2, 0)
+        out = m_transform(x, m)
+        assert out.shape == (3, 2, t // 2 + 1) and out.dtype == np.complex128
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_complex_matrix_on_real_tensor_matches_complex_gemm(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(4, 3, 6))
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [2])).transpose(1, 2, 0)
+        assert np.max(np.abs(m_transform(x, m) - expected)) <= 1e-12
+        np.testing.assert_allclose(m_transform(x, m), mode_n_loop(x, m, 3), atol=1e-12)
+
+    def test_kept_matrix_column_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            m_transform(np.zeros((2, 2, 5)), build_dft(6).m_kept)
+
 
 class TestInverseTransform:
     @pytest.mark.parametrize("kind", ["identity", "dft", "dct"])

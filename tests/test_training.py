@@ -42,6 +42,8 @@ BAD_HYPERPARAMETERS = [
     ("kappa", float("nan")),
     ("kappa", float("inf")),
     ("kappa", -1.0),
+    ("seed", -1),
+    ("split_seed", -1),
 ]
 
 
@@ -109,7 +111,7 @@ class TestGradients:
         assert rep["passed"], rep
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
-    @pytest.mark.parametrize("transform,t", [("dft", 4), ("haar", 3)])
+    @pytest.mark.parametrize("transform,t", [("dft", 4), ("haar", 3), ("dft", 5), ("dft", 6)])
     def test_finite_differences_two_layers(self, transform, t, activation):
         rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2)
         assert rep["passed"], rep
@@ -209,9 +211,14 @@ class TestForwardMatchesOracle:
         oracle = message_passing_oracle(a, x, params[f"w:{kind}:0"], tm, cfg.activation)
         assert np.max(np.abs(h - oracle[:, :, :t])) <= 1e-9
 
+        # The blocks hold the K kept slices of Â x_3 M; under the DFT each
+        # dropped slice T_b - s is the conjugate of kept slice s.
         a_hat_t = m_transform(a, tm.m)
-        expected = np.zeros((t_b * n, t_b * n), dtype=a_hat_t.dtype)
-        for s in range(t_b):
+        k = tm.kept
+        for s in range(k, t_b):
+            np.testing.assert_allclose(a_hat_t[:, :, s], a_hat_t[:, :, t_b - s].conj(), rtol=0, atol=1e-12)
+        expected = np.zeros((k * n, k * n), dtype=a_hat_t.dtype)
+        for s in range(k):
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
         np.testing.assert_allclose(branch.blocks.toarray(), expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(branch.blocks_h.toarray(), expected.conj().T, rtol=0, atol=1e-12)

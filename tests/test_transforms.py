@@ -110,6 +110,19 @@ class TestInvariants:
         np.testing.assert_allclose(np.abs(dft_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
         np.testing.assert_allclose(np.abs(dct_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind,t",
+        [(kind, t) for kind in ALL_KINDS for t in range(1, 10) if kind != "haar" or t == next_power_of_two(t)],
+    )
+    def test_kept_pair_inverts_real_tubes(self, kind, t):
+        tm = build_transform(kind, t)
+        assert tm.kept == (t // 2 + 1 if kind == "dft" else t)
+        assert tm.m_kept.shape == (tm.kept, t) and tm.m_inv_kept.shape == (t, tm.kept)
+        assert np.max(np.abs((tm.m_inv_kept @ tm.m_kept).real - np.eye(t))) <= 1e-12
+        if kind != "dft":
+            np.testing.assert_array_equal(tm.m_kept, tm.m)
+            np.testing.assert_array_equal(tm.m_inv_kept, tm.m_inv)
+
     def test_singular_matrix_rejected_at_construction(self):
         with pytest.raises(ValueError, match="identity"):
             TransformMatrix("identity", 2, np.ones((2, 2)), np.ones((2, 2)))
