@@ -197,6 +197,8 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     ds_base = parse_dataset(args.data)
     seeds = list(range(args.seeds))
     rows = []
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError, FileNotFoundError, IndexError) as exc:
+    except (ValueError, FloatingPointError, OSError, IndexError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,7 +165,10 @@ def parse_dataset(path) -> DynamicGraphDataset:
     n_header = None
     t_header = None
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh.read().split("\n")]
+        try:
+            lines = [line.strip() for line in fh.read().split("\n")]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     data_lines = []  # index into ``lines`` of every data line
     for k, line in enumerate(lines):
         if not line:

@@ -4,8 +4,9 @@ preprocessing, and the diversified-transform ensemble.
 The layer computes H = sigma(A * X * W) where * is the M-product.  The
 chain is evaluated in the transform domain once: hat all three operands,
 multiply slices, apply the inverse transform, take the real part, then
-the activation.  ``layer_forward`` and ``layer_backward`` are the one
-implementation of the layer; training and the oracle tests both run them.
+the activation; the backward pass runs its adjoint with plain transposes.
+``layer_forward`` and ``layer_backward`` are the one implementation of
+the layer; training and the oracle tests both run them.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ def apply_activation(s: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def activation_grad(s: np.ndarray, activation: str) -> np.ndarray:
-    """Derivative of the activation evaluated at pre-activation s."""
+def activation_grad(h: np.ndarray, activation: str) -> np.ndarray:
+    """Derivative of the activation at its output h: h (1 - h), [h > 0] or 1."""
     if activation == "sigmoid":
-        sig = 1.0 / (1.0 + np.exp(-s))
-        return sig * (1.0 - sig)
+        return h * (1.0 - h)
     if activation == "relu":
-        return (s > 0).astype(np.float64)
+        return (h > 0).astype(np.float64)
     if activation == "identity":
-        return np.ones_like(s)
+        return np.ones_like(h)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -154,14 +154,13 @@ def preprocess_adjacency(raw, mode: str = "sym_normalized") -> np.ndarray:
     return preprocess_tubes(TubeAdjacency.from_dense(a), mode).to_dense()
 
 
-def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix):
-    """The kept slices of Â x_3 M as a block-diagonal CSR matrix, plus its
-    conjugate transpose.
+def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_array:
+    """The kept slices of Â x_3 M as one block-diagonal CSR matrix.
 
     Â's slots are zero-padded up to ``tm.size`` (the Haar branch runs at the
     next power of two), then each tube is transformed by ``tm.m_kept``;
     block s of the result is slice s of Â x_3 M, for s < K (K = T//2 + 1
-    for the DFT, T otherwise).
+    for the DFT, T otherwise).  The backward runs on ``blocks.T``, a view.
     """
     vals = a.vals
     if tm.size > vals.shape[1]:
@@ -169,8 +168,7 @@ def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix):
         vals[:, : a.vals.shape[1]] = a.vals
     # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
     vals = m_transform(vals[:, None, :], tm.m_kept)[:, 0, :]
-    blocks = replace(a, vals=vals).slot_blocks()
-    return blocks, blocks.conj().T.tocsr()
+    return replace(a, vals=vals).slot_blocks()
 
 
 def _slot_product(blocks, x: np.ndarray) -> np.ndarray:
@@ -189,13 +187,13 @@ def _real(z: np.ndarray) -> np.ndarray:
 
 
 def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
-    """One layer, sigma(Â * X * W), on ``blocks`` from ``transformed_blocks``.
+    """One layer, H = sigma(Re(Â * X * W)), on ``blocks`` from ``transformed_blocks``.
 
     ``x`` is (N, F_in, T) and ``w`` is (F_in, F_out, T) with T = ``tm.size``.
     The chain runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``);
     the slices of P that must be real for real operands are checked with
-    ``demote_real`` before the inverse.  Returns H and the cache that
-    ``layer_backward`` needs.
+    ``demote_real`` before the inverse.  Returns H and the cache (Q̂, Ŵ, H)
+    that ``layer_backward`` needs.
     """
     n, f_in, t = x.shape
     k = tm.kept
@@ -212,24 +210,24 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
     s = _real(m_transform(p, tm.m_inv_kept))
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
-    return apply_activation(s, activation), {"q": q, "wh": wh, "s": s}
+    h = apply_activation(s, activation)
+    return h, {"q": q, "wh": wh, "h": h}
 
 
-def layer_backward(blocks_h, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
-    """Gradients (dL/dX, dL/dW) of one layer from dL/dH.
+def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
+    """Gradients (dL/dX, dL/dW) of one layer from dL/dH, on the forward's ``blocks``.
 
-    ``blocks_h`` is the conjugate transpose from ``transformed_blocks``.
-    Every stage but the activation is (complex-)linear, so backprop is the
-    adjoint transform along mode 3 and per-slice conjugate-transposed
-    products, on the kept slices: g_P = m_inv_kept^H g_S.
+    Only real parts leave the complex-linear chain, so it runs on the
+    conjugated gradients, with plain transposes: ḡ_P = m_inv_kept^T g_S,
+    ḡ_Q = ḡ_P Ŵ^T, ḡ_Ŵ = Q̂^T ḡ_P, g_X = Re(m_kept^T Â^T ḡ_Q) and
+    g_W = Re(m_kept^T ḡ_Ŵ).  Conjugation only flips signs, which is exact.
     """
-    m_adj = tm.m_kept.conj().T
-    g_s = g_h * activation_grad(cache["s"], activation)
-    g_p = m_transform(g_s, tm.m_inv_kept.conj().T)
-    g_q = facewise_product(g_p, cache["wh"].conj().transpose(1, 0, 2))
-    g_wh = facewise_product(cache["q"].conj().transpose(1, 0, 2), g_p)
-    g_w = _real(m_transform(g_wh, m_adj))
-    g_x = _real(m_transform(_slot_product(blocks_h, g_q), m_adj))
+    g_s = g_h * activation_grad(cache["h"], activation)
+    g_p = m_transform(g_s, tm.m_inv_kept.T)
+    g_q = facewise_product(g_p, cache["wh"].transpose(1, 0, 2))
+    g_wh = facewise_product(cache["q"].transpose(1, 0, 2), g_p)
+    g_w = _real(m_transform(g_wh, tm.m_kept.T))
+    g_x = _real(m_transform(_slot_product(blocks.T, g_q), tm.m_kept.T))
     return g_x, g_w
 
 

@@ -105,16 +105,14 @@ class TrainConfig:
 class Branch:
     """One transform branch: the transform (built at the branch's slot
     count), the K kept slices of Â x_3 M as one block-diagonal CSR matrix
-    (padded for haar), its conjugate transpose, and the branch's weight in
-    the ensemble sum.
+    (padded for haar), and the branch's weight in the ensemble sum.
 
-    Every face-wise product with Â is then a single sparse x dense product
-    over the stacked (K * N, F) slices.
+    Every face-wise product with Â or Âᵀ (the view ``blocks.T``) is then a
+    single sparse x dense product over the stacked (K * N, F) slices.
     """
 
     tm: TransformMatrix
     blocks: sparse.csr_array
-    blocks_h: sparse.csr_array
     weight: float
 
 
@@ -175,7 +173,7 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     branches = {}
     for kind in kinds:
         tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
-        branches[kind] = Branch(tm, *transformed_blocks(a_hat, tm), 1.0 / len(kinds))
+        branches[kind] = Branch(tm, transformed_blocks(a_hat, tm), 1.0 / len(kinds))
     return ModelAux(ds.n_slots, branches)
 
 
@@ -235,9 +233,7 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
         g_x = np.zeros((n, f, b.tm.size))
         g_x[:, :, : aux.n_slots] = b.weight * g_h
         for layer in reversed(range(len(caches))):
-            g_x, grads[f"w:{kind}:{layer}"] = layer_backward(
-                b.blocks_h, g_x, caches[layer], b.tm, config.activation
-            )
+            g_x, grads[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
         g_x_obs = g_x[:, :, : aux.n_slots]
         grads["e"] += (g_x_obs * (1.0 + u.T[None, :, :])).sum(axis=2)
         grads["u"] += np.einsum("nft,nf->tf", g_x_obs, e)

@@ -86,7 +86,7 @@ class TestAcceptance:
             w = rng.normal(size=(f_in, f_out, t))
             tm = build_transform(kind, t)
             # The layer the trainer runs, on blocks built as build_aux builds them.
-            blocks, _ = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+            blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
             h, _ = layer_forward(blocks, x, w, tm, "sigmoid")
             diff = np.max(np.abs(h - message_passing_oracle(a, x, w, tm, "sigmoid")))
             worst = max(worst, diff)

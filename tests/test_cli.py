@@ -218,6 +218,21 @@ class TestTrainEval:
         assert f"error: {ckpt}: not a tubalgcn checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "{dir}", "--checkpoint", "{dir}/m.npz", "--report", "{dir}/r.txt"],
+            ["eval", "--checkpoint", "{dir}", "--data", "{data}", "--report", "{dir}/e.txt"],
+            ["train", "--data", "{data}", "--max-epochs", "2", "--checkpoint", "{dir}/m.npz", "--report", "{dir}"],
+        ],
+        ids=["train-data", "eval-checkpoint", "train-report"],
+    )
+    def test_directory_as_a_path_fails_without_traceback(self, dataset_file, tmp_path, capsys, argv):
+        rc = main([arg.format(dir=tmp_path, data=dataset_file) for arg in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
+
     def test_eval_of_a_version_1_checkpoint(self, tmp_path, capsys):
         # ensemble_2layer_v1.npz was written by an earlier release of
         # `tubalgcn train` (two-layer ensemble, --embedding-dim 3 --seed 1
@@ -279,6 +294,13 @@ class TestGradCheckCommand:
 
 
 class TestAblationCommand:
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_fail(self, dataset_file, tmp_path, capsys, seeds):
+        out = tmp_path / "abl.txt"
+        assert main(["ablation", "--data", str(dataset_file), "--seeds", seeds, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
+        assert not out.exists()
+
     def test_small_ablation_table(self, tmp_path):
         data = tmp_path / "d.tsv"
         assert main(["gen-synth", "--nodes", "12", "--slots", "4", "--density", "0.5",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ class TestParse:
         p.write_text("#nodes=10\n#slots=5\n1\t0\t1\t0.5\n")
         ds = parse_dataset(p)
         assert ds.n_nodes == 10 and ds.n_slots == 5
+
+    def test_non_utf8_file_named(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(b"\xff\xfe1\t0\t1\t0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: not UTF-8 text \('utf-8' codec"):
+            parse_dataset(p)
 
     def test_malformed_line_named(self, tmp_path):
         p = tmp_path / "d.tsv"

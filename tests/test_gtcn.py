@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from tubalgcn.gtcn import (
     TubeAdjacency,
     ensemble_combine,
+    layer_backward,
     layer_forward,
     message_passing_oracle,
     preprocess_adjacency,
     transformed_blocks,
 )
 from tubalgcn.tensor3 import DimensionMismatchError
-from tubalgcn.transforms import build_transform
+from tubalgcn.transforms import build_transform, next_power_of_two
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
@@ -28,7 +29,7 @@ def random_instance(rng, n, f_in, f_out, t):
 
 def layer(a, x, w, tm, activation="sigmoid"):
     """The trainer's layer on blocks built from the dense adjacency ``a``."""
-    blocks, _ = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+    blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
     return layer_forward(blocks, x, w, tm, activation)[0]
 
 
@@ -164,6 +165,29 @@ class TestGtcnForward:
         a, x, w = random_instance(rng, 4, 2, 2, 4)
         with pytest.raises(ValueError, match=r"imaginary residue .* \(stage: inverse transform\)"):
             layer(a, x, w + 1j * w, build_transform("dft", 4))
+
+
+class TestLayerAdjoint:
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_backward_is_the_adjoint_of_the_linear_layer(self, kind, t):
+        # With the identity activation H is linear in X and in W, so
+        # <H, G> = <X, g_X> = <W, g_W>.  Haar at T = 3 and 5 runs on the
+        # padded slot count, as the trainer's Haar branch does.
+        rng = np.random.default_rng(t)
+        n, f_in, f_out = 6, 3, 2
+        t_b = next_power_of_two(t) if kind == "haar" else t
+        a, _, _ = random_instance(rng, n, f_in, f_out, t)
+        tm = build_transform(kind, t_b)
+        blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+        x = rng.normal(size=(n, f_in, t_b))
+        w = rng.normal(size=(f_in, f_out, t_b))
+        g = rng.normal(size=(n, f_out, t_b))
+        h, cache = layer_forward(blocks, x, w, tm, "identity")
+        g_x, g_w = layer_backward(blocks, g, cache, tm, "identity")
+        assert g_x.dtype == g_w.dtype == np.float64
+        np.testing.assert_allclose(np.vdot(x, g_x), np.vdot(h, g), rtol=1e-12)
+        np.testing.assert_allclose(np.vdot(w, g_w), np.vdot(h, g), rtol=1e-12)
 
 
 class TestMessagePassingOracle:

@@ -172,7 +172,7 @@ class TestHeadGradient:
             g_x[:, :, :n_slots] = b.weight * g_h.transpose(0, 2, 1)
             for layer in reversed(range(n_layers)):
                 g_x, ref[f"w:{kind}:{layer}"] = layer_backward(
-                    b.blocks_h, g_x, caches[kind][layer], b.tm, activation
+                    b.blocks, g_x, caches[kind][layer], b.tm, activation
                 )
             ref["e"] += (g_x[:, :, :n_slots] * (1.0 + u.T[None, :, :])).sum(axis=2)
             ref["u"] += np.einsum("nft,nf->tf", g_x[:, :, :n_slots], e)
@@ -221,7 +221,6 @@ class TestForwardMatchesOracle:
         for s in range(k):
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
         np.testing.assert_allclose(branch.blocks.toarray(), expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(branch.blocks_h.toarray(), expected.conj().T, rtol=0, atol=1e-12)
 
     def test_two_layer_haar_keeps_activations_in_padded_slots(self):
         # T = 3 runs the Haar branch at 4 slots.  Layer 2 sees sigma(z) in the
