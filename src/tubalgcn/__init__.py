@@ -29,7 +29,7 @@ from .gtcn import (
     preprocess_tubes,
     transformed_blocks,
 )
-from .head_loss import LinkObservation, loss, mae, predict, rmse
+from .head_loss import loss, mae, predict, rmse
 from .data import (
     DynamicGraphDataset,
     SynthSpec,

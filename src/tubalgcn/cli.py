@@ -112,6 +112,9 @@ def _train_once(ds, config):
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     ds = parse_dataset(args.data)
+    # Create the report now, so that an unwritable path fails before the
+    # first epoch and leaves no checkpoint behind.
+    open(args.report, "w", encoding="utf-8").close()
     started = time.perf_counter()
     ds, params, history, metrics, train_s = _train_once(ds, config)
     elapsed = time.perf_counter() - started

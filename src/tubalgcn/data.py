@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gtcn import TubeAdjacency
-from .head_loss import LinkObservation
 
 __all__ = [
     "DynamicGraphDataset",
@@ -31,6 +30,9 @@ PATTERNS = ("periodic", "trend", "mixed")
 
 # Weights are clipped into (0, 1]; the lower edge stays strictly positive.
 WEIGHT_FLOOR = 1e-3
+
+# Train, validation and test shares of the entrywise split.
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 # One data line: t, src, dst, weight.
 _ROW = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("y", np.float64)])
@@ -73,17 +75,6 @@ class DynamicGraphDataset:
         if not (self.t.ndim == 1 and self.t.shape == self.i.shape == self.j.shape == self.y.shape):
             raise ValueError("observation columns t, i, j, y must be 1-d and of equal length")
         self._check_rows()
-
-    @classmethod
-    def from_observations(cls, n_nodes: int, n_slots: int, observations) -> "DynamicGraphDataset":
-        """Build from a sequence of LinkObservation records."""
-        rows = np.array([(o.t, o.i, o.j, o.y) for o in observations], dtype=_ROW)
-        return cls(n_nodes, n_slots, rows["t"], rows["i"], rows["j"], rows["y"])
-
-    def observations(self) -> list:
-        """The observations as LinkObservation records, in row order."""
-        columns = (self.t.tolist(), self.i.tolist(), self.j.tolist(), self.y.tolist())
-        return [LinkObservation(*row) for row in zip(*columns)]
 
     def _check_rows(self):
         """Raise _BadObservation for the first row that breaks a rule."""
@@ -212,8 +203,8 @@ def serialize_dataset(ds: DynamicGraphDataset, path):
             fh.write(f"{t}\t{i}\t{j}\t{y!r}\n")
 
 
-def split_dataset(ds: DynamicGraphDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> DynamicGraphDataset:
-    """Uniform random entrywise split; floor-based sizes, remainder to train.
+def split_dataset(ds: DynamicGraphDataset, seed: int = 0) -> DynamicGraphDataset:
+    """Uniform random entrywise ``SPLIT_RATIOS`` split; floor-based sizes, remainder to train.
 
     The result shares ``ds``'s columns, which were checked when ``ds`` was
     built, so nothing is validated again.
@@ -221,8 +212,8 @@ def split_dataset(ds: DynamicGraphDataset, ratios=(0.6, 0.2, 0.2), seed: int = 0
     n_obs = len(ds.t)
     if n_obs < 5:
         raise ValueError(f"need at least 5 observations to split, got {n_obs}")
-    n_val = int(np.floor(ratios[1] * n_obs))
-    n_test = int(np.floor(ratios[2] * n_obs))
+    n_val = int(np.floor(SPLIT_RATIOS[1] * n_obs))
+    n_test = int(np.floor(SPLIT_RATIOS[2] * n_obs))
     n_train = n_obs - n_val - n_test
     if n_val == 0 or n_test == 0:
         raise ValueError("degenerate split: empty validation or test set")

@@ -2,28 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LinkObservation",
     "predict",
     "loss",
     "params_l2_norm",
     "mae",
     "rmse",
 ]
-
-
-@dataclass(frozen=True)
-class LinkObservation:
-    """One observed weighted link: time slot t (1-based), node ids i, j."""
-
-    t: int
-    i: int
-    j: int
-    y: float
 
 
 def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
@@ -59,18 +46,17 @@ def params_l2_norm(param_arrays) -> float:
     return float(np.sqrt(total))
 
 
-def loss(y, y_hat, param_arrays=(), kappa: float = 0.0, squared_reg: bool = False) -> float:
+def loss(y, y_hat, param_arrays=(), kappa: float = 0.0) -> float:
     """Sum of squared residuals over the training entries plus kappa * ||Theta||_2.
 
-    The regularizer is the plain L2 norm of the flattened parameter vector,
-    or its square when ``squared_reg`` is set.
+    The regularizer is the plain (not squared) L2 norm of the flattened
+    parameter vector.
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     data_term = float(np.sum((y - y_hat) ** 2))
     if kappa != 0.0:
-        norm = params_l2_norm(param_arrays)
-        return data_term + kappa * (norm**2 if squared_reg else norm)
+        return data_term + kappa * params_l2_norm(param_arrays)
     return data_term
 
 

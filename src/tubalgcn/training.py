@@ -56,6 +56,13 @@ CHECKPOINT_VERSION = 1
 
 TRANSFORM_CHOICES = TRANSFORM_KINDS + ("ensemble",)
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# grad_check: training links in its batch, and the central-difference step.
+GRAD_CHECK_LINKS = 12
+FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -69,7 +76,6 @@ class TrainConfig:
     adjacency_mode: str = "sym_normalized"
     transform: str = "ensemble"
     n_layers: int = 1
-    squared_reg: bool = False
     split_seed: int = 0
 
     def __post_init__(self):
@@ -140,8 +146,8 @@ def _param_shapes(config: TrainConfig, n_nodes: int, n_slots: int) -> dict:
     return shapes
 
 
-def init_params(ds: DynamicGraphDataset, config: TrainConfig, seed=None) -> dict:
-    """The parameter dict, Glorot-uniform, deterministic given the seed.
+def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
+    """The parameter dict, Glorot-uniform, deterministic given ``config.seed``.
 
     Keys: ``w:<kind>:<layer>`` the (F, F, T_b) layer weights of each branch,
     ``e`` the (N, F) node embedding, ``u`` the (T, F) temporal embedding and
@@ -153,7 +159,7 @@ def init_params(ds: DynamicGraphDataset, config: TrainConfig, seed=None) -> dict
     structure; the multiplicative modulation puts the node-resolved
     embeddings into every frequency.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     params = {}
     for key, shape in _param_shapes(config, ds.n_nodes, ds.n_slots).items():
         # fan_in + fan_out; the head maps 2F inputs to one output.
@@ -216,7 +222,7 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
     n, f = e.shape
     t_n = aux.n_slots
     y_hat, (rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
-    total = loss(y, y_hat, params.values(), config.kappa, config.squared_reg)
+    total = loss(y, y_hat, params.values(), config.kappa)
 
     # c[n, t, 0] and c[n, t, 1] sum the residual gradient over the links
     # whose first and second endpoint is node n at slot t.
@@ -239,14 +245,10 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
         grads["u"] += np.einsum("nft,nf->tf", g_x_obs, e)
 
     if config.kappa != 0.0:
-        if config.squared_reg:
+        norm = params_l2_norm(params.values())
+        if norm > 0:
             for key, arr in params.items():
-                grads[key] = grads[key] + 2.0 * config.kappa * arr
-        else:
-            norm = params_l2_norm(params.values())
-            if norm > 0:
-                for key, arr in params.items():
-                    grads[key] = grads[key] + config.kappa * arr / norm
+                grads[key] = grads[key] + config.kappa * arr / norm
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {key}")
@@ -269,26 +271,18 @@ class AdamState:
         )
 
 
-def adam_step(
-    named: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> dict:
+def adam_step(named: dict, grads: dict, state: AdamState, lr: float) -> dict:
     """Standard Adam with bias correction; returns updated parameter dict."""
     state.step += 1
     t = state.step
     out = {}
     for key, theta in named.items():
         g = grads[key]
-        state.m[key] = beta1 * state.m[key] + (1 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1 - beta2) * g**2
-        m_hat = state.m[key] / (1 - beta1**t)
-        v_hat = state.v[key] / (1 - beta2**t)
-        out[key] = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
+        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g**2
+        m_hat = state.m[key] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[key] / (1 - ADAM_BETA2**t)
+        out[key] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 
@@ -399,17 +393,16 @@ def grad_check(
     f: int = 3,
     t: int = 4,
     transform: str = "dft",
-    n_obs: int = 12,
-    h_step: float = 1e-5,
-    kappa: float = 1e-4,
     activation: str = "sigmoid",
     n_layers: int = 1,
     adjacency_mode: str = "sym_normalized",
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
-    Builds a random small instance and reports the max relative error per
-    parameter group; ``passed`` requires <= 1e-4 everywhere.
+    Builds a random small instance, trained on its first
+    ``GRAD_CHECK_LINKS`` training links with the default ``kappa``, and
+    reports the max relative error per parameter group; ``passed`` requires
+    <= 1e-4 everywhere.
     """
     from .data import SynthSpec, generate_synthetic, split_dataset
 
@@ -420,7 +413,6 @@ def grad_check(
     config = TrainConfig(
         embedding_dim=f,
         transform=transform,
-        kappa=kappa,
         activation=activation,
         adjacency_mode=adjacency_mode,
         n_layers=n_layers,
@@ -428,7 +420,7 @@ def grad_check(
     )
     aux = build_aux(ds, config)
     params = init_params(ds, config)
-    batch = ds.subset_arrays(ds.train_idx[: min(n_obs, len(ds.train_idx))])
+    batch = ds.subset_arrays(ds.train_idx[:GRAD_CHECK_LINKS])
 
     _, grads, _, _ = compute_gradients(params, aux, batch, config)
 
@@ -447,12 +439,12 @@ def grad_check(
         worst = 0.0
         for k in idx:
             orig = flat[k]
-            flat[k] = orig + h_step
+            flat[k] = orig + FD_STEP
             up = loss_now()
-            flat[k] = orig - h_step
+            flat[k] = orig - FD_STEP
             down = loss_now()
             flat[k] = orig
-            fd = (up - down) / (2 * h_step)
+            fd = (up - down) / (2 * FD_STEP)
             denom = max(abs(fd), abs(g_flat[k]), 1e-8)
             worst = max(worst, abs(fd - g_flat[k]) / denom)
         report[key] = worst
@@ -461,21 +453,28 @@ def grad_check(
 
 
 def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
-    """Binary dump of all parameter arrays plus the config echo."""
+    """Binary dump of all parameter arrays plus the config echo, at exactly ``path``.
+
+    The file is opened here because ``np.savez`` appends ``.npz`` to a path
+    name that lacks it.
+    """
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "param_keys": sorted(params.keys()),
         "extra": extra or {},
     }
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
 
 
 def load_checkpoint(path):
     """Returns (parameter dict, TrainConfig, extra metadata).
 
     A file that ``save_checkpoint`` did not write, or whose arrays do not
-    match its config, raises ValueError naming it.
+    match its config, raises ValueError naming it.  Configs written while
+    the squared-norm regularizer was an option carry ``squared_reg: false``;
+    that field is dropped, and ``squared_reg: true`` is rejected.
     """
     foreign = f"{path}: not a tubalgcn checkpoint"
     try:
@@ -489,8 +488,8 @@ def load_checkpoint(path):
             raise ValueError(f"{foreign} (it has no __meta__ record)")
         try:
             meta = json.loads(bytes(z["__meta__"]).decode())
-            version, keys, fields = meta["version"], set(meta["param_keys"]), meta["config"]
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, or a missing field
+            version, keys, fields = meta["version"], set(meta["param_keys"]), dict(meta["config"])
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, a missing field, a config not a mapping
             raise ValueError(f"{foreign} (unreadable __meta__ record: {type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -498,6 +497,8 @@ def load_checkpoint(path):
         if missing:
             raise ValueError(f"{foreign} (it lacks the arrays {missing})")
         named = {k: z[k] for k in keys}
+    if fields.pop("squared_reg", False) is not False:
+        raise ValueError(f"{path}: checkpoint config sets squared_reg, a regularizer this version does not have")
     try:
         config = TrainConfig(**fields)
     except TypeError as exc:  # a config field this version does not know

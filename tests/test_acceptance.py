@@ -21,7 +21,6 @@ from tubalgcn.gtcn import (
     preprocess_adjacency,
     transformed_blocks,
 )
-from tubalgcn.head_loss import LinkObservation
 from tubalgcn.tensor3 import facewise_product, m_product, m_transform
 from tubalgcn.training import EarlyStopping, TrainConfig, build_aux, evaluate, grad_check, train
 from tubalgcn.transforms import TRANSFORM_KINDS, build_transform
@@ -105,15 +104,15 @@ class TestAcceptance:
     def test_criterion_5_overfit_capacity(self):
         started = time.perf_counter()
         rng = np.random.default_rng(3)
-        obs, seen = [], set()
-        while len(obs) < 20:
+        rows, seen = [], set()
+        while len(rows) < 20:
             t = int(rng.integers(1, 5))
             i, j = int(rng.integers(0, 8)), int(rng.integers(0, 8))
             if i == j or (t, i, j) in seen:
                 continue
             seen.add((t, i, j))
-            obs.append(LinkObservation(t, i, j, float(rng.uniform(0.05, 1.0))))
-        ds = split_dataset(DynamicGraphDataset.from_observations(8, 4, obs), seed=3)
+            rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
+        ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
         _, hist = train(build_aux(ds, cfg), ds, cfg)
         ok = min(h["train_mae"] for h in hist) <= 0.01
@@ -180,7 +179,9 @@ class TestAcceptance:
 
     @pytest.mark.parametrize("n_obs,sizes", [(10, (6, 2, 2)), (11, (7, 2, 2)), (101, (61, 20, 20))])
     def test_criterion_9_split_sizes(self, n_obs, sizes):
-        obs = [LinkObservation(1, 0, k + 1, 0.5) for k in range(n_obs)]
-        ds = split_dataset(DynamicGraphDataset.from_observations(n_obs + 1, 1, obs), seed=0)
+        k = np.arange(n_obs)
+        ds = split_dataset(
+            DynamicGraphDataset(n_obs + 1, 1, np.ones_like(k), np.zeros_like(k), k + 1, np.full(n_obs, 0.5)), seed=0
+        )
         got = (len(ds.train_idx), len(ds.val_idx), len(ds.test_idx))
         _report(9, f"60/20/20 split of {n_obs} observations", got == sizes)

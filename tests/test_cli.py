@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from tubalgcn.cli import main
+from tubalgcn.training import TrainConfig, load_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,6 +234,29 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_checkpoint_is_written_at_the_given_path(self, dataset_file, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(dataset_file), "--max-epochs", "2", "--checkpoint", str(ckpt),
+                     "--report", str(tmp_path / "r.txt")]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file),
+                     "--report", str(tmp_path / "e.txt")]) == 0
+        assert not (tmp_path / "m.ckpt.npz").exists()
+
+    def test_every_config_field_has_a_train_flag(self, dataset_file, tmp_path):
+        # Every training flag at a value other than its default must move
+        # every TrainConfig field away from its default.
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--data", str(dataset_file), "--transform", "dft", "--seed", "3",
+                     "--split-seed", "2", "--embedding-dim", "3", "--lr", "0.02", "--kappa", "0.001",
+                     "--max-epochs", "2", "--patience", "1", "--activation", "relu",
+                     "--adjacency", "raw_self_loops", "--layers", "2",
+                     "--checkpoint", str(ckpt), "--report", str(tmp_path / "r.txt")]) == 0
+        config = load_checkpoint(ckpt)[1]
+        default = TrainConfig()
+        same = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) == getattr(default, f.name)]
+        assert not same, f"TrainConfig fields no train flag sets: {same}"
 
     def test_eval_of_a_version_1_checkpoint(self, tmp_path, capsys):
         # ensemble_2layer_v1.npz was written by an earlier release of

@@ -12,7 +12,11 @@ from tubalgcn.data import (
     serialize_dataset,
     split_dataset,
 )
-from tubalgcn.head_loss import LinkObservation
+
+
+def rows(ds):
+    """The observations as (t, i, j, y) tuples, in row order."""
+    return list(zip(ds.t.tolist(), ds.i.tolist(), ds.j.tolist(), ds.y.tolist()))
 
 
 class TestParse:
@@ -21,8 +25,7 @@ class TestParse:
         p.write_text("1\t0\t1\t0.5\n2\t1\t0\t0.25\n")
         ds = parse_dataset(p)
         assert ds.n_nodes == 2 and ds.n_slots == 2
-        assert len(ds.observations()) == 2
-        assert ds.observations()[0] == LinkObservation(1, 0, 1, 0.5)
+        assert rows(ds) == [(1, 0, 1, 0.5), (2, 1, 0, 0.25)]
 
     def test_duplicate_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -57,7 +60,7 @@ class TestParse:
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("# a comment\n1\t0\t1\t0.5\n")
-        assert len(parse_dataset(p).observations()) == 1
+        assert len(parse_dataset(p).t) == 1
 
     def test_error_names_physical_line(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -90,7 +93,7 @@ class TestParse:
         p.write_bytes(b"#nodes=3\r\n#slots=2\r\n1\t0\t1\t0.5\r\n\r\n2\t1\t2\t0.25\r\n")
         ds = parse_dataset(p)
         assert ds.n_nodes == 3 and ds.n_slots == 2
-        assert ds.observations() == [LinkObservation(1, 0, 1, 0.5), LinkObservation(2, 1, 2, 0.25)]
+        assert rows(ds) == [(1, 0, 1, 0.5), (2, 1, 2, 0.25)]
 
     def test_out_of_range_names_line(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -118,7 +121,7 @@ class TestParse:
     def test_zero_weight_allowed(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("1\t0\t1\t0\n1\t1\t0\t0.0\n")
-        assert [o.y for o in parse_dataset(p).observations()] == [0.0, 0.0]
+        assert parse_dataset(p).y.tolist() == [0.0, 0.0]
 
     def test_weights_equal_python_float(self, tmp_path):
         fields = ["0.1", "1e-300", "0.30000000000000004", "5.", ".25", "1E5", "123456789.123456789"]
@@ -130,16 +133,14 @@ class TestParse:
 
 
 class TestColumns:
-    def test_from_observations_round_trip(self):
-        obs = [LinkObservation(2, 1, 0, 0.25), LinkObservation(1, 0, 1, 0.5)]
-        ds = DynamicGraphDataset.from_observations(2, 2, obs)
-        assert ds.observations() == obs
+    def test_columns_keep_row_order_and_dtypes(self):
+        ds = DynamicGraphDataset(2, 2, [2, 1], [1, 0], [0, 1], [0.25, 0.5])
+        assert rows(ds) == [(2, 1, 0, 0.25), (1, 0, 1, 0.5)]
         assert ds.t.dtype == ds.i.dtype == ds.j.dtype == np.int64 and ds.y.dtype == np.float64
 
     def test_duplicate_rejected_at_construction(self):
-        obs = [LinkObservation(1, 0, 1, 0.5), LinkObservation(2, 0, 1, 0.5), LinkObservation(1, 0, 1, 0.7)]
         with pytest.raises(ValueError, match=r"observation 2: duplicate entry"):
-            DynamicGraphDataset.from_observations(2, 2, obs)
+            DynamicGraphDataset(2, 2, [1, 2, 1], [0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.7])
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -148,11 +149,9 @@ class TestColumns:
     def test_subset_arrays_matches_records(self):
         ds = generate_synthetic(SynthSpec(n=6, t=3, density=0.5, seed=4))
         idx = np.array([5, 0, 3])
-        records = ds.observations()
+        records = rows(ds)
         t, i, j, y = ds.subset_arrays(idx)
-        assert list(zip(t.tolist(), i.tolist(), j.tolist(), y.tolist())) == [
-            (records[k].t, records[k].i, records[k].j, records[k].y) for k in idx
-        ]
+        assert list(zip(t.tolist(), i.tolist(), j.tolist(), y.tolist())) == [records[k] for k in idx]
 
     def test_split_shares_columns(self):
         ds = generate_synthetic(SynthSpec(n=6, t=3, density=0.5, seed=4))
@@ -162,8 +161,8 @@ class TestColumns:
 
 class TestSplit:
     def make(self, n_obs):
-        obs = [LinkObservation(1, 0, k + 1, 0.5) for k in range(n_obs)]
-        return DynamicGraphDataset.from_observations(n_obs + 1, 1, obs)
+        k = np.arange(n_obs)
+        return DynamicGraphDataset(n_obs + 1, 1, np.ones_like(k), np.zeros_like(k), k + 1, np.full(n_obs, 0.5))
 
     @pytest.mark.parametrize(
         "n_obs,sizes", [(10, (6, 2, 2)), (11, (7, 2, 2)), (101, (61, 20, 20))]
@@ -190,9 +189,7 @@ class TestSplit:
 
 class TestBuildAdjacency:
     def test_single_train_observation(self):
-        ds = DynamicGraphDataset.from_observations(
-            2, 1, [LinkObservation(1, 0, 1, 0.5)] + [LinkObservation(1, 1, 0, 0.1)] * 0
-        )
+        ds = DynamicGraphDataset(2, 1, [1], [0], [1], [0.5])
         ds.train_idx = np.array([0])
         ds.val_idx = np.array([], dtype=int)
         ds.test_idx = np.array([], dtype=int)
@@ -204,16 +201,14 @@ class TestBuildAdjacency:
         ds = split_dataset(generate_synthetic(SynthSpec(n=10, t=4, density=0.5, seed=0)), seed=0)
         a = build_adjacency(ds)
         for k in np.concatenate([ds.val_idx, ds.test_idx]):
-            obs = ds.observations()[k]
-            assert a[obs.i, obs.j, obs.t - 1] == 0.0
+            assert a[ds.i[k], ds.j[k], ds.t[k] - 1] == 0.0
 
     def test_matches_loop_oracle(self):
         ds = split_dataset(generate_synthetic(SynthSpec(n=8, t=3, density=0.6, seed=1)), seed=1)
         a = build_adjacency(ds)
         expected = np.zeros_like(a)
         for k in ds.train_idx:
-            obs = ds.observations()[k]
-            expected[obs.i, obs.j, obs.t - 1] = obs.y
+            expected[ds.i[k], ds.j[k], ds.t[k] - 1] = ds.y[k]
         np.testing.assert_array_equal(a, expected)
 
     def test_requires_splits(self):
@@ -226,20 +221,19 @@ class TestGenerateSynthetic:
     def test_full_density_small_case(self):
         ds = generate_synthetic(SynthSpec(n=2, t=2, density=1.0, noise=0.0, pattern="periodic", seed=0))
         # 2 directed edges, observed at both slots.
-        assert len(ds.observations()) == 4
-        pairs = {(o.i, o.j) for o in ds.observations()}
+        assert len(ds.t) == 4
+        pairs = set(zip(ds.i.tolist(), ds.j.tolist()))
         assert pairs == {(0, 1), (1, 0)}
 
     def test_weights_in_unit_interval(self):
         ds = generate_synthetic(SynthSpec(n=20, t=8, density=0.3, noise=0.1, seed=2))
-        ys = np.array([o.y for o in ds.observations()])
-        assert np.all(ys > 0) and np.all(ys <= 1)
+        assert np.all(ds.y > 0) and np.all(ds.y <= 1)
 
     def test_deterministic(self):
         spec = SynthSpec(n=10, t=4, density=0.4, noise=0.05, seed=9)
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
-        assert a.observations() == b.observations()
+        assert rows(a) == rows(b)
 
     def test_invalid_density_rejected(self):
         with pytest.raises(ValueError, match="density"):
@@ -251,4 +245,4 @@ class TestGenerateSynthetic:
         serialize_dataset(ds, p)
         back = parse_dataset(p)
         assert back.n_nodes == ds.n_nodes and back.n_slots == ds.n_slots
-        assert back.observations() == ds.observations()
+        assert rows(back) == rows(ds)

@@ -17,6 +17,12 @@ from tubalgcn.transforms import build_transform, next_power_of_two
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
+# A transform kind with a slot count it is built at: Haar needs a power of two.
+KIND_AND_SLOTS = st.one_of(
+    st.tuples(st.sampled_from(["identity", "dft", "dct"]), st.integers(1, 9)),
+    st.tuples(st.just("haar"), st.sampled_from([1, 2, 4, 8])),
+)
+
 
 def random_instance(rng, n, f_in, f_out, t):
     raw = rng.uniform(0.0, 1.0, size=(n, n, t))
@@ -126,14 +132,15 @@ class TestGtcnForward:
         n=st.integers(1, 6),
         f_in=st.integers(1, 3),
         f_out=st.integers(1, 3),
-        t=st.integers(1, 9),
+        kind_t=KIND_AND_SLOTS,
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_dft_half_spectrum_matches_oracle(self, n, f_in, f_out, t, seed):
-        # The DFT branch stores T//2 + 1 slices; the oracle uses all T.
+    def test_dft_half_spectrum_matches_oracle(self, n, f_in, f_out, kind_t, seed):
+        # The DFT branch stores T//2 + 1 slices, the others all T; the oracle uses all T.
+        kind, t = kind_t
         a, x, w = random_instance(np.random.default_rng(seed), n, f_in, f_out, t)
-        tm = build_transform("dft", t)
-        assert tm.kept == t // 2 + 1
+        tm = build_transform(kind, t)
+        assert tm.kept == (t // 2 + 1 if kind == "dft" else t)
         assert np.max(np.abs(layer(a, x, w, tm) - message_passing_oracle(a, x, w, tm))) <= 1e-9
 
     def test_permutation_equivariance(self):

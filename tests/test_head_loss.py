@@ -93,11 +93,6 @@ class TestLoss:
         params = [np.array([2.0])]
         assert loss([1.0, 0.0], [0.0, 2.0], params, kappa=0.5) == 6.0
 
-    def test_with_squared_regularizer(self):
-        # residuals (1, -2), kappa 0.5, ||Theta||_2^2 = 4 -> 5 + 2
-        params = [np.array([2.0])]
-        assert loss([1.0, 0.0], [0.0, 2.0], params, kappa=0.5, squared_reg=True) == 7.0
-
     def test_kappa_zero_equals_count_times_mse(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=17)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalgcn.tensor3 import (
     DimensionMismatchError,
@@ -242,6 +244,26 @@ class TestMProduct:
             conv = np.array([sum(u[k] * v[(s - k) % t] for k in range(t)) for s in range(t)])
             out = m_product(u.reshape(1, 1, t), v.reshape(1, 1, t), tm)[0, 0]
             assert np.max(np.abs(out - conv / np.sqrt(t))) <= 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        kind_t=st.one_of(
+            st.tuples(st.sampled_from(["identity", "dft", "dct"]), st.integers(1, 9)),
+            st.tuples(st.just("haar"), st.sampled_from([1, 2, 4, 8])),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_associative(self, dims, kind_t, seed):
+        # (X * Y) * Z == X * (Y * Z) for real operands under every transform.
+        kind, t = kind_t
+        i, j, k, l = dims
+        rng = np.random.default_rng(seed)
+        x, y, z = (rng.uniform(-1.0, 1.0, size=shape) for shape in ((i, j, t), (j, k, t), (k, l, t)))
+        tm = build_transform(kind, t)
+        lhs = m_product(m_product(x, y, tm), z, tm)
+        rhs = m_product(x, m_product(y, z, tm), tm)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_real_inputs_give_real_output(self):
         rng = np.random.default_rng(12)

@@ -7,7 +7,6 @@ import pytest
 
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
 from tubalgcn.gtcn import ACTIVATIONS, layer_backward, message_passing_oracle, preprocess_adjacency
-from tubalgcn.head_loss import LinkObservation
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
     AdamState,
@@ -117,12 +116,10 @@ class TestGradients:
         assert rep["passed"], rep
         assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
 
-    @pytest.mark.parametrize("squared_reg", [False, True])
-    def test_norm_gradient(self, squared_reg):
-        # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||, and of
-        # kappa * ||Theta||_2^2 it is 2 * kappa * Theta.
+    def test_norm_gradient(self):
+        # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||.
         ds = small_dataset()
-        cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, squared_reg=squared_reg, seed=6)
+        cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, seed=6)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
         h, _ = forward_model(params, aux, cfg)
@@ -132,8 +129,7 @@ class TestGradients:
         _, grads, _, _ = compute_gradients(params, aux, batch, cfg)
         norm = np.sqrt(sum(float(np.sum(a**2)) for a in params.values()))
         for key, arr in params.items():
-            expected = 2 * 0.5 * arr if squared_reg else 0.5 * arr / norm
-            np.testing.assert_allclose(grads[key], expected, atol=1e-12)
+            np.testing.assert_allclose(grads[key], 0.5 * arr / norm, atol=1e-12)
 
 
 class TestHeadGradient:
@@ -324,16 +320,16 @@ class TestEarlyStopping:
 class TestTrain:
     def test_overfits_tiny_dataset(self):
         rng = np.random.default_rng(3)
-        obs = []
+        rows = []
         seen = set()
-        while len(obs) < 20:
+        while len(rows) < 20:
             t = int(rng.integers(1, 5))
             i, j = int(rng.integers(0, 8)), int(rng.integers(0, 8))
             if i == j or (t, i, j) in seen:
                 continue
             seen.add((t, i, j))
-            obs.append(LinkObservation(t, i, j, float(rng.uniform(0.05, 1.0))))
-        ds = split_dataset(DynamicGraphDataset.from_observations(8, 4, obs), seed=3)
+            rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
+        ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
         _, hist = train(build_aux(ds, cfg), ds, cfg)
         assert min(h["train_mae"] for h in hist) <= 0.01
@@ -376,7 +372,9 @@ class TestCheckpoint:
         for key, arr in params.items():
             np.testing.assert_array_equal(arr, restored[key])
 
-    def test_unknown_activation_in_checkpoint_fails_by_name(self, tmp_path):
+    @staticmethod
+    def checkpoint_with_config(tmp_path, **fields):
+        """A dct checkpoint whose stored config has ``fields`` written over it."""
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
         path = tmp_path / "m.npz"
@@ -384,23 +382,25 @@ class TestCheckpoint:
         with np.load(path) as z:
             arrays = dict(z)
         meta = json.loads(bytes(arrays["__meta__"]).decode())
-        meta["config"]["activation"] = "tanh"
+        meta["config"].update(fields)
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
+        return path
+
+    def test_unknown_activation_in_checkpoint_fails_by_name(self, tmp_path):
+        path = self.checkpoint_with_config(tmp_path, activation="tanh")
         with pytest.raises(ValueError, match="activation must be one of .*'tanh'"):
+            load_checkpoint(path)
+
+    def test_squared_reg_true_in_checkpoint_fails_by_name(self, tmp_path):
+        # Configs from when the squared-norm regularizer was an option carry
+        # squared_reg; false still loads (the version 1 fixture in test_cli).
+        path = self.checkpoint_with_config(tmp_path, squared_reg=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint config sets squared_reg"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name,value", BAD_HYPERPARAMETERS)
     def test_bad_hyperparameter_in_checkpoint_fails_by_name(self, tmp_path, name, value):
-        ds = small_dataset(seed=10, n=8)
-        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
-        path = tmp_path / "m.npz"
-        save_checkpoint(path, init_params(ds, cfg), cfg)
-        with np.load(path) as z:
-            arrays = dict(z)
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        meta["config"][name] = value
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        path = self.checkpoint_with_config(tmp_path, **{name: value})
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid config in checkpoint \\({name} must be "):
             load_checkpoint(path)
