@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 validation/check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -98,6 +100,15 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
+def _require_file_path(path) -> None:
+    """Raise the OSError that writing a file at ``path`` would raise, when
+    ``path`` is a directory or its parent directory is missing; creates nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def _train_once(ds, config):
     """Split, build the aux, train and evaluate; also returns train()'s seconds."""
     ds = split_dataset(ds, seed=config.split_seed)
@@ -112,8 +123,10 @@ def _train_once(ds, config):
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     ds = parse_dataset(args.data)
-    # Create the report now, so that an unwritable path fails before the
-    # first epoch and leaves no checkpoint behind.
+    # Fail on an unwritable checkpoint or report path before the first epoch.
+    # The checkpoint is only checked: an earlier file there stays until the
+    # new one replaces it.
+    _require_file_path(args.checkpoint)
     open(args.report, "w", encoding="utf-8").close()
     started = time.perf_counter()
     ds, params, history, metrics, train_s = _train_once(ds, config)

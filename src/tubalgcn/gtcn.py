@@ -6,7 +6,10 @@ chain is evaluated in the transform domain once: hat all three operands,
 multiply slices, apply the inverse transform, take the real part, then
 the activation; the backward pass runs its adjoint with plain transposes.
 ``layer_forward`` and ``layer_backward`` are the one implementation of
-the layer; training and the oracle tests both run them.
+the layer; training and the oracle tests both run them.  The layer keeps
+its activations, gradients and cache time-major, as (T, N, F) arrays, so
+that every transform is one GEMM on a (T, N * F) view; the oracle takes
+the (N, F, T) layout of the tensor algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .tensor3 import (
     DimensionMismatchError,
     as_tensor3,
     demote_real,
-    facewise_product,
     m_transform,
 )
 from .transforms import TransformMatrix
@@ -171,43 +173,47 @@ def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_arra
     return replace(a, vals=vals).slot_blocks()
 
 
-def _slot_product(blocks, x: np.ndarray) -> np.ndarray:
-    """Face-wise product of block-diagonal ``blocks`` with an (N, F, T) tensor.
+def _time_major(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m_transform`` of a time-major (T, N, F) tensor: one GEMM, time-major result."""
+    return m_transform(x.transpose(1, 2, 0), m).transpose(2, 0, 1)
 
-    The slices are stacked into a (T * N, F) matrix; an ``m_transform``
-    result is already (T, N, F)-contiguous, so stacking it copies nothing.
+
+def _real_time_major(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re(a @ z) along time for a time-major z, as one real GEMM.
+
+    A complex z is stacked as [Re z; Im z] and multiplied by [Re a | -Im a],
+    so the imaginary half of the product is never computed.
     """
-    n, f, t = x.shape
-    stacked = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(t * n, f)
-    return (blocks @ stacked).reshape(t, n, f).transpose(1, 2, 0)
-
-
-def _real(z: np.ndarray) -> np.ndarray:
-    return z.real.copy() if np.iscomplexobj(z) else z
+    if np.iscomplexobj(z):
+        a = np.hstack([a.real, -a.imag])
+        z = np.concatenate([z.real, z.imag])
+    return _time_major(a, z)
 
 
 def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
     """One layer, H = sigma(Re(Â * X * W)), on ``blocks`` from ``transformed_blocks``.
 
-    ``x`` is (N, F_in, T) and ``w`` is (F_in, F_out, T) with T = ``tm.size``.
-    The chain runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``);
-    the slices of P that must be real for real operands are checked with
-    ``demote_real`` before the inverse.  Returns H and the cache (Q̂, Ŵ, H)
-    that ``layer_backward`` needs.
+    ``x`` is time-major, (T, N, F_in) with T = ``tm.size``, and so is H,
+    (T, N, F_out); ``w`` is (F_in, F_out, T).  Every transform is one GEMM
+    on a (T, N * F) view and every slice stack is a free reshape.  The chain
+    runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``); the slices
+    of P that must be real for real operands are checked with
+    ``demote_real`` before the inverse.  Returns H and the time-major cache
+    (Q̂, Ŵ, H) that ``layer_backward`` needs.
     """
-    n, f_in, t = x.shape
+    t, n, f_in = x.shape
     k = tm.kept
     if w.shape[0] != f_in or w.shape[2] != t or blocks.shape != (k * n, k * n):
         raise DimensionMismatchError(
             f"features {x.shape}, weights {w.shape} and adjacency blocks {blocks.shape} disagree"
         )
-    xh = m_transform(x, tm.m_kept)
-    wh = m_transform(w, tm.m_kept)
-    q = _slot_product(blocks, xh)
-    p = facewise_product(q, wh)
+    xh = _time_major(tm.m_kept, x)
+    wh = m_transform(w, tm.m_kept).transpose(2, 0, 1)
+    q = (blocks @ xh.reshape(k * n, f_in)).reshape(k, n, f_in)
+    p = np.matmul(q, wh)
     if np.iscomplexobj(p):
-        p[:, :, tm.real_slices] = demote_real(p[:, :, tm.real_slices])
-    s = _real(m_transform(p, tm.m_inv_kept))
+        p[tm.real_slices, :, :] = demote_real(p[tm.real_slices, :, :])
+    s = _real_time_major(tm.m_inv_kept, p)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     h = apply_activation(s, activation)
@@ -217,17 +223,21 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
 def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
     """Gradients (dL/dX, dL/dW) of one layer from dL/dH, on the forward's ``blocks``.
 
-    Only real parts leave the complex-linear chain, so it runs on the
-    conjugated gradients, with plain transposes: ḡ_P = m_inv_kept^T g_S,
-    ḡ_Q = ḡ_P Ŵ^T, ḡ_Ŵ = Q̂^T ḡ_P, g_X = Re(m_kept^T Â^T ḡ_Q) and
-    g_W = Re(m_kept^T ḡ_Ŵ).  Conjugation only flips signs, which is exact.
+    ``g_h`` and dL/dX are time-major, (T, N, F); dL/dW has the weight's
+    (F_in, F_out, T) shape.  Only real parts leave the complex-linear chain,
+    so it runs on the conjugated gradients, with plain transposes:
+    ḡ_P = m_inv_kept^T g_S, ḡ_Q = ḡ_P Ŵ^T, ḡ_Ŵ = Q̂^T ḡ_P,
+    g_X = Re(m_kept^T Â^T ḡ_Q) and g_W = Re(m_kept^T ḡ_Ŵ).  Conjugation
+    only flips signs, which is exact.
     """
+    q, wh = cache["q"], cache["wh"]
+    k, n, f_in = q.shape
     g_s = g_h * activation_grad(cache["h"], activation)
-    g_p = m_transform(g_s, tm.m_inv_kept.T)
-    g_q = facewise_product(g_p, cache["wh"].transpose(1, 0, 2))
-    g_wh = facewise_product(cache["q"].transpose(1, 0, 2), g_p)
-    g_w = _real(m_transform(g_wh, tm.m_kept.T))
-    g_x = _real(m_transform(_slot_product(blocks.T, g_q), tm.m_kept.T))
+    g_p = _time_major(tm.m_inv_kept.T, g_s)
+    g_q = np.matmul(g_p, wh.transpose(0, 2, 1))
+    g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
+    g_w = _real_time_major(tm.m_kept.T, g_wh).transpose(1, 2, 0)
+    g_x = _real_time_major(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f_in)).reshape(k, n, f_in))
     return g_x, g_w
 
 
@@ -285,14 +295,18 @@ def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmo
 def ensemble_combine(branch_h: dict, branch_weights: dict) -> np.ndarray:
     """Weighted sum of the branch representation tensors, in ``branch_h`` order.
 
-    ``branch_h`` maps a branch kind to its (N, F, T) tensor and
-    ``branch_weights`` the kind to its weight.
+    ``branch_h`` maps a branch kind to its tensor, all of one shape, and
+    ``branch_weights`` the kind to its weight.  A single branch of weight 1
+    is returned as it is, without a copy.
     """
-    hs = {kind: as_tensor3(h) for kind, h in branch_h.items()}
-    shapes = {h.shape for h in hs.values()}
+    terms = [(branch_weights[kind], as_tensor3(h)) for kind, h in branch_h.items()]
+    shapes = {h.shape for _, h in terms}
     if len(shapes) != 1:
         raise DimensionMismatchError(f"branch shapes differ: {sorted(shapes)}")
-    out = np.zeros(shapes.pop())
-    for kind, h in hs.items():
-        out += branch_weights[kind] * h
+    (weight, h), *rest = terms
+    if not rest and weight == 1.0:
+        return h
+    out = weight * h
+    for weight, h in rest:
+        out += weight * h
     return out

@@ -16,13 +16,14 @@ __all__ = [
 def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
     """y_hat = [h_i^t || h_j^t] . r for every link (t one-based).
 
-    The head is linear, so every (node, slot) row of ``h`` is scored once
-    per half of the head, ``s_i = r[:F] . h`` and ``s_j = r[F:] . h``, and a
-    link adds two gathered scalars.  Rows are node-major: node i at slot t
-    is row ``i * T + t - 1``.  Returns y_hat and (rows_i, rows_j), the row
+    ``h`` is the time-major (T, N, F) representation tensor.  The head is
+    linear, so every (slot, node) row of ``h`` is scored once per half of
+    the head by one (T * N, F) @ (F, 2) GEMM, and a link adds two gathered
+    scalars.  Rows are slot-major: node i at slot t is row
+    ``(t - 1) * N + i``.  Returns y_hat and (rows_i, rows_j), the row
     numbers of the two endpoints, which the backward pass accumulates onto.
     """
-    n, f, t = h.shape
+    t, n, f = h.shape
     if r.shape != (2 * f,):
         raise ValueError(f"head length {r.shape} != 2*F_out = {2 * f}")
     if len(t_idx) and (
@@ -31,10 +32,9 @@ def predict(h: np.ndarray, r: np.ndarray, t_idx, i_idx, j_idx):
         or max(i_idx.max(), j_idx.max()) >= n
     ):
         raise IndexError(f"link indices out of range for representation {h.shape}")
-    rows_i = i_idx * t + (t_idx - 1)
-    rows_j = j_idx * t + (t_idx - 1)
-    s_i = (r[:f] @ h).ravel()
-    s_j = (r[f:] @ h).ravel()
+    rows_i = (t_idx - 1) * n + i_idx
+    rows_j = (t_idx - 1) * n + j_idx
+    s_i, s_j = r.reshape(2, f) @ h.reshape(t * n, f).T
     return s_i[rows_i] + s_j[rows_j], (rows_i, rows_j)
 
 

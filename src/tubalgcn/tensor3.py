@@ -96,26 +96,30 @@ def fold3(m, dims) -> np.ndarray:
 def m_transform(x, m) -> np.ndarray:
     """Mode-3 product with a K x T transform matrix (K = T for a full transform).
 
-    A complex matrix applied to a real tensor runs as one real GEMM with
-    ``[Re M; Im M]`` stacked, instead of a complex GEMM on a complex copy of
-    the tensor.  Either way the result is an (I, J, K) view of a
-    (K, I, J)-contiguous array.
+    One GEMM, ``M @ x`` on the (T, I*J) time-major view of x.  That view
+    copies nothing when x is itself a view of a (T, I, J)-contiguous array,
+    as the layer's time-major tensors are; the result is always an (I, J, K)
+    view of a (K, I, J)-contiguous array.  A complex matrix applied to a
+    real tensor runs as one real GEMM with ``[Re M; Im M]`` stacked, instead
+    of a complex GEMM on a complex copy of the tensor.
     """
     x = as_tensor3(x)
     m = _as_matrix(m)
-    t = x.shape[2]
+    i, j, t = x.shape
     if m.shape[1] != t:
         raise DimensionMismatchError(
             f"m_transform: transform is {m.shape}, tensor has T={t}"
         )
-    if not np.iscomplexobj(m) or np.iscomplexobj(x):
-        return mode_n_product(x, m, 3)
     k = m.shape[0]
-    parts = np.tensordot(np.concatenate([m.real, m.imag]), x, axes=([1], [2]))
-    out = np.empty((k,) + x.shape[:2], dtype=np.complex128)
-    out.real = parts[:k]
-    out.imag = parts[k:]
-    return out.transpose(1, 2, 0)
+    xt = x.transpose(2, 0, 1).reshape(t, i * j)
+    if np.iscomplexobj(m) and not np.iscomplexobj(x):
+        parts = np.concatenate([m.real, m.imag]) @ xt
+        out = np.empty((k, i * j), dtype=np.complex128)
+        out.real = parts[:k]
+        out.imag = parts[k:]
+    else:
+        out = m @ xt
+    return out.reshape(k, i, j).transpose(1, 2, 0)
 
 
 def facewise_product(x, y) -> np.ndarray:

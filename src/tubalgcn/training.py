@@ -13,8 +13,10 @@ Gradients are derived by hand; each layer's backward pass is
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -183,21 +185,28 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     return ModelAux(ds.n_slots, branches)
 
 
+def _pad_slots(x: np.ndarray, size: int) -> np.ndarray:
+    """A time-major tensor zero-padded to ``size`` slots; ``x`` itself if it has them."""
+    if len(x) == size:
+        return x
+    out = np.zeros((size,) + x.shape[1:])
+    out[: len(x)] = x
+    return out
+
+
 def forward_model(params: dict, aux: ModelAux, config: TrainConfig):
-    """Representation tensor (N, F, T) plus per-branch layer caches."""
+    """Time-major (T, N, F) representation tensor plus per-branch layer caches."""
     e, u = params["e"], params["u"]
-    n, f = e.shape
-    x0 = e[:, :, None] * (1.0 + u.T[None, :, :])
+    x0 = np.einsum("nf,tf->tnf", e, 1.0 + u)
     branch_h = {}
     branch_caches = {}
     for kind, b in aux.branches.items():
-        x = np.zeros((n, f, b.tm.size))
-        x[:, :, : aux.n_slots] = x0
+        x = _pad_slots(x0, b.tm.size)
         caches = []
         for layer in range(config.n_layers):
             x, cache = layer_forward(b.blocks, x, params[f"w:{kind}:{layer}"], b.tm, config.activation)
             caches.append(cache)
-        branch_h[kind] = x[:, :, : aux.n_slots]
+        branch_h[kind] = x[: aux.n_slots]
         branch_caches[kind] = caches
     weights = {kind: b.weight for kind, b in aux.branches.items()}
     return ensemble_combine(branch_h, weights), branch_caches
@@ -208,41 +217,38 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
     one-based time indices.  Returns (loss_value, gradients, h, y_hat): the
-    gradient dict is keyed like ``params``, h is the representation tensor
-    and y_hat the batch predictions.
+    gradient dict is keyed like ``params``, h is the time-major (T, N, F)
+    representation tensor and y_hat the batch predictions.
 
-    The head's backward pass works per (node, slot) row, like ``predict``:
-    the residual gradient is summed onto each endpoint row with one
-    ``bincount`` per endpoint, giving c_i and c_j, and then
-    ``g_r = [<h, c_i> || <h, c_j>]`` and ``g_h = c_i (x) r[:F] + c_j (x) r[F:]``.
+    The head's backward pass works per (slot, node) row of h, like
+    ``predict``: the residual gradient is summed onto each endpoint row with
+    one ``bincount`` per endpoint, giving the (T * N, 2) matrix c of
+    (c_i, c_j), and then ``g_r = h^T c`` and ``g_h = c [r[:F]; r[F:]]``.
+    The branches' input gradients are summed before they reach E and U.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(params, aux, config)
     e, u, r = params["e"], params["u"], params["r"]
-    n, f = e.shape
-    t_n = aux.n_slots
+    t_n, n, f = h.shape
     y_hat, (rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
     total = loss(y, y_hat, params.values(), config.kappa)
 
-    # c[n, t, 0] and c[n, t, 1] sum the residual gradient over the links
-    # whose first and second endpoint is node n at slot t.
+    # c[row, 0] and c[row, 1] sum the residual gradient over the links whose
+    # first and second endpoint is that (slot, node) row.
     g_yhat = 2.0 * (y_hat - y)
-    c = np.stack(
-        [np.bincount(rows, weights=g_yhat, minlength=n * t_n) for rows in (rows_i, rows_j)], axis=1
-    ).reshape(n, t_n, 2)
-    g_r = (h @ c).sum(axis=0).T.ravel()
-    g_h = r.reshape(2, f).T @ c.transpose(0, 2, 1)
+    c = np.stack([np.bincount(rows, weights=g_yhat, minlength=t_n * n) for rows in (rows_i, rows_j)], axis=1)
+    g_r = (h.reshape(-1, f).T @ c).T.ravel()
+    g_h = (c @ r.reshape(2, f)).reshape(h.shape)
 
-    grads = {"r": g_r, "e": np.zeros_like(e), "u": np.zeros_like(u)}
+    g_w = {}
+    g_x0 = None
     for kind, caches in branch_caches.items():
         b = aux.branches[kind]
-        g_x = np.zeros((n, f, b.tm.size))
-        g_x[:, :, : aux.n_slots] = b.weight * g_h
+        g_x = _pad_slots(b.weight * g_h, b.tm.size)
         for layer in reversed(range(len(caches))):
-            g_x, grads[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
-        g_x_obs = g_x[:, :, : aux.n_slots]
-        grads["e"] += (g_x_obs * (1.0 + u.T[None, :, :])).sum(axis=2)
-        grads["u"] += np.einsum("nft,nf->tf", g_x_obs, e)
+            g_x, g_w[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
+        g_x0 = g_x[:t_n] if g_x0 is None else g_x0 + g_x[:t_n]
+    grads = {"r": g_r, "e": np.einsum("tnf,tf->nf", g_x0, 1.0 + u), "u": np.einsum("tnf,nf->tf", g_x0, e), **g_w}
 
     if config.kappa != 0.0:
         norm = params_l2_norm(params.values())
@@ -456,7 +462,9 @@ def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
     """Binary dump of all parameter arrays plus the config echo, at exactly ``path``.
 
     The file is opened here because ``np.savez`` appends ``.npz`` to a path
-    name that lacks it.
+    name that lacks it.  It is written under a temporary name in the same
+    directory and then renamed over ``path``, so a save that fails leaves no
+    half-written file and any earlier file at ``path`` intact.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -464,8 +472,15 @@ def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
         "param_keys": sorted(params.keys()),
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

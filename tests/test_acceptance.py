@@ -86,7 +86,8 @@ class TestAcceptance:
             tm = build_transform(kind, t)
             # The layer the trainer runs, on blocks built as build_aux builds them.
             blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
-            h, _ = layer_forward(blocks, x, w, tm, "sigmoid")
+            h, _ = layer_forward(blocks, np.ascontiguousarray(x.transpose(2, 0, 1)), w, tm, "sigmoid")
+            h = h.transpose(1, 2, 0)  # time-major (T, N, F) to the oracle's (N, F, T)
             diff = np.max(np.abs(h - message_passing_oracle(a, x, w, tm, "sigmoid")))
             worst = max(worst, diff)
         ok = worst <= 1e-9 and (time.perf_counter() - started) < 30.0

@@ -236,6 +236,22 @@ class TestTrainEval:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_checkpoint_fails_before_training(self, dataset_file, tmp_path, capsys, monkeypatch, where):
+        import tubalgcn.cli
+
+        def no_training(*args):
+            raise AssertionError("trained before the checkpoint path was checked")
+
+        monkeypatch.setattr(tubalgcn.cli, "train", no_training)
+        ckpt = tmp_path if where == "directory" else tmp_path / "missing" / "m.npz"
+        rc = main(["train", "--data", str(dataset_file), "--max-epochs", "2", "--checkpoint", str(ckpt),
+                   "--report", str(tmp_path / "r.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err, err
+        assert list(tmp_path.iterdir()) == []  # neither a checkpoint nor a report
+
     def test_checkpoint_is_written_at_the_given_path(self, dataset_file, tmp_path):
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--data", str(dataset_file), "--max-epochs", "2", "--checkpoint", str(ckpt),

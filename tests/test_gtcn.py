@@ -33,10 +33,21 @@ def random_instance(rng, n, f_in, f_out, t):
     return a, x, w
 
 
+def time_major(x):
+    """An (N, F, T) tensor as the layer's time-major (T, N, F) layout."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
+
+
+def node_major(x):
+    """A time-major (T, N, F) tensor as (N, F, T), the oracle's layout."""
+    return x.transpose(1, 2, 0)
+
+
 def layer(a, x, w, tm, activation="sigmoid"):
-    """The trainer's layer on blocks built from the dense adjacency ``a``."""
+    """The trainer's layer on blocks built from the dense adjacency ``a``, in
+    the oracle's (N, F, T) layout."""
     blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
-    return layer_forward(blocks, x, w, tm, activation)[0]
+    return node_major(layer_forward(blocks, time_major(x), w, tm, activation)[0])
 
 
 def branches(h_dft, h_dct, h_haar):
@@ -190,8 +201,9 @@ class TestLayerAdjoint:
         x = rng.normal(size=(n, f_in, t_b))
         w = rng.normal(size=(f_in, f_out, t_b))
         g = rng.normal(size=(n, f_out, t_b))
-        h, cache = layer_forward(blocks, x, w, tm, "identity")
-        g_x, g_w = layer_backward(blocks, g, cache, tm, "identity")
+        h, cache = layer_forward(blocks, time_major(x), w, tm, "identity")
+        g_x, g_w = layer_backward(blocks, time_major(g), cache, tm, "identity")
+        h, g_x = node_major(h), node_major(g_x)
         assert g_x.dtype == g_w.dtype == np.float64
         np.testing.assert_allclose(np.vdot(x, g_x), np.vdot(h, g), rtol=1e-12)
         np.testing.assert_allclose(np.vdot(w, g_w), np.vdot(h, g), rtol=1e-12)

@@ -4,9 +4,14 @@ import pytest
 from tubalgcn.head_loss import loss, mae, params_l2_norm, predict, rmse
 
 
+def time_major(h):
+    """An (N, F, T) representation as ``predict``'s time-major (T, N, F) layout."""
+    return h.transpose(2, 0, 1)
+
+
 def predict_one(h, t, i, j, r):
-    """The head's estimate for the single link (t, i, j), t one-based."""
-    y_hat, _ = predict(h, np.asarray(r, dtype=np.float64), np.array([t]), np.array([i]), np.array([j]))
+    """The head's estimate for the single link (t, i, j), t one-based, on an (N, F, T) h."""
+    y_hat, _ = predict(time_major(h), np.asarray(r, dtype=np.float64), np.array([t]), np.array([i]), np.array([j]))
     return float(y_hat[0])
 
 
@@ -43,15 +48,15 @@ class TestEstimateWeight:
         t = np.array([1, 3, 4])
         i = np.array([0, 2, 4])
         j = np.array([1, 1, 0])
-        batch, (rows_i, rows_j) = predict(h, r, t, i, j)
+        batch, (rows_i, rows_j) = predict(time_major(h), r, t, i, j)
         for k in range(3):
             assert abs(batch[k] - predict_one(h, t[k], i[k], j[k], r)) <= 1e-12
-        # The node-major row numbers pick the same rows as indexing (N, F, T).
-        h_rows = h.transpose(0, 2, 1).reshape(5 * 4, 3)
+        # The slot-major row numbers pick the same rows as indexing (N, F, T).
+        h_rows = time_major(h).reshape(4 * 5, 3)
         np.testing.assert_array_equal(h_rows[rows_i], h[i, :, t - 1])
         np.testing.assert_array_equal(h_rows[rows_j], h[j, :, t - 1])
-        np.testing.assert_array_equal(rows_i, i * 4 + t - 1)
-        np.testing.assert_array_equal(rows_j, j * 4 + t - 1)
+        np.testing.assert_array_equal(rows_i, (t - 1) * 5 + i)
+        np.testing.assert_array_equal(rows_j, (t - 1) * 5 + j)
 
     def test_out_of_range_rejected(self):
         h = np.zeros((2, 2, 2))

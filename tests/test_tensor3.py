@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tubalgcn.tensor3 import (
     DimensionMismatchError,
+    demote_real,
     facewise_product,
     fold3,
     m_product,
@@ -28,6 +29,19 @@ def mode_n_loop(x, u, n):
             acc += u[idx[n - 1], k] * x[tuple(src)]
         out[idx] = acc
     return out
+
+
+# A transform kind with a slot count it is built at: Haar needs a power of two.
+KIND_AND_SLOTS = st.one_of(
+    st.tuples(st.sampled_from(["identity", "dft", "dct"]), st.integers(1, 9)),
+    st.tuples(st.just("haar"), st.sampled_from([1, 2, 4, 8])),
+)
+
+
+def identity_tensor(n, tm):
+    """The real (n, n, T) tensor whose every transform-domain slice is I_n."""
+    eye_hat = np.broadcast_to(np.eye(n)[:, :, None], (n, n, tm.size))
+    return demote_real(m_transform(eye_hat, tm.m_inv))
 
 
 def facewise_loop(x, y):
@@ -248,10 +262,7 @@ class TestMProduct:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 4), min_size=4, max_size=4),
-        kind_t=st.one_of(
-            st.tuples(st.sampled_from(["identity", "dft", "dct"]), st.integers(1, 9)),
-            st.tuples(st.just("haar"), st.sampled_from([1, 2, 4, 8])),
-        ),
+        kind_t=KIND_AND_SLOTS,
         seed=st.integers(0, 2**32 - 1),
     )
     def test_associative(self, dims, kind_t, seed):
@@ -263,6 +274,44 @@ class TestMProduct:
         tm = build_transform(kind, t)
         lhs = m_product(m_product(x, y, tm), z, tm)
         rhs = m_product(x, m_product(y, z, tm), tm)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+        kind_t=KIND_AND_SLOTS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identity_tensor_is_neutral(self, dims, kind_t, seed):
+        # I_M, the tensor whose transform-domain slices are all identities,
+        # is a left and right identity: I_M * X == X == X * I_M.
+        kind, t = kind_t
+        i, j = dims
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(i, j, t))
+        tm = build_transform(kind, t)
+        left, right = (identity_tensor(n, tm) for n in (i, j))
+        assert np.max(np.abs(m_product(left, x, tm) - x)) <= 1e-9
+        assert np.max(np.abs(m_product(x, right, tm) - x)) <= 1e-9
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        kind_t=st.one_of(
+            st.tuples(st.just("dct"), st.integers(1, 9)),
+            st.tuples(st.just("haar"), st.sampled_from([1, 2, 4, 8])),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transpose_reverses_the_product(self, dims, kind_t, seed):
+        # Under a real M the transpose (every frontal slice transposed)
+        # commutes with the transform, so (X * Y)^T == Y^T * X^T.
+        kind, t = kind_t
+        i, j, k = dims
+        rng = np.random.default_rng(seed)
+        x, y = (rng.uniform(-1.0, 1.0, size=shape) for shape in ((i, j, t), (j, k, t)))
+        tm = build_transform(kind, t)
+        lhs = m_product(x, y, tm).transpose(1, 0, 2)
+        rhs = m_product(y.transpose(1, 0, 2), x.transpose(1, 0, 2), tm)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_real_inputs_give_real_output(self):

@@ -1,14 +1,24 @@
-"""The benchmark's tracer wraps functions by name; each name must exist.
+"""The benchmark's tracer wraps functions by name; each name must exist and
+stay on the training path.
 
 ``perfbench/tracer.py`` reports a vanished name only as a ``missing metric``
-line in a traced run.  This test reads its ``TARGETS`` table (without
-importing the module) and resolves every entry in the package, so a
-refactor that drops or renames a traced function fails here instead.
+line in a traced run, and a name the layer stops calling only as a per-layer
+metric that reads 0.  These tests read its ``TARGETS`` table (without
+importing the module), resolve every entry in the package, and count the
+calls one gradient pass makes to the names behind the per-layer metrics, so
+a refactor that drops, renames or routes around a traced function fails here
+instead.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
+
+from tubalgcn.data import SynthSpec, generate_synthetic, split_dataset
+from tubalgcn.training import TRANSFORM_CHOICES, TrainConfig, build_aux, compute_gradients, init_params
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,3 +41,45 @@ def test_every_traced_name_resolves_to_a_callable():
         if not callable(owner):
             missing.append(span)
     assert not missing, f"traced names not defined in tubalgcn: {missing}"
+
+
+# The traced names whose call counts per gradient pass the per-layer metrics rest on.
+PER_LAYER_SPANS = ("tensor3.m_transform", "gtcn.apply_activation", "gtcn.activation_grad")
+
+
+def count_calls(monkeypatch, spans) -> dict:
+    """Wrap each span's function in every ``tubalgcn`` namespace that binds
+    it, as the tracer does, and return the live call counts."""
+    targets = tracer_targets()
+    counts = dict.fromkeys(spans, 0)
+    modules = [m for k, m in list(sys.modules.items()) if k == "tubalgcn" or k.startswith("tubalgcn.")]
+    for span in spans:
+        module, qualname = targets[span]
+        original = getattr(importlib.import_module(f"tubalgcn.{module}"), qualname)
+
+        def counting(*args, _span=span, _fn=original, **kwargs):
+            counts[_span] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return counts
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+def test_gradient_pass_calls_the_traced_names_per_layer(monkeypatch, transform, n_layers):
+    # T = 3 runs the Haar branch padded to 4 slots.
+    ds = split_dataset(generate_synthetic(SynthSpec(n=6, t=3, density=0.8, seed=1)), seed=1)
+    config = TrainConfig(embedding_dim=3, transform=transform, n_layers=n_layers)
+    aux = build_aux(ds, config)
+    params = init_params(ds, config)
+    batch = ds.subset_arrays(ds.train_idx)
+    counts = count_calls(monkeypatch, PER_LAYER_SPANS)
+    compute_gradients(params, aux, batch, config)
+    layers = n_layers * len(config.branch_kinds())
+    # Per layer and branch: the forward transforms X, W and the inverse, the
+    # backward ones of g_S, g_W and g_X; one activation and one derivative.
+    assert counts == {"tensor3.m_transform": 6 * layers, "gtcn.apply_activation": layers, "gtcn.activation_grad": layers}

@@ -25,6 +25,11 @@ from tubalgcn.training import (
 )
 
 
+def node_major(h):
+    """The model's time-major (T, N, F) representation as (N, F, T)."""
+    return h.transpose(1, 2, 0)
+
+
 def small_dataset(seed=0, n=6, t=4):
     return split_dataset(
         generate_synthetic(SynthSpec(n=n, t=t, density=0.8, noise=0.05, seed=seed)), seed=seed
@@ -90,7 +95,7 @@ class TestGradients:
         cfg = TrainConfig(embedding_dim=3, transform="dct", kappa=0.0, seed=4)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h, _ = forward_model(params, aux, cfg)
+        h = node_major(forward_model(params, aux, cfg)[0])
         t_idx = np.array([1])
         i_idx = np.array([0])
         j_idx = np.array([1])
@@ -110,11 +115,21 @@ class TestGradients:
         assert rep["passed"], rep
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
-    @pytest.mark.parametrize("transform,t", [("dft", 4), ("haar", 3), ("dft", 5), ("dft", 6)])
+    @pytest.mark.parametrize(
+        "transform,t", [("dft", 4), ("haar", 3), ("dft", 5), ("dft", 6), ("identity", 4), ("dct", 5)]
+    )
     def test_finite_differences_two_layers(self, transform, t, activation):
         rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2)
         assert rep["passed"], rep
         assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("t", [3, 5, 6])
+    def test_finite_differences_ensemble_at_padded_slot_counts(self, t, n_layers):
+        # The padded Haar branch and the unpadded DFT and DCT branches share
+        # g_h and the gradients of E and U.
+        rep = grad_check(seed=3, t=t, transform="ensemble", n_layers=n_layers)
+        assert rep["passed"], rep
 
     def test_norm_gradient(self):
         # Gradient of kappa * ||Theta||_2 is kappa * Theta / ||Theta||.
@@ -122,7 +137,7 @@ class TestGradients:
         cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, seed=6)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h, _ = forward_model(params, aux, cfg)
+        h = node_major(forward_model(params, aux, cfg)[0])
         f = cfg.embedding_dim
         y_val = h[0, :, 0] @ params["r"][:f] + h[1, :, 0] @ params["r"][f:]
         batch = (np.array([1]), np.array([0]), np.array([1]), np.array([y_val]))
@@ -152,6 +167,7 @@ class TestHeadGradient:
         j = np.array([1, 2, 2, 1, 3, 0])
         y = np.random.default_rng(12).uniform(size=len(t))
         _, grads, h, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
+        h = node_major(h)
 
         e, u, r = params["e"], params["u"], params["r"]
         n, f, n_slots = h.shape
@@ -164,14 +180,16 @@ class TestHeadGradient:
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
         _, caches = forward_model(params, aux, cfg)
         for kind, b in aux.branches.items():
-            g_x = np.zeros((n, f, b.tm.size))
-            g_x[:, :, :n_slots] = b.weight * g_h.transpose(0, 2, 1)
+            # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
+            g_x = np.zeros((b.tm.size, n, f))
+            g_x[:n_slots] = b.weight * g_h.transpose(1, 0, 2)
             for layer in reversed(range(n_layers)):
                 g_x, ref[f"w:{kind}:{layer}"] = layer_backward(
                     b.blocks, g_x, caches[kind][layer], b.tm, activation
                 )
-            ref["e"] += (g_x[:, :, :n_slots] * (1.0 + u.T[None, :, :])).sum(axis=2)
-            ref["u"] += np.einsum("nft,nf->tf", g_x[:, :, :n_slots], e)
+            g_x = node_major(g_x[:n_slots])
+            ref["e"] += (g_x * (1.0 + u.T[None, :, :])).sum(axis=2)
+            ref["u"] += np.einsum("nft,nf->tf", g_x, e)
 
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -195,7 +213,7 @@ class TestForwardMatchesOracle:
         cfg = TrainConfig(embedding_dim=3, transform=kind, adjacency_mode=mode, seed=t)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h, _ = forward_model(params, aux, cfg)
+        h = node_major(forward_model(params, aux, cfg)[0])
 
         branch = aux.branches[kind]
         tm = branch.tm
@@ -227,7 +245,7 @@ class TestForwardMatchesOracle:
         cfg = TrainConfig(embedding_dim=3, transform="haar", n_layers=2, seed=t)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h, _ = forward_model(params, aux, cfg)
+        h = node_major(forward_model(params, aux, cfg)[0])
 
         tm = aux.branches["haar"].tm
         a = np.zeros((n, n, tm.size))
@@ -371,6 +389,23 @@ class TestCheckpoint:
         assert list(restored) == list(params)
         for key, arr in params.items():
             np.testing.assert_array_equal(arr, restored[key])
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(ds, cfg), cfg)
+        before = path.read_bytes()
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"half an archive")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, init_params(ds, TrainConfig(embedding_dim=3, transform="dct", seed=11)), cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]  # no temporary file left behind
 
     @staticmethod
     def checkpoint_with_config(tmp_path, **fields):
