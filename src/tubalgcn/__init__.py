@@ -2,15 +2,7 @@
 M-product, with interchangeable DFT/DCT/Haar temporal transforms and
 their ensemble, trained end-to-end for link-weight estimation."""
 
-from .tensor3 import (
-    DimensionMismatchError,
-    facewise_product,
-    fold3,
-    m_product,
-    m_transform,
-    mode_n_product,
-    unfold3,
-)
+from .tensor3 import DimensionMismatchError, facewise_product, m_product, m_transform
 from .transforms import (
     TransformMatrix,
     build_dct,

@@ -24,7 +24,6 @@ from .gtcn import ACTIVATIONS, ADJACENCY_MODES
 from .training import (
     TRANSFORM_CHOICES,
     TrainConfig,
-    build_aux,
     evaluate,
     grad_check,
     load_checkpoint,
@@ -110,14 +109,11 @@ def _require_file_path(path) -> None:
 
 
 def _train_once(ds, config):
-    """Split, build the aux, train and evaluate; also returns train()'s seconds."""
+    """Split and train; returns train()'s results and its seconds."""
     ds = split_dataset(ds, seed=config.split_seed)
-    aux = build_aux(ds, config)
     started = time.perf_counter()
-    params, history = train(aux, ds, config)
-    train_s = time.perf_counter() - started
-    metrics = evaluate(params, aux, ds, config)
-    return ds, params, history, metrics, train_s
+    params, history, metrics = train(ds, config)
+    return params, history, metrics, time.perf_counter() - started
 
 
 def cmd_train(args) -> int:
@@ -129,7 +125,7 @@ def cmd_train(args) -> int:
     _require_file_path(args.checkpoint)
     open(args.report, "w", encoding="utf-8").close()
     started = time.perf_counter()
-    ds, params, history, metrics, train_s = _train_once(ds, config)
+    params, history, metrics, train_s = _train_once(ds, config)
     elapsed = time.perf_counter() - started
     save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data)})
     pairs = [("command", "train"), ("data", args.data)]
@@ -164,9 +160,7 @@ def cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    ds = split_dataset(ds, seed=config.split_seed)
-    aux = build_aux(ds, config)
-    metrics = evaluate(params, aux, ds, config)
+    metrics = evaluate(params, split_dataset(ds, seed=config.split_seed), config)
     pairs = [("command", "eval"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += sorted(metrics.items())
@@ -215,14 +209,9 @@ def cmd_grad_check(args) -> int:
 def cmd_ablation(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    ds_base = parse_dataset(args.data)
-    seeds = list(range(args.seeds))
-    rows = []
-    means = {}
-    for scheme in TRANSFORM_CHOICES:
-        maes, rmses = [], []
-        for seed in seeds:
-            config = TrainConfig(
+    configs = {
+        scheme: [
+            TrainConfig(
                 embedding_dim=args.embedding_dim,
                 learning_rate=args.lr,
                 kappa=args.kappa,
@@ -232,9 +221,19 @@ def cmd_ablation(args) -> int:
                 transform=scheme,
                 split_seed=seed,
             )
-            _, _, _, metrics, _ = _train_once(ds_base, config)
-            maes.append(metrics["test_mae"])
-            rmses.append(metrics["test_rmse"])
+            for seed in range(args.seeds)
+        ]
+        for scheme in TRANSFORM_CHOICES
+    }
+    ds_base = parse_dataset(args.data)
+    # Fail on an unwritable report path before the first training.
+    open(args.out, "w", encoding="utf-8").close()
+    rows = []
+    means = {}
+    for scheme, runs in configs.items():
+        metrics = [_train_once(ds_base, config)[2] for config in runs]
+        maes = [m["test_mae"] for m in metrics]
+        rmses = [m["test_rmse"] for m in metrics]
         means[scheme] = float(np.mean(maes))
         rows.append(
             [

@@ -4,9 +4,6 @@ Tensors are plain numpy arrays of shape (I, J, T) in C order.  The third
 axis is time: the tube at (i, j) is ``x[i, j, :]`` and the frontal slice
 at time t is ``x[:, :, t]``.  Real tensors use float64, complex ones
 complex128.
-
-Layout convention for unfold3/fold3: ``unfold3`` produces a T x (I*J)
-matrix whose column ``i*J + j`` is the tube at (i, j).  fold3 inverts it.
 """
 
 from __future__ import annotations
@@ -16,9 +13,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "as_tensor3",
-    "mode_n_product",
-    "unfold3",
-    "fold3",
     "m_transform",
     "facewise_product",
     "m_product",
@@ -52,45 +46,6 @@ def _as_matrix(u) -> np.ndarray:
     if np.iscomplexobj(a):
         return a.astype(np.complex128, copy=False)
     return a.astype(np.float64, copy=False)
-
-
-def mode_n_product(x, u, n: int) -> np.ndarray:
-    """Mode-n product of a third-order tensor with a matrix.
-
-    Axis ``n`` is 1-based (n in {1, 2, 3}).  The size of x along axis n
-    must equal u's column count; that axis is replaced by u's row count.
-    """
-    x = as_tensor3(x)
-    u = _as_matrix(u)
-    if n not in (1, 2, 3):
-        raise DimensionMismatchError(f"axis must be 1, 2 or 3, got {n}")
-    ax = n - 1
-    if u.shape[1] != x.shape[ax]:
-        raise DimensionMismatchError(
-            f"mode-{n} product: matrix has {u.shape[1]} columns but tensor "
-            f"axis {n} has size {x.shape[ax]}"
-        )
-    out = np.tensordot(u, x, axes=([1], [ax]))
-    # tensordot puts the new axis first; rotate it back into place.
-    return np.moveaxis(out, 0, ax)
-
-
-def unfold3(x) -> np.ndarray:
-    """Stack the tubes of x as columns of a T x (I*J) matrix."""
-    x = as_tensor3(x)
-    i, j, t = x.shape
-    return x.reshape(i * j, t).T.copy()
-
-
-def fold3(m, dims) -> np.ndarray:
-    """Inverse of unfold3 for the given target dims (I, J, T)."""
-    m = _as_matrix(m)
-    i, j, t = dims
-    if m.shape != (t, i * j):
-        raise DimensionMismatchError(
-            f"fold3: matrix shape {m.shape} inconsistent with dims {dims}"
-        )
-    return m.T.reshape(i, j, t).copy()
 
 
 def m_transform(x, m) -> np.ndarray:

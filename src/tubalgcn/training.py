@@ -343,18 +343,21 @@ def _keep_freed_heap():
     mallopt(m_trim_threshold, 64 << 20)
 
 
-def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
+def train(ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
-    ``aux`` is ``build_aux(ds, config)``.  Returns (best parameter dict,
-    history) where history is a list of dicts with epoch, train_loss,
-    train_mae, val_mae.  The returned parameters are those of the best
-    validation epoch.  On glibc it raises the process's heap trim and mmap
-    thresholds; see ``_keep_freed_heap``.
+    Builds the aux from ``(ds, config)``.  Returns (params, history,
+    metrics): the parameter dict of the best validation epoch; the history,
+    a list of dicts with epoch, train_loss, train_mae, val_mae; and the
+    split metrics ``evaluate`` gives at those parameters, read from the
+    representation that epoch's gradient pass already computed.  On glibc
+    it raises the process's heap trim and mmap thresholds; see
+    ``_keep_freed_heap``.
     """
     if not ds.has_splits:
         raise ValueError("dataset must carry train/val/test splits")
     _keep_freed_heap()
+    aux = build_aux(ds, config)
     params = init_params(ds, config)
     train_batch = ds.subset_arrays(ds.train_idx)
     val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
@@ -362,7 +365,7 @@ def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
     state = AdamState.for_params(params)
     stopper = EarlyStopping(config.patience)
     history = []
-    best = params
+    best, best_h = params, None
     for epoch in range(1, config.max_epochs + 1):
         loss_value, grads, h, train_pred = compute_gradients(params, aux, train_batch, config)
         if not np.isfinite(loss_value):
@@ -374,23 +377,28 @@ def train(aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
             {"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae}
         )
         if val_mae <= stopper.best:
-            best = params  # adam_step returns new arrays, so no copy is needed
+            best, best_h = params, h  # adam_step and the next pass make new arrays, so no copy is needed
         if stopper.update(val_mae, epoch):
             break
         params = adam_step(params, grads, state, config.learning_rate)
-    return best, history
+    return best, history, _split_metrics(best_h, best["r"], ds)
 
 
-def evaluate(params: dict, aux: ModelAux, ds: DynamicGraphDataset, config: TrainConfig):
-    """MAE/RMSE for every split at the given parameters."""
-    h, _ = forward_model(params, aux, config)
+def _split_metrics(h: np.ndarray, r: np.ndarray, ds: DynamicGraphDataset) -> dict:
+    """MAE/RMSE for every split, predicted from the representation tensor h by head r."""
     out = {}
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
-        pred, _ = predict(h, params["r"], t_idx, i_idx, j_idx)
+        pred, _ = predict(h, r, t_idx, i_idx, j_idx)
         out[f"{name}_mae"] = mae(y, pred)
         out[f"{name}_rmse"] = rmse(y, pred)
     return out
+
+
+def evaluate(params: dict, ds: DynamicGraphDataset, config: TrainConfig):
+    """MAE/RMSE for every split at the given parameters, on the aux built from ``(ds, config)``."""
+    h, _ = forward_model(params, build_aux(ds, config), config)
+    return _split_metrics(h, params["r"], ds)
 
 
 def grad_check(

@@ -22,7 +22,7 @@ from tubalgcn.gtcn import (
     transformed_blocks,
 )
 from tubalgcn.tensor3 import facewise_product, m_product, m_transform
-from tubalgcn.training import EarlyStopping, TrainConfig, build_aux, evaluate, grad_check, train
+from tubalgcn.training import EarlyStopping, TrainConfig, evaluate, grad_check, train
 from tubalgcn.transforms import TRANSFORM_KINDS, build_transform
 
 
@@ -115,7 +115,7 @@ class TestAcceptance:
             rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
         ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
-        _, hist = train(build_aux(ds, cfg), ds, cfg)
+        _, hist, _ = train(ds, cfg)
         ok = min(h["train_mae"] for h in hist) <= 0.01
         ok &= (time.perf_counter() - started) < 60.0
         _report(5, "ensemble overfits 20 links", ok)
@@ -136,8 +136,8 @@ class TestAcceptance:
             generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=7)), seed=7
         )
         cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        model, hist = train(build_aux(ds, cfg), ds, cfg)
-        metrics = evaluate(model, build_aux(ds, cfg), ds, cfg)
+        model, hist, _ = train(ds, cfg)
+        metrics = evaluate(model, ds, cfg)
         ok &= abs(metrics["val_mae"] - min(h["val_mae"] for h in hist)) <= 1e-12
         _report(6, "early stop at tenth consecutive rise, best epoch returned", ok)
 
@@ -152,8 +152,7 @@ class TestAcceptance:
             for seed in range(5):
                 cfg = TrainConfig(transform=scheme, seed=seed, split_seed=seed)
                 split = split_dataset(ds, seed=cfg.split_seed)
-                model, _ = train(build_aux(split, cfg), split, cfg)
-                metrics = evaluate(model, build_aux(split, cfg), split, cfg)
+                _, _, metrics = train(split, cfg)
                 maes.append(metrics["test_mae"])
             means[scheme] = float(np.mean(maes))
         singles = [means[k] for k in ["dft", "dct", "haar"]]

@@ -98,7 +98,6 @@ class TestTrainEval:
         assert train_lines == eval_lines
 
     def test_train_builds_aux_once(self, dataset_file, tmp_path, monkeypatch):
-        import tubalgcn.cli
         import tubalgcn.training
 
         calls = []
@@ -108,7 +107,6 @@ class TestTrainEval:
             calls.append(config.transform)
             return real(ds, config)
 
-        monkeypatch.setattr(tubalgcn.cli, "build_aux", counting)
         monkeypatch.setattr(tubalgcn.training, "build_aux", counting)
         self._train(dataset_file, tmp_path, transform="ensemble")
         assert calls == ["ensemble"]
@@ -340,6 +338,25 @@ class TestAblationCommand:
         out = tmp_path / "abl.txt"
         assert main(["ablation", "--data", str(dataset_file), "--seeds", seeds, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_fails_before_training(self, dataset_file, tmp_path, capsys, monkeypatch, where):
+        import tubalgcn.cli
+
+        trainings = []
+        monkeypatch.setattr(tubalgcn.cli, "train", lambda *args: trainings.append(args))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "abl.txt"
+        rc = main(["ablation", "--data", str(dataset_file), "--seeds", "2", "--max-epochs", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+        assert trainings == []
+
+    def test_bad_hyperparameter_fails_before_the_report(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "abl.txt"
+        assert main(["ablation", "--data", str(dataset_file), "--max-epochs", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: max_epochs must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_small_ablation_table(self, tmp_path):

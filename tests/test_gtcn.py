@@ -12,7 +12,7 @@ from tubalgcn.gtcn import (
     preprocess_adjacency,
     transformed_blocks,
 )
-from tubalgcn.tensor3 import DimensionMismatchError
+from tubalgcn.tensor3 import DimensionMismatchError, m_product
 from tubalgcn.transforms import build_transform, next_power_of_two
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
@@ -153,6 +153,29 @@ class TestGtcnForward:
         tm = build_transform(kind, t)
         assert tm.kept == (t // 2 + 1 if kind == "dft" else t)
         assert np.max(np.abs(layer(a, x, w, tm) - message_passing_oracle(a, x, w, tm))) <= 1e-9
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        f_in=st.integers(1, 3),
+        f_out=st.integers(1, 3),
+        t=st.sampled_from([3, 5, 6, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_padded_haar_is_the_product_on_zero_padded_operands(self, n, f_in, f_out, t, seed):
+        # The Haar branch runs at the next power of two with the extra slots
+        # of Â and X zero; with the identity activation its layer is then
+        # Â * X * W on the zero-padded operands.
+        rng = np.random.default_rng(seed)
+        a, x, _ = random_instance(rng, n, f_in, f_out, t)
+        t_b = next_power_of_two(t)
+        tm = build_transform("haar", t_b)
+        w = rng.normal(size=(f_in, f_out, t_b))
+        a_pad, x_pad = (np.concatenate([v, np.zeros(v.shape[:2] + (t_b - t,))], axis=2) for v in (a, x))
+        blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+        h, _ = layer_forward(blocks, time_major(x_pad), w, tm, "identity")
+        expected = m_product(m_product(a_pad, x_pad, tm), w, tm)
+        assert np.max(np.abs(node_major(h) - expected)) <= 1e-9
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)

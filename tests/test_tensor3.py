@@ -7,11 +7,8 @@ from tubalgcn.tensor3 import (
     DimensionMismatchError,
     demote_real,
     facewise_product,
-    fold3,
     m_product,
     m_transform,
-    mode_n_product,
-    unfold3,
 )
 from tubalgcn.transforms import build_dft, build_haar, build_identity, build_transform
 
@@ -53,60 +50,6 @@ def facewise_loop(x, y):
     return out
 
 
-class TestModeNProduct:
-    def test_row_sum_case(self):
-        x = np.array([1.0, 2.0]).reshape(2, 1, 1)
-        u = np.array([[1.0, 1.0]])
-        out = mode_n_product(x, u, 1)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 3.0
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_identity_matrix_is_noop(self, n):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 4, 5))
-        u = np.eye(x.shape[n - 1])
-        np.testing.assert_array_equal(mode_n_product(x, u, n), x)
-
-    @pytest.mark.parametrize("n,ushape", [(1, (4, 2)), (2, (5, 2)), (3, (2, 3))])
-    def test_matches_loop_oracle(self, n, ushape):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=(2, 2, 3))
-        u = rng.normal(size=ushape)
-        np.testing.assert_allclose(mode_n_product(x, u, n), mode_n_loop(x, u, n), atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        x = np.zeros((2, 2, 2))
-        with pytest.raises(DimensionMismatchError):
-            mode_n_product(x, np.zeros((3, 3)), 1)
-        with pytest.raises(DimensionMismatchError):
-            mode_n_product(x, np.eye(2), 4)
-
-
-class TestUnfoldFold:
-    def test_single_tube(self):
-        x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3)
-        np.testing.assert_array_equal(unfold3(x), np.array([[1.0], [2.0], [3.0]]))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 2, 4))
-        np.testing.assert_array_equal(fold3(unfold3(x), x.shape), x)
-
-    def test_column_ordering(self):
-        # Column i*J + j of the unfolding is the tube at (i, j).
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 1, 2))
-        m = unfold3(x)
-        assert m.shape == (2, 2)
-        for i in range(2):
-            np.testing.assert_array_equal(m[:, i], x[i, 0, :])
-
-    def test_inconsistent_dims_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            fold3(np.zeros((3, 4)), (2, 2, 2))
-
-
 class TestMTransform:
     def test_identity(self):
         rng = np.random.default_rng(2)
@@ -123,14 +66,6 @@ class TestMTransform:
         x = rng.normal(size=(2, 2, 4))
         m = rng.normal(size=(4, 4)) + np.eye(4)
         np.testing.assert_allclose(m_transform(x, m), mode_n_loop(x, m, 3), atol=1e-12)
-
-    def test_equals_fold_of_matrix_form(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 2, 4))
-        m = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(
-            m_transform(x, m), fold3(m @ unfold3(x), x.shape), atol=1e-12
-        )
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -9,6 +9,7 @@ from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, gener
 from tubalgcn.gtcn import ACTIVATIONS, layer_backward, message_passing_oracle, preprocess_adjacency
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
+    TRANSFORM_CHOICES,
     AdamState,
     EarlyStopping,
     TrainConfig,
@@ -349,29 +350,43 @@ class TestTrain:
             rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
         ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
         cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
-        _, hist = train(build_aux(ds, cfg), ds, cfg)
+        _, hist, _ = train(ds, cfg)
         assert min(h["train_mae"] for h in hist) <= 0.01
 
     def test_returns_best_validation_epoch(self):
         ds = small_dataset(seed=7, n=10)
         cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        params, hist = train(build_aux(ds, cfg), ds, cfg)
-        aux = build_aux(ds, cfg)
-        metrics = evaluate(params, aux, ds, cfg)
+        params, hist, _ = train(ds, cfg)
+        metrics = evaluate(params, ds, cfg)
         best_val = min(h["val_mae"] for h in hist)
         assert abs(metrics["val_mae"] - best_val) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "transform,n_layers,t", [(kind, 1, 4) for kind in TRANSFORM_CHOICES] + [("haar", 2, 5)]
+    )
+    def test_metrics_equal_evaluate(self, transform, n_layers, t):
+        # train reads its metrics from the best epoch's representation tensor,
+        # which later epochs must leave alone; at T = 5 the padded Haar branch
+        # holds it as a view of the padded layer output.
+        ds = small_dataset(seed=11, n=10, t=t)
+        cfg = TrainConfig(
+            embedding_dim=4, transform=transform, n_layers=n_layers, max_epochs=60, patience=3, seed=11
+        )
+        params, hist, metrics = train(ds, cfg)
+        assert hist[-1]["val_mae"] > min(h["val_mae"] for h in hist)  # the best epoch is not the last
+        assert metrics == evaluate(params, ds, cfg)
 
     def test_deterministic_history(self):
         ds = small_dataset(seed=8, n=10)
         cfg = TrainConfig(embedding_dim=4, transform="dft", max_epochs=30, patience=30, seed=8)
-        _, h1 = train(build_aux(ds, cfg), ds, cfg)
-        _, h2 = train(build_aux(ds, cfg), ds, cfg)
+        _, h1, _ = train(ds, cfg)
+        _, h2, _ = train(ds, cfg)
         assert h1 == h2
 
     def test_loss_decreases_initially(self):
         ds = small_dataset(seed=9, n=12)
         cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=6, patience=6, seed=9)
-        _, hist = train(build_aux(ds, cfg), ds, cfg)
+        _, hist, _ = train(ds, cfg)
         losses = [h["train_loss"] for h in hist]
         assert losses[-1] < losses[0]
 
@@ -380,7 +395,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10)
-        params, _ = train(build_aux(ds, cfg), ds, cfg)
+        params, _, _ = train(ds, cfg)
         path = tmp_path / "m.npz"
         save_checkpoint(path, params, cfg, extra={"note": "x"})
         restored, cfg2, extra = load_checkpoint(path)
