@@ -13,10 +13,8 @@ from .transforms import (
 )
 from .gtcn import (
     TubeAdjacency,
-    ensemble_combine,
     layer_backward,
     layer_forward,
-    message_passing_oracle,
     preprocess_adjacency,
     preprocess_tubes,
     transformed_blocks,

@@ -15,7 +15,7 @@ import errno
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     params, history, metrics, train_s = _train_once(ds, config)
     elapsed = time.perf_counter() - started
-    save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data)})
+    save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data), "data_sha256": ds.digest()})
     pairs = [("command", "train"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += [("epochs_run", len(history))]
@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, config, _ = load_checkpoint(args.checkpoint)
+    params, config, extra = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
     sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
     for what, trained, have in sizes:
@@ -160,6 +160,16 @@ def cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             return 1
+    # Re-splitting other rows with the checkpoint's split seed would score
+    # training rows as test rows.  Checkpoints without a digest predate it.
+    digest = extra.get("data_sha256")
+    if digest is not None and digest != ds.digest():
+        print(
+            f"error: checkpoint {args.checkpoint} was not trained on the rows of {args.data} "
+            "in their file order (dataset SHA-256 differs)",
+            file=sys.stderr,
+        )
+        return 1
     metrics = evaluate(params, split_dataset(ds, seed=config.split_seed), config)
     pairs = [("command", "eval"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
@@ -209,20 +219,15 @@ def cmd_grad_check(args) -> int:
 def cmd_ablation(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    base = TrainConfig(
+        embedding_dim=args.embedding_dim,
+        learning_rate=args.lr,
+        kappa=args.kappa,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+    )
     configs = {
-        scheme: [
-            TrainConfig(
-                embedding_dim=args.embedding_dim,
-                learning_rate=args.lr,
-                kappa=args.kappa,
-                max_epochs=args.max_epochs,
-                patience=args.patience,
-                seed=seed,
-                transform=scheme,
-                split_seed=seed,
-            )
-            for seed in range(args.seeds)
-        ]
+        scheme: [replace(base, transform=scheme, seed=seed, split_seed=seed) for seed in range(args.seeds)]
         for scheme in TRANSFORM_CHOICES
     }
     ds_base = parse_dataset(args.data)

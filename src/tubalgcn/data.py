@@ -9,6 +9,7 @@ Weights are finite and nonnegative, and each (t, src, dst) appears once.
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,13 @@ class DynamicGraphDataset:
     def subset_arrays(self, idx: np.ndarray):
         """Return (t, i, j, y) index arrays for the given observation indices."""
         return self.t[idx], self.i[idx], self.j[idx], self.y[idx]
+
+    def digest(self) -> str:
+        """SHA-256 of N, T and the t, i, j, y columns, rows in order; splits left out."""
+        h = hashlib.sha256(np.array([self.n_nodes, self.n_slots], dtype=np.int64).tobytes())
+        for column in (self.t, self.i, self.j, self.y):
+            h.update(column)
+        return h.hexdigest()
 
 
 def _load_rows(lines: list) -> np.ndarray:

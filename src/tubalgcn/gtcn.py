@@ -1,5 +1,4 @@
-"""Graph tensor convolution layer, its message-passing oracle, adjacency
-preprocessing, and the diversified-transform ensemble.
+"""Graph tensor convolution layer and adjacency preprocessing.
 
 The layer computes H = sigma(A * X * W) where * is the M-product.  The
 chain is evaluated in the transform domain once: hat all three operands,
@@ -8,8 +7,7 @@ the activation; the backward pass runs its adjoint with plain transposes.
 ``layer_forward`` and ``layer_backward`` are the one implementation of
 the layer; training and the oracle tests both run them.  The layer keeps
 its activations, gradients and cache time-major, as (T, N, F) arrays, so
-that every transform is one GEMM on a (T, N * F) view; the oracle takes
-the (N, F, T) layout of the tensor algebra.
+that every transform is one GEMM on a (T, N * F) view.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ __all__ = [
     "transformed_blocks",
     "layer_forward",
     "layer_backward",
-    "message_passing_oracle",
-    "ensemble_combine",
     "apply_activation",
     "activation_grad",
 ]
@@ -239,74 +235,3 @@ def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, ac
     g_w = _real_time_major(tm.m_kept.T, g_wh).transpose(1, 2, 0)
     g_x = _real_time_major(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f_in)).reshape(k, n, f_in))
     return g_x, g_w
-
-
-def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmoid") -> np.ndarray:
-    """Entrywise nested-loop evaluation of the layer, for testing only.
-
-    ``a`` is the dense (N, N, T) preprocessed adjacency.  Expands the
-    M-product chain node by node: temporal mixing of every adjacency entry
-    and feature vector through the transform matrix, per-slice aggregation
-    over the (self-loop augmented) neighborhood, feature mixing by the
-    transformed weight slices, then the inverse transform and the
-    activation.  Quadratic loops; small instances only.
-    """
-    a = as_tensor3(a)
-    x = as_tensor3(x)
-    w = as_tensor3(w)
-    n, n2, t = a.shape
-    if n2 != n or x.shape[0] != n or x.shape[2] != t:
-        raise DimensionMismatchError(f"features {x.shape} incompatible with adjacency {a.shape}")
-    if w.shape[0] != x.shape[1] or w.shape[2] != t or m.size != t:
-        raise DimensionMismatchError(f"weights {w.shape} or transform size {m.size} incompatible with {x.shape}")
-    f_in, f_out, _ = w.shape
-    mm = m.m
-    mi = m.m_inv
-    dtype = np.complex128 if np.iscomplexobj(mm) else np.float64
-
-    # Temporal mixing of adjacency entries and feature vectors.
-    ah = np.zeros((n, n, t), dtype=dtype)
-    xh = np.zeros((n, f_in, t), dtype=dtype)
-    wh = np.zeros((f_in, f_out, t), dtype=dtype)
-    for s in range(t):
-        for k in range(t):
-            ah[:, :, s] += mm[s, k] * a[:, :, k]
-            xh[:, :, s] += mm[s, k] * x[:, :, k]
-            wh[:, :, s] += mm[s, k] * w[:, :, k]
-
-    h = np.zeros((n, f_out, t), dtype=dtype)
-    for i in range(n):
-        for s in range(t):
-            # Aggregate messages over neighbors plus the self-loop.
-            c = np.zeros(f_in, dtype=dtype)
-            for j in range(n):
-                c += ah[i, j, s] * xh[j, :, s]
-            h[i, :, s] = c @ wh[:, :, s]
-    # Inverse temporal transform.
-    out = np.zeros((n, f_out, t), dtype=dtype)
-    for s in range(t):
-        for k in range(t):
-            out[:, :, s] += mi[s, k] * h[:, :, k]
-    if np.iscomplexobj(out):
-        out = out.real.copy()
-    return apply_activation(out, activation)
-
-
-def ensemble_combine(branch_h: dict, branch_weights: dict) -> np.ndarray:
-    """Weighted sum of the branch representation tensors, in ``branch_h`` order.
-
-    ``branch_h`` maps a branch kind to its tensor, all of one shape, and
-    ``branch_weights`` the kind to its weight.  A single branch of weight 1
-    is returned as it is, without a copy.
-    """
-    terms = [(branch_weights[kind], as_tensor3(h)) for kind, h in branch_h.items()]
-    shapes = {h.shape for _, h in terms}
-    if len(shapes) != 1:
-        raise DimensionMismatchError(f"branch shapes differ: {sorted(shapes)}")
-    (weight, h), *rest = terms
-    if not rest and weight == 1.0:
-        return h
-    out = weight * h
-    for weight, h in rest:
-        out += weight * h
-    return out

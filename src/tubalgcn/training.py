@@ -24,22 +24,13 @@ import numpy as np
 from scipy import sparse
 
 from .data import DynamicGraphDataset, build_tube_adjacency
-from .gtcn import (
-    ACTIVATIONS,
-    ADJACENCY_MODES,
-    ensemble_combine,
-    layer_backward,
-    layer_forward,
-    preprocess_tubes,
-    transformed_blocks,
-)
+from .gtcn import ACTIVATIONS, ADJACENCY_MODES, layer_backward, layer_forward, preprocess_tubes, transformed_blocks
 from .head_loss import loss, mae, params_l2_norm, predict, rmse
 from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
 
 __all__ = [
     "TrainConfig",
     "Branch",
-    "ModelAux",
     "EarlyStopping",
     "AdamState",
     "init_params",
@@ -124,14 +115,6 @@ class Branch:
     weight: float
 
 
-@dataclass
-class ModelAux:
-    """Per-dataset fixed quantities: one ``Branch`` per transform kind."""
-
-    n_slots: int
-    branches: dict  # kind -> Branch
-
-
 def _branch_slots(kind: str, t: int) -> int:
     return next_power_of_two(t) if kind == "haar" else t
 
@@ -171,18 +154,19 @@ def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     return params
 
 
-def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
-    """Preprocess the adjacency once, transform it per branch (padded for haar).
+def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
+    """``{kind: Branch}`` in ``config.branch_kinds()`` order: the adjacency
+    preprocessed once, then transformed per branch (padded for haar).
 
     The branches are weighted equally in the ensemble sum.
     """
     a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
     kinds = config.branch_kinds()
-    branches = {}
+    aux = {}
     for kind in kinds:
         tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
-        branches[kind] = Branch(tm, transformed_blocks(a_hat, tm), 1.0 / len(kinds))
-    return ModelAux(ds.n_slots, branches)
+        aux[kind] = Branch(tm, transformed_blocks(a_hat, tm), 1.0 / len(kinds))
+    return aux
 
 
 def _pad_slots(x: np.ndarray, size: int) -> np.ndarray:
@@ -194,25 +178,31 @@ def _pad_slots(x: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def forward_model(params: dict, aux: ModelAux, config: TrainConfig):
-    """Time-major (T, N, F) representation tensor plus per-branch layer caches."""
+def forward_model(params: dict, aux: dict, config: TrainConfig):
+    """Time-major (T, N, F) representation tensor plus per-branch layer caches.
+
+    The representation is the weighted sum of the branch outputs, each
+    cropped to the model's T slots, in ``aux`` order; a single branch of
+    weight 1 is returned as it is, without a copy.
+    """
     e, u = params["e"], params["u"]
+    n_slots = len(u)
     x0 = np.einsum("nf,tf->tnf", e, 1.0 + u)
-    branch_h = {}
+    h = None
     branch_caches = {}
-    for kind, b in aux.branches.items():
+    for kind, b in aux.items():
         x = _pad_slots(x0, b.tm.size)
         caches = []
         for layer in range(config.n_layers):
             x, cache = layer_forward(b.blocks, x, params[f"w:{kind}:{layer}"], b.tm, config.activation)
             caches.append(cache)
-        branch_h[kind] = x[: aux.n_slots]
         branch_caches[kind] = caches
-    weights = {kind: b.weight for kind, b in aux.branches.items()}
-    return ensemble_combine(branch_h, weights), branch_caches
+        x = x[:n_slots] if b.weight == 1.0 else b.weight * x[:n_slots]
+        h = x if h is None else h + x
+    return h, branch_caches
 
 
-def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
+def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     """Loss and exact analytic gradients over the training batch.
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
@@ -243,7 +233,7 @@ def compute_gradients(params: dict, aux: ModelAux, batch, config: TrainConfig):
     g_w = {}
     g_x0 = None
     for kind, caches in branch_caches.items():
-        b = aux.branches[kind]
+        b = aux[kind]
         g_x = _pad_slots(b.weight * g_h, b.tm.size)
         for layer in reversed(range(len(caches))):
             g_x, g_w[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)

@@ -1,0 +1,60 @@
+"""The message-passing oracle: an entrywise nested-loop reference for the
+graph tensor convolution layer, in the (N, F, T) layout of the tensor
+algebra.  The layer tests compare ``gtcn.layer_forward`` against it."""
+
+import numpy as np
+
+from tubalgcn.gtcn import apply_activation
+from tubalgcn.tensor3 import DimensionMismatchError, as_tensor3
+from tubalgcn.transforms import TransformMatrix
+
+
+def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmoid") -> np.ndarray:
+    """Entrywise nested-loop evaluation of the layer, for testing only.
+
+    ``a`` is the dense (N, N, T) preprocessed adjacency.  Expands the
+    M-product chain node by node: temporal mixing of every adjacency entry
+    and feature vector through the transform matrix, per-slice aggregation
+    over the (self-loop augmented) neighborhood, feature mixing by the
+    transformed weight slices, then the inverse transform and the
+    activation.  Quadratic loops; small instances only.
+    """
+    a = as_tensor3(a)
+    x = as_tensor3(x)
+    w = as_tensor3(w)
+    n, n2, t = a.shape
+    if n2 != n or x.shape[0] != n or x.shape[2] != t:
+        raise DimensionMismatchError(f"features {x.shape} incompatible with adjacency {a.shape}")
+    if w.shape[0] != x.shape[1] or w.shape[2] != t or m.size != t:
+        raise DimensionMismatchError(f"weights {w.shape} or transform size {m.size} incompatible with {x.shape}")
+    f_in, f_out, _ = w.shape
+    mm = m.m
+    mi = m.m_inv
+    dtype = np.complex128 if np.iscomplexobj(mm) else np.float64
+
+    # Temporal mixing of adjacency entries and feature vectors.
+    ah = np.zeros((n, n, t), dtype=dtype)
+    xh = np.zeros((n, f_in, t), dtype=dtype)
+    wh = np.zeros((f_in, f_out, t), dtype=dtype)
+    for s in range(t):
+        for k in range(t):
+            ah[:, :, s] += mm[s, k] * a[:, :, k]
+            xh[:, :, s] += mm[s, k] * x[:, :, k]
+            wh[:, :, s] += mm[s, k] * w[:, :, k]
+
+    h = np.zeros((n, f_out, t), dtype=dtype)
+    for i in range(n):
+        for s in range(t):
+            # Aggregate messages over neighbors plus the self-loop.
+            c = np.zeros(f_in, dtype=dtype)
+            for j in range(n):
+                c += ah[i, j, s] * xh[j, :, s]
+            h[i, :, s] = c @ wh[:, :, s]
+    # Inverse temporal transform.
+    out = np.zeros((n, f_out, t), dtype=dtype)
+    for s in range(t):
+        for k in range(t):
+            out[:, :, s] += mi[s, k] * h[:, :, k]
+    if np.iscomplexobj(out):
+        out = out.real.copy()
+    return apply_activation(out, activation)

@@ -14,16 +14,12 @@ import pytest
 
 from tubalgcn.cli import main
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, generate_synthetic, split_dataset
-from tubalgcn.gtcn import (
-    TubeAdjacency,
-    layer_forward,
-    message_passing_oracle,
-    preprocess_adjacency,
-    transformed_blocks,
-)
+from tubalgcn.gtcn import TubeAdjacency, layer_forward, preprocess_adjacency, transformed_blocks
 from tubalgcn.tensor3 import facewise_product, m_product, m_transform
 from tubalgcn.training import EarlyStopping, TrainConfig, evaluate, grad_check, train
 from tubalgcn.transforms import TRANSFORM_KINDS, build_transform
+
+from oracle import message_passing_oracle
 
 
 def _report(num, label, ok):

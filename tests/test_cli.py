@@ -177,6 +177,43 @@ class TestTrainEval:
         assert "trained on 4 time slots, dataset has 8" in capsys.readouterr().err
         assert not (tmp_path / "e.txt").exists()
 
+    @pytest.mark.parametrize("edit", ["drop_every_50th_row", "reverse_rows"])
+    def test_eval_on_other_rows_fails(self, dataset_file, tmp_path, capsys, edit):
+        # N and T match, so only the dataset digest tells these files apart
+        # from the training data; re-split with the checkpoint's split seed,
+        # their "test" rows would include training rows.
+        ckpt, _ = self._train(dataset_file, tmp_path)
+        lines = dataset_file.read_text().splitlines()
+        header, rows = lines[:2], lines[2:]
+        rows = [row for k, row in enumerate(rows) if k % 50 != 49] if edit == "drop_every_50th_row" else rows[::-1]
+        other = tmp_path / "other.tsv"
+        other.write_text("\n".join(header + rows) + "\n")
+        capsys.readouterr()
+        report = tmp_path / "e.txt"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(other), "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt} was not trained on the rows of {other} "
+            "in their file order (dataset SHA-256 differs)\n"
+        )
+        assert not report.exists()
+
+    def test_eval_of_a_reformatted_copy(self, dataset_file, tmp_path):
+        # The digest covers the parsed rows, not the file's bytes: a comment,
+        # CRLF line ends and another spelling of every weight change nothing.
+        ckpt, _ = self._train(dataset_file, tmp_path)
+        lines = dataset_file.read_text().splitlines()
+        fields = [line.split("\t") for line in lines[2:]]
+        rows = ["\t".join(f[:3] + [f"{float(f[3]):.17e}"]) for f in fields]
+        copy = tmp_path / "copy.tsv"
+        copy.write_bytes("\r\n".join(lines[:2] + ["# re-serialized"] + rows).encode() + b"\r\n")
+        metrics = []
+        for data in (dataset_file, copy):
+            report = tmp_path / f"{data.stem}.txt"
+            assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--report", str(report)]) == 0
+            metrics.append([l for l in report.read_text().splitlines() if l.startswith(("test_", "val_", "train_"))])
+        assert metrics[0] == metrics[1] and len(metrics[0]) == 6
+
     @pytest.mark.parametrize(
         "kind",
         [

@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubalgcn.gtcn import (
-    TubeAdjacency,
-    ensemble_combine,
-    layer_backward,
-    layer_forward,
-    message_passing_oracle,
-    preprocess_adjacency,
-    transformed_blocks,
-)
+from tubalgcn.gtcn import TubeAdjacency, layer_backward, layer_forward, preprocess_adjacency, transformed_blocks
 from tubalgcn.tensor3 import DimensionMismatchError, m_product
 from tubalgcn.transforms import build_transform, next_power_of_two
+
+from oracle import message_passing_oracle
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
@@ -48,14 +42,6 @@ def layer(a, x, w, tm, activation="sigmoid"):
     the oracle's (N, F, T) layout."""
     blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
     return node_major(layer_forward(blocks, time_major(x), w, tm, activation)[0])
-
-
-def branches(h_dft, h_dct, h_haar):
-    return {"dft": h_dft, "dct": h_dct, "haar": h_haar}
-
-
-# The model's equal ensemble weights.
-THIRDS = branches(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 class TestPreprocessAdjacency:
@@ -267,33 +253,3 @@ class TestMessagePassingOracle:
             diff = np.max(np.abs(layer(a, x, w, tm) - message_passing_oracle(a, x, w, tm)))
             worst = max(worst, diff)
         assert worst <= 1e-9
-
-
-class TestEnsemble:
-    def test_identical_inputs_are_fixed_point(self):
-        rng = np.random.default_rng(7)
-        h = rng.normal(size=(3, 2, 4))
-        out = ensemble_combine(branches(h, h, h), THIRDS)
-        np.testing.assert_allclose(out, h, atol=1e-12)
-
-    def test_degenerate_weight_selects_branch(self):
-        rng = np.random.default_rng(8)
-        z = rng.normal(size=(2, 2, 2))
-        out = ensemble_combine(branches(z, np.zeros_like(z), np.zeros_like(z)), branches(1.0, 0.0, 0.0))
-        np.testing.assert_array_equal(out, z)
-
-    def test_elementwise_weighted_sum(self):
-        rng = np.random.default_rng(9)
-        hs = [rng.normal(size=(3, 2, 4)) for _ in range(3)]
-        out = ensemble_combine(branches(*hs), branches(0.2, 0.3, 0.5))
-        expected = np.zeros_like(hs[0])
-        for coeff, h in zip([0.2, 0.3, 0.5], hs):
-            for idx in np.ndindex(*h.shape):
-                expected[idx] += coeff * h[idx]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            ensemble_combine(
-                branches(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3))), THIRDS
-            )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
-from tubalgcn.gtcn import ACTIVATIONS, layer_backward, message_passing_oracle, preprocess_adjacency
+from tubalgcn.gtcn import ACTIVATIONS, layer_backward, preprocess_adjacency
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
     TRANSFORM_CHOICES,
@@ -24,6 +24,9 @@ from tubalgcn.training import (
     save_checkpoint,
     train,
 )
+from tubalgcn.transforms import build_transform, next_power_of_two
+
+from oracle import message_passing_oracle
 
 
 def node_major(h):
@@ -180,7 +183,7 @@ class TestHeadGradient:
         np.add.at(g_h, (i, t - 1), g[:, None] * r[:f])
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
         _, caches = forward_model(params, aux, cfg)
-        for kind, b in aux.branches.items():
+        for kind, b in aux.items():
             # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
             g_x = np.zeros((b.tm.size, n, f))
             g_x[:n_slots] = b.weight * g_h.transpose(1, 0, 2)
@@ -216,7 +219,7 @@ class TestForwardMatchesOracle:
         params = init_params(ds, cfg)
         h = node_major(forward_model(params, aux, cfg)[0])
 
-        branch = aux.branches[kind]
+        branch = aux[kind]
         tm = branch.tm
         t_b = tm.size
         a = np.zeros((n, n, t_b))
@@ -248,7 +251,7 @@ class TestForwardMatchesOracle:
         params = init_params(ds, cfg)
         h = node_major(forward_model(params, aux, cfg)[0])
 
-        tm = aux.branches["haar"].tm
+        tm = aux["haar"].tm
         a = np.zeros((n, n, tm.size))
         a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
         x = np.zeros((n, cfg.embedding_dim, tm.size))
@@ -256,6 +259,35 @@ class TestForwardMatchesOracle:
         for layer in range(2):
             x = message_passing_oracle(a, x, params[f"w:haar:{layer}"], tm, cfg.activation)
         assert np.max(np.abs(h - x[:, :, :t])) <= 1e-9
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+    def test_every_cli_configuration(self, transform, n_layers, activation, t):
+        # Every transform, layer count and activation `tubalgcn train` accepts.
+        # Each branch runs the oracle with its own weights on the operands
+        # zero-padded to its slot count and is cropped to T; the ensemble's
+        # reference is the equally weighted sum of its three branches.
+        n = 6
+        ds = small_dataset(seed=t, n=n, t=t)
+        cfg = TrainConfig(embedding_dim=3, transform=transform, activation=activation, n_layers=n_layers, seed=t)
+        params = init_params(ds, cfg)
+        h = node_major(forward_model(params, build_aux(ds, cfg), cfg)[0])
+
+        kinds = ("dft", "dct", "haar") if transform == "ensemble" else (transform,)
+        a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
+        x0 = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
+        expected = np.zeros_like(h)
+        for kind in kinds:
+            tm = build_transform(kind, next_power_of_two(t) if kind == "haar" else t)
+            pad = ((0, 0), (0, 0), (0, tm.size - t))
+            a, x = np.pad(a_hat, pad), np.pad(x0, pad)
+            for layer in range(n_layers):
+                x = message_passing_oracle(a, x, params[f"w:{kind}:{layer}"], tm, activation)
+            expected += x[:, :, :t] / len(kinds)
+        assert np.max(np.abs(expected)) > 0
+        assert np.max(np.abs(h - expected)) <= 1e-9
 
 
 class TestMemory:
