@@ -15,7 +15,7 @@ import errno
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -54,34 +54,24 @@ def _write_report(path, pairs, tables=()):
         fh.write("\n".join(lines) + "\n")
 
 
+# Config flags named otherwise than their TrainConfig field; the rest are --<field-name>.
+_FLAG_NAMES = {"learning_rate": "--lr", "adjacency_mode": "--adjacency", "n_layers": "--layers"}
+_CHOICES = {"transform": TRANSFORM_CHOICES, "activation": ACTIVATIONS, "adjacency_mode": ADJACENCY_MODES}
+
+
+def _add_config_flags(p, names=None):
+    """A flag for each TrainConfig field in ``names`` (every field if None),
+    taking the field's default, its default's type and its choices."""
+    for f in fields(TrainConfig):
+        if names is None or f.name in names:
+            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default, choices=_CHOICES.get(f.name))
+
+
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        embedding_dim=args.embedding_dim,
-        learning_rate=args.lr,
-        kappa=args.kappa,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-        activation=args.activation,
-        adjacency_mode=args.adjacency,
-        transform=args.transform,
-        n_layers=args.layers,
-        split_seed=args.split_seed,
-    )
-
-
-def _add_train_flags(p):
-    p.add_argument("--transform", choices=TRANSFORM_CHOICES, default="ensemble")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--embedding-dim", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--activation", choices=ACTIVATIONS, default="sigmoid")
-    p.add_argument("--adjacency", choices=ADJACENCY_MODES, default="sym_normalized")
-    p.add_argument("--layers", type=int, default=1)
+    """The TrainConfig of the config fields ``args`` holds, defaults for the rest."""
+    names = {f.name for f in fields(TrainConfig)}
+    return TrainConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_gen_synth(args) -> int:
@@ -206,8 +196,8 @@ def cmd_grad_check(args) -> int:
         t=args.slots,
         transform=args.transform,
         activation=args.activation,
-        n_layers=args.layers,
-        adjacency_mode=args.adjacency,
+        n_layers=args.n_layers,
+        adjacency_mode=args.adjacency_mode,
     )
     for key in sorted(report["per_group"]):
         print(f"{key}: max relative error {report['per_group'][key]:.3e}")
@@ -219,13 +209,7 @@ def cmd_grad_check(args) -> int:
 def cmd_ablation(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    base = TrainConfig(
-        embedding_dim=args.embedding_dim,
-        learning_rate=args.lr,
-        kappa=args.kappa,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-    )
+    base = _config_from_args(args)
     configs = {
         scheme: [replace(base, transform=scheme, seed=seed, split_seed=seed) for seed in range(args.seeds)]
         for scheme in TRANSFORM_CHOICES
@@ -289,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write checkpoint + report")
     p.add_argument("--data", required=True)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.add_argument("--checkpoint", default="model.npz")
     p.add_argument("--report", default="report.txt")
     p.set_defaults(func=cmd_train)
@@ -311,20 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=5)
     p.add_argument("--features", type=int, default=3)
     p.add_argument("--slots", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--activation", choices=ACTIVATIONS, default="sigmoid")
-    p.add_argument("--adjacency", choices=ADJACENCY_MODES, default="sym_normalized")
+    _add_config_flags(p, ("seed", "n_layers", "activation", "adjacency_mode"))
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("ablation", help="train all schemes across seeds, emit a table")
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--embedding-dim", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--kappa", type=float, default=1e-4)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=10)
+    _add_config_flags(p, ("embedding_dim", "learning_rate", "kappa", "max_epochs", "patience"))
     p.add_argument("--out", default="ablation.txt")
     p.set_defaults(func=cmd_ablation)
 

@@ -271,8 +271,8 @@ class SynthSpec:
             raise ValueError("density must lie in (0, 1]")
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise!r}")
 
 
 def generate_synthetic(spec: SynthSpec) -> DynamicGraphDataset:

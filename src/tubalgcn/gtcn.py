@@ -155,17 +155,14 @@ def preprocess_adjacency(raw, mode: str = "sym_normalized") -> np.ndarray:
 def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_array:
     """The kept slices of Â x_3 M as one block-diagonal CSR matrix.
 
-    Â's slots are zero-padded up to ``tm.size`` (the Haar branch runs at the
-    next power of two), then each tube is transformed by ``tm.m_kept``;
-    block s of the result is slice s of Â x_3 M, for s < K (K = T//2 + 1
-    for the DFT, T otherwise).  The backward runs on ``blocks.T``, a view.
+    Each tube's T slots are transformed by ``tm.m_kept[:, :T]``, which is
+    ``tm.m_kept`` on the tube zero-padded to ``tm.size`` slots (the Haar
+    branch runs at the next power of two); block s of the result is slice s
+    of Â x_3 M, for s < K (K = T//2 + 1 for the DFT, T otherwise).  The
+    backward runs on ``blocks.T``, a view.
     """
-    vals = a.vals
-    if tm.size > vals.shape[1]:
-        vals = np.zeros((len(vals), tm.size))
-        vals[:, : a.vals.shape[1]] = a.vals
-    # Transform the tubes as an (nnz_tubes, 1, T_b) tensor.
-    vals = m_transform(vals[:, None, :], tm.m_kept)[:, 0, :]
+    # Transform the tubes as an (nnz_tubes, 1, T) tensor.
+    vals = m_transform(a.vals[:, None, :], tm.m_kept[:, : a.vals.shape[1]])[:, 0, :]
     return replace(a, vals=vals).slot_blocks()
 
 
@@ -189,9 +186,10 @@ def _real_time_major(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
     """One layer, H = sigma(Re(Â * X * W)), on ``blocks`` from ``transformed_blocks``.
 
-    ``x`` is time-major, (T, N, F_in) with T = ``tm.size``, and so is H,
-    (T, N, F_out); ``w`` is (F_in, F_out, T).  Every transform is one GEMM
-    on a (T, N * F) view and every slice stack is a free reshape.  The chain
+    ``x`` is time-major, (t, N, F_in) with t <= T = ``tm.size``; its missing
+    slots count as zero, so the first t columns of ``tm.m_kept`` transform
+    it.  H is (T, N, F_out) and ``w`` is (F_in, F_out, T).  Every transform
+    is one GEMM on a (T, N * F) view and every slice stack is a free reshape.  The chain
     runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``); the slices
     of P that must be real for real operands are checked with
     ``demote_real`` before the inverse.  Returns H and the time-major cache
@@ -199,11 +197,11 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
     """
     t, n, f_in = x.shape
     k = tm.kept
-    if w.shape[0] != f_in or w.shape[2] != t or blocks.shape != (k * n, k * n):
+    if t > tm.size or w.shape[0] != f_in or w.shape[2] != tm.size or blocks.shape != (k * n, k * n):
         raise DimensionMismatchError(
             f"features {x.shape}, weights {w.shape} and adjacency blocks {blocks.shape} disagree"
         )
-    xh = _time_major(tm.m_kept, x)
+    xh = _time_major(tm.m_kept[:, :t], x)
     wh = m_transform(w, tm.m_kept).transpose(2, 0, 1)
     q = (blocks @ xh.reshape(k * n, f_in)).reshape(k, n, f_in)
     p = np.matmul(q, wh)
@@ -219,17 +217,20 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
 def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
     """Gradients (dL/dX, dL/dW) of one layer from dL/dH, on the forward's ``blocks``.
 
-    ``g_h`` and dL/dX are time-major, (T, N, F); dL/dW has the weight's
-    (F_in, F_out, T) shape.  Only real parts leave the complex-linear chain,
-    so it runs on the conjugated gradients, with plain transposes:
+    ``g_h`` is time-major, (t, N, F) with t <= T = ``tm.size``, the gradient
+    of H's first t slots (the rest get none).  dL/dX is (T, N, F) and dL/dW
+    has the weight's (F_in, F_out, T) shape.  Only real parts leave the
+    complex-linear chain, so it runs on the conjugated gradients, with plain
+    transposes:
     ḡ_P = m_inv_kept^T g_S, ḡ_Q = ḡ_P Ŵ^T, ḡ_Ŵ = Q̂^T ḡ_P,
     g_X = Re(m_kept^T Â^T ḡ_Q) and g_W = Re(m_kept^T ḡ_Ŵ).  Conjugation
     only flips signs, which is exact.
     """
     q, wh = cache["q"], cache["wh"]
     k, n, f_in = q.shape
-    g_s = g_h * activation_grad(cache["h"], activation)
-    g_p = _time_major(tm.m_inv_kept.T, g_s)
+    t = len(g_h)
+    g_s = g_h * activation_grad(cache["h"][:t], activation)
+    g_p = _time_major(tm.m_inv_kept[:t].T, g_s)
     g_q = np.matmul(g_p, wh.transpose(0, 2, 1))
     g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
     g_w = _real_time_major(tm.m_kept.T, g_wh).transpose(1, 2, 0)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import json
+import numbers
 import os
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -56,6 +57,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 GRAD_CHECK_LINKS = 12
 FD_STEP = 1e-5
 
+# The values a TrainConfig field takes, by the type of its default; bool never.
+_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -72,6 +76,10 @@ class TrainConfig:
     split_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type(f.default)]):
+                raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.embedding_dim < 1:
@@ -103,8 +111,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class Branch:
     """One transform branch: the transform (built at the branch's slot
-    count), the K kept slices of Â x_3 M as one block-diagonal CSR matrix
-    (padded for haar), and the branch's weight in the ensemble sum.
+    count, the next power of two for haar), the K kept slices of Â x_3 M as
+    one block-diagonal CSR matrix, and the branch's weight in the ensemble sum.
 
     Every face-wise product with Â or Âᵀ (the view ``blocks.T``) is then a
     single sparse x dense product over the stacked (K * N, F) slices.
@@ -156,7 +164,7 @@ def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
 
 def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     """``{kind: Branch}`` in ``config.branch_kinds()`` order: the adjacency
-    preprocessed once, then transformed per branch (padded for haar).
+    preprocessed once, then transformed per branch.
 
     The branches are weighted equally in the ensemble sum.
     """
@@ -169,21 +177,14 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     return aux
 
 
-def _pad_slots(x: np.ndarray, size: int) -> np.ndarray:
-    """A time-major tensor zero-padded to ``size`` slots; ``x`` itself if it has them."""
-    if len(x) == size:
-        return x
-    out = np.zeros((size,) + x.shape[1:])
-    out[: len(x)] = x
-    return out
-
-
 def forward_model(params: dict, aux: dict, config: TrainConfig):
     """Time-major (T, N, F) representation tensor plus per-branch layer caches.
 
-    The representation is the weighted sum of the branch outputs, each
-    cropped to the model's T slots, in ``aux`` order; a single branch of
-    weight 1 is returned as it is, without a copy.
+    Every branch starts from the same T-slot input; the Haar branch's
+    layers output its transform's slot count.  The representation is the
+    weighted sum of the branch outputs, each cropped to the model's T slots,
+    in ``aux`` order; a single branch of weight 1 is returned as it is,
+    without a copy.
     """
     e, u = params["e"], params["u"]
     n_slots = len(u)
@@ -191,8 +192,7 @@ def forward_model(params: dict, aux: dict, config: TrainConfig):
     h = None
     branch_caches = {}
     for kind, b in aux.items():
-        x = _pad_slots(x0, b.tm.size)
-        caches = []
+        x, caches = x0, []
         for layer in range(config.n_layers):
             x, cache = layer_forward(b.blocks, x, params[f"w:{kind}:{layer}"], b.tm, config.activation)
             caches.append(cache)
@@ -234,7 +234,7 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     g_x0 = None
     for kind, caches in branch_caches.items():
         b = aux[kind]
-        g_x = _pad_slots(b.weight * g_h, b.tm.size)
+        g_x = b.weight * g_h
         for layer in reversed(range(len(caches))):
             g_x, g_w[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
         g_x0 = g_x[:t_n] if g_x0 is None else g_x0 + g_x[:t_n]
@@ -485,7 +485,7 @@ def load_checkpoint(path):
     """Returns (parameter dict, TrainConfig, extra metadata).
 
     A file that ``save_checkpoint`` did not write, or whose arrays do not
-    match its config, raises ValueError naming it.  Configs written while
+    match its config or are not finite floats, raises ValueError naming it.  Configs written while
     the squared-norm regularizer was an option carry ``squared_reg: false``;
     that field is dropped, and ``squared_reg: true`` is rejected.
     """
@@ -525,4 +525,7 @@ def load_checkpoint(path):
     wrong = sorted(k for k in shapes.keys() | named.keys() if k not in named or named[k].shape != shapes.get(k))
     if wrong:
         raise ValueError(f"{foreign} (arrays {wrong} are missing or do not fit its config)")
+    bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
+    if bad:
+        raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")
     return {k: named[k] for k in shapes}, config, meta.get("extra", {})

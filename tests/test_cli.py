@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubalgcn.cli import main
-from tubalgcn.training import TrainConfig, load_checkpoint
+from tubalgcn.cli import _config_from_args, build_parser, main
+from tubalgcn.training import TrainConfig, grad_check, load_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,6 +44,13 @@ class TestGenSynth:
         rc = main(["gen-synth", "--nodes", "4", "--slots", "0", "--seed", "0",
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_fails_by_name(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.tsv"
+        assert main(["gen-synth", "--nodes", "4", "--slots", "2", "--noise", noise, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: noise must be finite and >= 0, got {float(noise)!r}\n"
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -256,6 +264,37 @@ class TestTrainEval:
         assert not (tmp_path / "e.txt").exists()
 
     @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("n_layers", 1.5, "invalid config in checkpoint (n_layers must be int, got 1.5)"),
+            *[
+                (key, value, f"checkpoint arrays {[key]!r} are not real floating point or hold NaN or inf")
+                for key in ("r", "e", "w:dct:0")
+                for value in (np.nan, np.inf)
+            ],
+        ],
+    )
+    def test_eval_of_an_edited_checkpoint_fails_by_name(self, dataset_file, tmp_path, capsys, key, value, message):
+        # A config value of the wrong type, or a non-finite parameter array.
+        good, _ = self._train(dataset_file, tmp_path / "good")
+        with np.load(good) as z:
+            arrays = dict(z)
+        if key in arrays:
+            arrays[key].flat[1] = value
+        else:
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            meta["config"][key] = value
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        ckpt = tmp_path / "x.npz"
+        np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        report = tmp_path / "e.txt"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file), "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["train", "--data", "{dir}", "--checkpoint", "{dir}/m.npz", "--report", "{dir}/r.txt"],
@@ -352,6 +391,27 @@ class TestTransformMatrix:
         with pytest.raises(SystemExit) as exc:
             main(["transform-matrix", "--kind", "wavelet", "--size", "4"])
         assert exc.value.code == 2
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["train", "ablation"])
+    def test_no_flags_parse_to_the_default_config(self, command):
+        args = build_parser().parse_args([command, "--data", "x"])
+        assert _config_from_args(args) == TrainConfig()
+
+    def test_bare_grad_check_passes_the_grad_check_defaults(self, monkeypatch):
+        import tubalgcn.cli
+
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return {"per_group": {}, "max_relative_error": 0.0, "passed": True}
+
+        monkeypatch.setattr(tubalgcn.cli, "grad_check", recording)
+        assert main(["grad-check"]) == 0
+        defaults = {name: p.default for name, p in inspect.signature(grad_check).parameters.items()}
+        assert calls == [defaults]
 
 
 class TestGradCheckCommand:

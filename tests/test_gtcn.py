@@ -162,6 +162,12 @@ class TestGtcnForward:
         h, _ = layer_forward(blocks, time_major(x_pad), w, tm, "identity")
         expected = m_product(m_product(a_pad, x_pad, tm), w, tm)
         assert np.max(np.abs(node_major(h) - expected)) <= 1e-9
+        # The T-slot Â and X, transformed by the first T columns of M, give
+        # the same blocks and layer as their zero-padded copies.
+        blocks_pad = transformed_blocks(TubeAdjacency.from_dense(a_pad), tm)
+        assert np.max(np.abs((blocks - blocks_pad).toarray())) <= 1e-12
+        h_t, _ = layer_forward(blocks, time_major(x), w, tm, "identity")
+        assert h_t.shape == h.shape and np.max(np.abs(h_t - h)) <= 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -212,6 +218,14 @@ class TestLayerAdjoint:
         g = rng.normal(size=(n, f_out, t_b))
         h, cache = layer_forward(blocks, time_major(x), w, tm, "identity")
         g_x, g_w = layer_backward(blocks, time_major(g), cache, tm, "identity")
+        if t_b > t:
+            # A gradient on H's first T slots only, as the trainer's cropped
+            # output gives, equals the padded gradient with zero extra slots.
+            g_pad = g.copy()
+            g_pad[:, :, t:] = 0.0
+            g_x_t, g_w_t = layer_backward(blocks, time_major(g)[:t], cache, tm, "identity")
+            g_x_pad, g_w_pad = layer_backward(blocks, time_major(g_pad), cache, tm, "identity")
+            assert np.max(np.abs(g_x_t - g_x_pad)) <= 1e-12 and np.max(np.abs(g_w_t - g_w_pad)) <= 1e-12
         h, g_x = node_major(h), node_major(g_x)
         assert g_x.dtype == g_w.dtype == np.float64
         np.testing.assert_allclose(np.vdot(x, g_x), np.vdot(h, g), rtol=1e-12)

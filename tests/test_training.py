@@ -52,6 +52,12 @@ BAD_HYPERPARAMETERS = [
     ("kappa", -1.0),
     ("seed", -1),
     ("split_seed", -1),
+    ("n_layers", 1.5),
+    ("embedding_dim", 20.0),
+    ("patience", True),
+    ("seed", 0.5),
+    ("learning_rate", "0.01"),
+    ("activation", None),
 ]
 
 
