@@ -1,7 +1,8 @@
 """Dataset ingestion, splitting, adjacency assembly, and synthetic graphs.
 
 File format (UTF-8 text): optional header lines ``#nodes=<N>`` and
-``#slots=<T>``; other ``#`` lines are comments; data lines are
+``#slots=<T>``, each repeatable only with the same value; other ``#``
+lines are comments; data lines are
 ``t<TAB>src<TAB>dst<TAB>weight`` with t one-based and node ids zero-based.
 Weights are finite and nonnegative, and each (t, src, dst) appears once.
 """
@@ -144,6 +145,11 @@ def _first_bad_line(lines: list) -> int:
     return lo
 
 
+def _physical_line(lines: list, row: int) -> int:
+    """One-based line number of data row ``row`` in ``lines``, comment lines blanked; for error messages."""
+    return [k for k, line in enumerate(lines) if line.strip()][row] + 1
+
+
 def _header_value(path, lineno: int, body: str, name: str) -> int:
     try:
         value = int(body[len(name) + 1 :])
@@ -154,44 +160,64 @@ def _header_value(path, lineno: int, body: str, name: str) -> int:
     return value
 
 
+def _take_comments(path, text: str, lines: list) -> dict:
+    """Blank every comment line of ``lines`` in place; returns the headers as {name: value}.
+
+    ``lines`` is ``text`` split at every newline.  Only lines holding a ``#`` are
+    looked at: each is found with ``text.find`` and numbered by counting the
+    newlines since the previous one, so the scan stays linear.  A header
+    repeated with another value raises ValueError naming both lines.
+    """
+    seen = {}  # name -> (value, line number of its first declaration)
+    k, pos = 0, 0  # ``pos`` lies in line ``k`` or on the newline that ends it
+    while (hit := text.find("#", pos)) >= 0:
+        k += text.count("\n", pos, hit)
+        line = lines[k].strip()
+        if line.startswith("#"):
+            lines[k] = ""
+            body = line[1:].strip()
+            for name in ("nodes", "slots"):
+                if body.startswith(name + "="):
+                    value = _header_value(path, k + 1, body, name)
+                    first, first_line = seen.setdefault(name, (value, k + 1))
+                    if value != first:
+                        raise ValueError(
+                            f"{path}:{k + 1}: #{name}={value} contradicts #{name}={first} on line {first_line}"
+                        )
+        pos = text.find("\n", hit)
+        if pos < 0:
+            break
+    return {name: value for name, (value, _) in seen.items()}
+
+
 def parse_dataset(path) -> DynamicGraphDataset:
     """Load a dataset file; N and T come from headers or observed maxima.
 
     Errors name the file and the physical line (comments and blank lines
-    count).  Lines that do not parse are reported first; after that, the
-    first line that breaks a dataset rule.
+    count).  Bad headers are reported first, then lines that do not parse;
+    after that, the first line that breaks a dataset rule.
     """
-    n_header = None
-    t_header = None
     with open(path, encoding="utf-8") as fh:
         try:
-            lines = [line.strip() for line in fh.read().split("\n")]
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    data_lines = []  # index into ``lines`` of every data line
-    for k, line in enumerate(lines):
-        if not line:
-            continue
-        if not line.startswith("#"):
-            data_lines.append(k)
-            continue
-        body = line[1:].strip()
-        if body.startswith("nodes="):
-            n_header = _header_value(path, k + 1, body, "nodes")
-        elif body.startswith("slots="):
-            t_header = _header_value(path, k + 1, body, "slots")
-    data = [lines[k] for k in data_lines]
+    lines = text.split("\n")
+    headers = _take_comments(path, text, lines)
+    data = list(filter(None, map(str.strip, lines)))
     try:
         rows = _load_rows(data)
     except ValueError:
-        k = data_lines[_first_bad_line(data)]
-        n_fields = len(lines[k].split("\t"))
+        k = _first_bad_line(data)
+        lineno = _physical_line(lines, k)
+        n_fields = len(data[k].split("\t"))
         if n_fields != 4:
-            raise ValueError(f"{path}:{k + 1}: expected 4 tab-separated fields, got {n_fields}") from None
+            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {n_fields}") from None
         raise ValueError(
-            f"{path}:{k + 1}: malformed line: expected integer t, src, dst and a decimal weight, "
-            f"got {lines[k]!r}"
+            f"{path}:{lineno}: malformed line: expected integer t, src, dst and a decimal weight, "
+            f"got {data[k]!r}"
         ) from None
+    n_header, t_header = headers.get("nodes"), headers.get("slots")
     if not len(rows) and (n_header is None or t_header is None):
         raise ValueError(f"{path}: empty dataset without #nodes=/#slots= headers")
     n = n_header if n_header is not None else int(max(rows["i"].max(), rows["j"].max())) + 1
@@ -199,7 +225,7 @@ def parse_dataset(path) -> DynamicGraphDataset:
     try:
         return DynamicGraphDataset(n, t, rows["t"], rows["i"], rows["j"], rows["y"])
     except _BadObservation as exc:
-        raise ValueError(f"{path}:{data_lines[exc.row] + 1}: {exc.reason}") from None
+        raise ValueError(f"{path}:{_physical_line(lines, exc.row)}: {exc.reason}") from None
 
 
 def serialize_dataset(ds: DynamicGraphDataset, path):

@@ -509,7 +509,12 @@ def load_checkpoint(path):
         missing = sorted(keys - set(z.files))
         if missing:
             raise ValueError(f"{foreign} (it lacks the arrays {missing})")
-        named = {k: z[k] for k in keys}
+        named = {}
+        for k in sorted(keys):
+            try:
+                named[k] = z[k]
+            except ValueError as exc:  # an object array, which np.load will not unpickle
+                raise ValueError(f"{foreign} (array {k!r}: {exc})") from exc
     if fields.pop("squared_reg", False) is not False:
         raise ValueError(f"{path}: checkpoint config sets squared_reg, a regularizer this version does not have")
     try:

@@ -294,6 +294,23 @@ class TestTrainEval:
         assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
         assert not report.exists()
 
+    def test_eval_of_a_checkpoint_with_an_object_array_names_the_array(self, dataset_file, tmp_path, capsys):
+        good, _ = self._train(dataset_file, tmp_path / "good")
+        with np.load(good) as z:
+            arrays = dict(z)
+        arrays["r"] = arrays["r"].astype(object)
+        ckpt = tmp_path / "x.npz"
+        np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        report = tmp_path / "e.txt"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file), "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: not a tubalgcn checkpoint "
+            "(array 'r': Object arrays cannot be loaded when allow_pickle=False)\n"
+        )
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

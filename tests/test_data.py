@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubalgcn.data import (
     DynamicGraphDataset,
@@ -12,6 +14,8 @@ from tubalgcn.data import (
     serialize_dataset,
     split_dataset,
 )
+
+import reference_parse
 
 
 def rows(ds):
@@ -130,6 +134,115 @@ class TestParse:
         got = parse_dataset(p).y
         want = np.array([float(w) for w in fields])
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("#nodes=10\n#slots=5\n1\t0\t1\t0.5\n#nodes=3\n#slots=2\n", "4: #nodes=3 contradicts #nodes=10 on line 1"),
+            ("#slots=5\n# c\n  #  slots=5\n#nodes=4\n1\t0\t1\t0.5\n#slots=2\n", "6: #slots=2 contradicts #slots=5 on line 1"),
+        ],
+        ids=["nodes", "slots"],
+    )
+    def test_repeated_header_with_another_value_rejected(self, tmp_path, text, message):
+        p = tmp_path / "d.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:{message}')}$"):
+            parse_dataset(p)
+
+    def test_repeated_header_with_the_same_value_accepted(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("#nodes=10\n#slots=5\n1\t0\t1\t0.5\n# nodes=10\n\t#slots=05\n")
+        ds = parse_dataset(p)
+        assert ds.n_nodes == 10 and ds.n_slots == 5
+        assert rows(ds) == [(1, 0, 1, 0.5)]
+
+
+def parse_outcome(parse, path):
+    """N, T and the column bytes of a parse, or its error message."""
+    try:
+        ds = parse(path)
+    except ValueError as exc:
+        return str(exc)
+    return ds.n_nodes, ds.n_slots, [(c.dtype.str, c.tobytes()) for c in (ds.t, ds.i, ds.j, ds.y)]
+
+
+_SPACE = st.sampled_from(["", "", "", " ", "\t", " \t ", "\x0c"])
+_BAD_FIELD = st.sampled_from(["1.5", "x", "", "-1", "9", "nan", "inf", "-0.5", "abc", "0.5#x", "1 0"])
+
+
+@st.composite
+def _data_line(draw):
+    """Mostly a valid row; now and then a bad field, field count or separator, or a ``#`` inside."""
+    fields = [
+        draw(st.sampled_from("1234")),
+        draw(st.sampled_from("012345")),
+        draw(st.sampled_from("012345")),
+        draw(st.sampled_from(["0.5", "0.25", "1e-3", "0", "1", ".25", "5.", "0.1", "3E-2"])),
+    ]
+    flaw = draw(st.sampled_from(["field", "short", "long", "spaces", "hash"] + ["none"] * 75))
+    if flaw == "field":
+        fields[draw(st.integers(0, 3))] = draw(_BAD_FIELD)
+    elif flaw == "short":
+        fields.pop()
+    elif flaw == "long":
+        fields.append("0.5")
+    line = (" " if flaw == "spaces" else "\t").join(fields)
+    if flaw == "hash":
+        line += draw(st.sampled_from(["#", "\t# note", " #nodes=2"]))
+    return draw(_SPACE) + line + draw(_SPACE)
+
+
+@st.composite
+def dataset_text(draw):
+    """A dataset file mixing rows, headers, comments and blank lines under mixed line endings.
+
+    A header repeats only with the same value; rows draw from a few ids, so
+    keys repeat, and now and then carry a flaw (see ``_data_line``).
+    """
+    values = {
+        "nodes": draw(st.sampled_from(["6", "8", " 6", "06"] * 3 + ["3", "0", "two"])),
+        "slots": draw(st.sampled_from(["4", "5", "4 "] * 3 + ["2", "0", "x"])),
+    }
+    header = st.builds(
+        lambda space, gap, name: f"{space}#{gap}{name}={values[name]}",
+        _SPACE, st.sampled_from(["", " "]), st.sampled_from(["nodes", "slots"]),
+    )
+    comment = st.builds(
+        lambda space, body: f"{space}#{body}",
+        _SPACE, st.sampled_from(["", " note", "#", " nodes", "\tslots:3", " 1\t0\t1\t0.5"]),
+    )
+    # Rows four times as often as each other kind of line.
+    line = st.one_of(_data_line(), _data_line(), _data_line(), _data_line(), header, comment, _SPACE)
+    lines = draw(st.lists(line, min_size=1, max_size=40))
+    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(a + b for a, b in zip(lines, endings)) + draw(st.sampled_from(["", "", "4\t5\t5\t0.5"]))
+
+
+class TestParseEquality:
+    """``parse_dataset`` against the line-by-line reference in ``reference_parse``."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(text=dataset_text())
+    def test_same_columns_or_same_error_as_the_reference(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("eq") / "d.tsv"
+        p.write_bytes(text.encode())
+        assert parse_outcome(parse_dataset, p) == parse_outcome(reference_parse.parse_dataset, p)
+
+    def test_comment_after_every_row(self, tmp_path):
+        ds = generate_synthetic(SynthSpec(n=30, t=6, density=0.2, noise=0.01, seed=5))
+        plain = tmp_path / "plain.tsv"
+        serialize_dataset(ds, plain)
+        lines = plain.read_text().splitlines()
+        assert lines[:2] == ["#nodes=30", "#slots=6"] and len(lines) > 900
+        commented = tmp_path / "commented.tsv"
+        commented.write_text("".join(f"{line}\n# after line {k + 1}\n" for k, line in enumerate(lines)))
+        assert parse_outcome(parse_dataset, commented) == parse_outcome(parse_dataset, plain)
+        assert rows(parse_dataset(commented)) == rows(ds)
+        # Row 700 sits on physical line 2 * (2 + 700) + 1 once every line has a comment after it.
+        lines[2 + 700] = "1\t0\t1\tnot-a-weight"
+        commented.write_text("".join(f"{line}\n# after line {k + 1}\n" for k, line in enumerate(lines)))
+        with pytest.raises(ValueError, match=rf"commented\.tsv:{2 * (2 + 700) + 1}: malformed line"):
+            parse_dataset(commented)
 
 
 class TestColumns:
