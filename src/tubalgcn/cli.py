@@ -98,6 +98,13 @@ def _require_file_path(path) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
+def _require_distinct(args, pairs) -> None:
+    """Raise ValueError when the flags of an (output, other) pair like ``("report", "data")`` name one file."""
+    for out, other in pairs:
+        if os.path.realpath(getattr(args, out)) == os.path.realpath(getattr(args, other)):
+            raise ValueError(f"--{out} and --{other} name the same file ({getattr(args, out)})")
+
+
 def _train_once(ds, config):
     """Split and train; returns train()'s results and its seconds."""
     ds = split_dataset(ds, seed=config.split_seed)
@@ -107,6 +114,7 @@ def _train_once(ds, config):
 
 
 def cmd_train(args) -> int:
+    _require_distinct(args, (("report", "data"), ("checkpoint", "data"), ("checkpoint", "report")))
     config = _config_from_args(args)
     ds = parse_dataset(args.data)
     # Fail on an unwritable checkpoint or report path before the first epoch.
@@ -139,6 +147,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_distinct(args, (("report", "data"), ("report", "checkpoint")))
     params, config, extra = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
     sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
@@ -207,6 +216,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    _require_distinct(args, (("out", "data"),))
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     base = _config_from_args(args)

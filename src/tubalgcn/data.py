@@ -150,9 +150,9 @@ def _physical_line(lines: list, row: int) -> int:
     return [k for k, line in enumerate(lines) if line.strip()][row] + 1
 
 
-def _header_value(path, lineno: int, body: str, name: str) -> int:
+def _header_value(path, lineno: int, text: str, name: str) -> int:
     try:
-        value = int(body[len(name) + 1 :])
+        value = int(text)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed #{name}= header") from None
     if value < 1:
@@ -177,8 +177,10 @@ def _take_comments(path, text: str, lines: list) -> dict:
             lines[k] = ""
             body = line[1:].strip()
             for name in ("nodes", "slots"):
-                if body.startswith(name + "="):
-                    value = _header_value(path, k + 1, body, name)
+                # ``nodes``/``slots``, optional whitespace, ``=``: a header.
+                rest = body[len(name) :].lstrip() if body.startswith(name) else ""
+                if rest.startswith("="):
+                    value = _header_value(path, k + 1, rest[1:], name)
                     first, first_line = seen.setdefault(name, (value, k + 1))
                     if value != first:
                         raise ValueError(

@@ -111,8 +111,9 @@ class TrainConfig:
 @dataclass(frozen=True)
 class Branch:
     """One transform branch: the transform (built at the branch's slot
-    count, the next power of two for haar), the K kept slices of Â x_3 M as
-    one block-diagonal CSR matrix, and the branch's weight in the ensemble sum.
+    count, the next power of two for haar) and the K kept slices of Â x_3 M
+    as one block-diagonal CSR matrix.  Each of the ``len(aux)`` branches
+    weighs 1 / len(aux) in the ensemble sum.
 
     Every face-wise product with Â or Âᵀ (the view ``blocks.T``) is then a
     single sparse x dense product over the stacked (K * N, F) slices.
@@ -120,7 +121,6 @@ class Branch:
 
     tm: TransformMatrix
     blocks: sparse.csr_array
-    weight: float
 
 
 def _branch_slots(kind: str, t: int) -> int:
@@ -169,11 +169,10 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     The branches are weighted equally in the ensemble sum.
     """
     a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
-    kinds = config.branch_kinds()
     aux = {}
-    for kind in kinds:
+    for kind in config.branch_kinds():
         tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
-        aux[kind] = Branch(tm, transformed_blocks(a_hat, tm), 1.0 / len(kinds))
+        aux[kind] = Branch(tm, transformed_blocks(a_hat, tm))
     return aux
 
 
@@ -182,8 +181,8 @@ def forward_model(params: dict, aux: dict, config: TrainConfig):
 
     Every branch starts from the same T-slot input; the Haar branch's
     layers output its transform's slot count.  The representation is the
-    weighted sum of the branch outputs, each cropped to the model's T slots,
-    in ``aux`` order; a single branch of weight 1 is returned as it is,
+    sum of the branch outputs, each cropped to the model's T slots and scaled
+    by 1 / len(aux), in ``aux`` order; a single branch is returned as it is,
     without a copy.
     """
     e, u = params["e"], params["u"]
@@ -197,7 +196,7 @@ def forward_model(params: dict, aux: dict, config: TrainConfig):
             x, cache = layer_forward(b.blocks, x, params[f"w:{kind}:{layer}"], b.tm, config.activation)
             caches.append(cache)
         branch_caches[kind] = caches
-        x = x[:n_slots] if b.weight == 1.0 else b.weight * x[:n_slots]
+        x = x[:n_slots] if len(aux) == 1 else (1.0 / len(aux)) * x[:n_slots]
         h = x if h is None else h + x
     return h, branch_caches
 
@@ -234,7 +233,7 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     g_x0 = None
     for kind, caches in branch_caches.items():
         b = aux[kind]
-        g_x = b.weight * g_h
+        g_x = (1.0 / len(aux)) * g_h
         for layer in reversed(range(len(caches))):
             g_x, g_w[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
         g_x0 = g_x[:t_n] if g_x0 is None else g_x0 + g_x[:t_n]
@@ -502,7 +501,8 @@ def load_checkpoint(path):
         try:
             meta = json.loads(bytes(z["__meta__"]).decode())
             version, keys, fields = meta["version"], set(meta["param_keys"]), dict(meta["config"])
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, a missing field, a config not a mapping
+            extra = {**meta.get("extra", {})}
+        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, a missing field, a non-mapping
             raise ValueError(f"{foreign} (unreadable __meta__ record: {type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -533,4 +533,4 @@ def load_checkpoint(path):
     bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
     if bad:
         raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")
-    return {k: named[k] for k in shapes}, config, meta.get("extra", {})
+    return {k: named[k] for k in shapes}, config, extra

@@ -1,10 +1,10 @@
 """Builders for the T x T temporal transform matrices.
 
 Four kinds: identity (no temporal mixing), the unitary DFT, the
-orthonormal DCT-II, and the orthonormal Haar wavelet matrix.  Row and
-column indices are zero-based throughout; the DFT/DCT rows are indexed by
-frequency u = 0..T-1 so that row 0 is the constant row and the matrix is
-unitary/orthogonal with a cheap exact inverse.
+orthonormal DCT-II, and the orthonormal Haar wavelet matrix.  All four are
+unitary, so each inverse is the conjugate transpose.  Row and column
+indices are zero-based throughout; the DFT/DCT rows are indexed by
+frequency u = 0..T-1 so that row 0 is the constant row.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ INVERSE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """An invertible T x T transform with its precomputed inverse.
+    """A unitary T x T transform M; its inverse ``m_inv`` is M^H.
 
     ``m_kept`` (K x T) and ``m_inv_kept`` (T x K) are the pair the layer
     runs on.  A complex M whose rows k and T-k are conjugates (the DFT) maps
@@ -45,24 +45,21 @@ class TransformMatrix:
     """
 
     kind: str
-    size: int
     m: np.ndarray
-    m_inv: np.ndarray
+    m_inv: np.ndarray = field(init=False, repr=False)
     m_kept: np.ndarray = field(init=False, repr=False)
     m_inv_kept: np.ndarray = field(init=False, repr=False)
     real_slices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.m.ndim != 2 or self.m.shape[0] != self.m.shape[1]:
+            raise ValueError(f"transform matrix must be square, got shape {self.m.shape}")
         t = self.size
-        if self.m.shape != (t, t) or self.m_inv.shape != (t, t):
-            raise ValueError(f"transform matrices must be {t}x{t}")
+        object.__setattr__(self, "m", _readonly(self.m))
+        object.__setattr__(self, "m_inv", _readonly(self.m.conj().T))
         err = np.max(np.abs(self.m @ self.m_inv - np.eye(t)))
         if err > INVERSE_TOL:
-            raise ValueError(
-                f"M @ M_inv deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e})"
-            )
-        object.__setattr__(self, "m", _readonly(self.m))
-        object.__setattr__(self, "m_inv", _readonly(self.m_inv))
+            raise ValueError(f"M @ M^H deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e}): M is not unitary")
         kept = t // 2 + 1 if self.is_complex else t
         k = np.arange(kept)
         paired = (k > 0) & (2 * k < t) & self.is_complex
@@ -81,6 +78,10 @@ class TransformMatrix:
         object.__setattr__(self, "real_slices", tuple(int(s) for s in k[~paired]))
 
     @property
+    def size(self) -> int:
+        return self.m.shape[0]
+
+    @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.m)
 
@@ -96,66 +97,53 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_identity(t: int) -> TransformMatrix:
+def _check_size(t: int) -> None:
     if t < 1:
         raise ValueError("size must be >= 1")
-    eye = np.eye(t)
-    return TransformMatrix("identity", t, eye, eye.copy())
+
+
+def build_identity(t: int) -> TransformMatrix:
+    _check_size(t)
+    return TransformMatrix("identity", np.eye(t))
 
 
 def build_dft(t: int) -> TransformMatrix:
     """Normalized DFT: entry (u, v) = exp(-2i*pi*u*v/T) / sqrt(T)."""
-    if t < 1:
-        raise ValueError("size must be >= 1")
+    _check_size(t)
     u = np.arange(t)
-    m = np.exp(-2j * np.pi * np.outer(u, u) / t) / np.sqrt(t)
-    return TransformMatrix("dft", t, m, m.conj().T.copy())
+    return TransformMatrix("dft", np.exp(-2j * np.pi * np.outer(u, u) / t) / np.sqrt(t))
 
 
 def build_dct(t: int) -> TransformMatrix:
     """Orthonormal DCT-II: entry (u, v) = alpha(u) * cos(pi*u*(v+1/2)/T)."""
-    if t < 1:
-        raise ValueError("size must be >= 1")
+    _check_size(t)
     u = np.arange(t)[:, None]
-    v = np.arange(t)[None, :]
-    m = np.cos(np.pi * u * (v + 0.5) / t)
+    m = np.cos(np.pi * u * (u.T + 0.5) / t)
     alpha = np.full(t, np.sqrt(2.0 / t))
     alpha[0] = np.sqrt(1.0 / t)
     m *= alpha[:, None]
-    return TransformMatrix("dct", t, m, m.T.copy())
-
-
-def _haar_mother(z: np.ndarray) -> np.ndarray:
-    """+1 on [0, 0.5), -1 on [0.5, 1), 0 elsewhere (half-open intervals)."""
-    return np.where((z >= 0) & (z < 0.5), 1.0, np.where((z >= 0.5) & (z < 1.0), -1.0, 0.0))
+    return TransformMatrix("dct", m)
 
 
 def build_haar(t: int) -> TransformMatrix:
     """Orthonormal Haar matrix; requires T to be a power of two.
 
-    Row 0 is the constant scaling row; row 2^j + i samples the mother
-    wavelet scaled by 2^j and shifted by i at the points k/T, then is
-    normalized to unit Euclidean norm.
+    Row 0 is the constant row 1/sqrt(T).  Then, level by level, the window
+    width w runs T, T/2, ..., 2: of the level's n = T/w rows, row n + i is
+    +1 on the first half of window i and -1 on its second half, over sqrt(w).
     """
-    if t < 1 or (t & (t - 1)) != 0:
+    if t < 1 or t & (t - 1):
         raise ValueError("size must be a power of two")
     m = np.zeros((t, t))
-    m[0, :] = 1.0 / np.sqrt(t)
-    z = np.arange(t) / t
-    levels = int(np.log2(t))
-    for j in range(levels):
-        for i in range(2**j):
-            row = _haar_mother(2**j * z - i)
-            m[2**j + i, :] = row / np.linalg.norm(row)
-    return TransformMatrix("haar", t, m, m.T.copy())
+    m[0] = 1.0 / np.sqrt(t)
+    for j in range(int(t).bit_length() - 1):
+        n, w = 1 << j, t >> j
+        # Rows n .. 2n-1 as n windows each; filling zeros, not np.kron, keeps the zeros +0.0.
+        m[n : 2 * n].reshape(n, n, w)[range(n), range(n)] = np.repeat([1.0, -1.0], w // 2) / np.sqrt(w)
+    return TransformMatrix("haar", m)
 
 
-_BUILDERS = {
-    "identity": build_identity,
-    "dft": build_dft,
-    "dct": build_dct,
-    "haar": build_haar,
-}
+_BUILDERS = dict(zip(TRANSFORM_KINDS, (build_identity, build_dft, build_dct, build_haar)))
 
 
 def build_transform(kind: str, t: int) -> TransformMatrix:
@@ -165,7 +153,4 @@ def build_transform(kind: str, t: int) -> TransformMatrix:
 
 
 def next_power_of_two(t: int) -> int:
-    p = 1
-    while p < t:
-        p *= 2
-    return p
+    return 1 << (int(t) - 1).bit_length()

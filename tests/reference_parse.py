@@ -1,9 +1,21 @@
 """The line-by-line dataset parser, kept as the reference for
 ``tubalgcn.data.parse_dataset``: every line is stripped and classified in a
 Python loop.  The parse-equality tests require the library parser to give
-the same N, T and columns, or the same error message, on any file."""
+the same N, T and columns, or the same error message, on any file whose
+headers put no whitespace between the name and ``=`` (the reference reads
+``#nodes = 10`` as a comment, the library as a header)."""
 
-from tubalgcn.data import DynamicGraphDataset, _BadObservation, _first_bad_line, _header_value, _load_rows
+from tubalgcn.data import DynamicGraphDataset, _BadObservation, _first_bad_line, _load_rows
+
+
+def _header_value(path, lineno: int, body: str, name: str) -> int:
+    try:
+        value = int(body[len(name) + 1 :])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed #{name}= header") from None
+    if value < 1:
+        raise ValueError(f"{path}:{lineno}: #{name}= must be at least 1, got {value}")
+    return value
 
 
 def parse_dataset(path) -> DynamicGraphDataset:

@@ -226,7 +226,7 @@ class TestTrainEval:
         "kind",
         [
             "npz_without_meta", "npz_without_arrays", "unknown_config_field", "not_npz",
-            "meta_not_json", "meta_not_utf8", "meta_without_version", "missing_layer",
+            "meta_not_json", "meta_not_utf8", "meta_without_version", "missing_layer", "extra_not_an_object",
         ],
     )
     def test_eval_foreign_checkpoint_fails(self, dataset_file, tmp_path, capsys, kind):
@@ -255,6 +255,14 @@ class TestTrainEval:
             meta["param_keys"].remove("w:dct:1")
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(ckpt, **arrays)
+        elif kind == "extra_not_an_object":
+            good, _ = self._train(dataset_file, tmp_path / "good")
+            with np.load(good) as z:
+                arrays = dict(z)
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            meta["extra"] = "x"
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(ckpt, **arrays)
         else:
             ckpt.write_text("epoch,loss\n1,0.5\n")
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file),
@@ -272,14 +280,27 @@ class TestTrainEval:
                 for key in ("r", "e", "w:dct:0")
                 for value in (np.nan, np.inf)
             ],
+            (
+                "w:haar:0", slice(5),
+                "not a tubalgcn checkpoint (arrays ['w:haar:0'] are missing or do not fit its config)",
+            ),
         ],
     )
     def test_eval_of_an_edited_checkpoint_fails_by_name(self, dataset_file, tmp_path, capsys, key, value, message):
-        # A config value of the wrong type, or a non-finite parameter array.
-        good, _ = self._train(dataset_file, tmp_path / "good")
+        # A config value of the wrong type, a non-finite parameter array, or
+        # a Haar weight cut from the branch's padded T_b = 8 slots to T = 5.
+        if key == "w:haar:0":
+            data = tmp_path / "t5.tsv"
+            assert main(["gen-synth", "--nodes", "10", "--slots", "5", "--density", "0.6",
+                         "--seed", "2", "--out", str(data)]) == 0
+            good, _ = self._train(data, tmp_path / "good", transform="haar")
+        else:
+            good, _ = self._train(dataset_file, tmp_path / "good")
         with np.load(good) as z:
             arrays = dict(z)
-        if key in arrays:
+        if isinstance(value, slice):
+            arrays[key] = arrays[key][..., value]
+        elif key in arrays:
             arrays[key].flat[1] = value
         else:
             meta = json.loads(bytes(arrays["__meta__"]).decode())
@@ -310,6 +331,37 @@ class TestTrainEval:
             "(array 'r': Object arrays cannot be loaded when allow_pickle=False)\n"
         )
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            ("train --data {dir}/d.tsv --max-epochs 2 --checkpoint {dir}/n.npz --report {dir}/d.tsv",
+             ("--report", "--data")),
+            ("train --data {dir}/d.tsv --max-epochs 2 --checkpoint {dir}/./d.tsv --report {dir}/n.txt",
+             ("--checkpoint", "--data")),
+            ("train --data {dir}/d.tsv --max-epochs 2 --checkpoint {dir}/n --report {dir}/n",
+             ("--checkpoint", "--report")),
+            ("eval --checkpoint {dir}/m.npz --data {dir}/d.tsv --report {dir}/d.tsv", ("--report", "--data")),
+            ("eval --checkpoint {dir}/m.npz --data {dir}/d.tsv --report {dir}/link.npz", ("--report", "--checkpoint")),
+            ("ablation --data {dir}/d.tsv --seeds 1 --max-epochs 2 --out {dir}/link.tsv", ("--out", "--data")),
+        ],
+        ids=["train-report-data", "train-checkpoint-data", "train-checkpoint-report", "eval-report-data",
+             "eval-report-checkpoint", "ablation-out-data"],
+    )
+    def test_an_output_naming_an_input_fails_before_writing(self, dataset_file, tmp_path, capsys, argv, flags):
+        # The same file by another spelling or through a symlink counts too.
+        ckpt, report = self._train(dataset_file, tmp_path)
+        report.unlink()
+        (tmp_path / "d.tsv").write_bytes(dataset_file.read_bytes())
+        (tmp_path / "link.npz").symlink_to(ckpt)
+        (tmp_path / "link.tsv").symlink_to(tmp_path / "d.tsv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = main(argv.format(dir=tmp_path).split())
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and all(flag in err for flag in flags), err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
         "argv",

@@ -39,9 +39,17 @@ class TestParse:
 
     def test_header_override(self, tmp_path):
         p = tmp_path / "d.tsv"
-        p.write_text("#nodes=10\n#slots=5\n1\t0\t1\t0.5\n")
-        ds = parse_dataset(p)
-        assert ds.n_nodes == 10 and ds.n_slots == 5
+        for headers, n, t in [
+            ("#nodes=10\n#slots=5\n", 10, 5),
+            # Whitespace may stand between the name and "=".
+            ("#nodes = 10\n#slots =5\n", 10, 5),
+            ("# nodes\t= 10 \n#  slots=\t5\n", 10, 5),
+            # No "=" after the name: comments, so N and T come from the row.
+            ("# nodes of the graph\n#slots:3\n", 2, 1),
+        ]:
+            p.write_text(headers + "1\t0\t1\t0.5\n")
+            ds = parse_dataset(p)
+            assert (ds.n_nodes, ds.n_slots) == (n, t), headers
 
     def test_non_utf8_file_named(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -107,7 +115,11 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "header,message",
-        [("#nodes=two", "malformed #nodes= header"), ("#slots=0", "#slots= must be at least 1")],
+        [
+            ("#nodes=two", "malformed #nodes= header"),
+            ("#slots=0", "#slots= must be at least 1"),
+            ("#slots = 5 (hourly)", "malformed #slots= header"),
+        ],
     )
     def test_bad_header_named(self, tmp_path, header, message):
         p = tmp_path / "d.tsv"

@@ -192,7 +192,7 @@ class TestHeadGradient:
         for kind, b in aux.items():
             # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
             g_x = np.zeros((b.tm.size, n, f))
-            g_x[:n_slots] = b.weight * g_h.transpose(1, 0, 2)
+            g_x[:n_slots] = (1.0 / len(aux)) * g_h.transpose(1, 0, 2)
             for layer in reversed(range(n_layers)):
                 g_x, ref[f"w:{kind}:{layer}"] = layer_backward(
                     b.blocks, g_x, caches[kind][layer], b.tm, activation

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_transforms import haar_matrix
 
 from tubalgcn.transforms import (
     TransformMatrix,
@@ -12,6 +13,9 @@ from tubalgcn.transforms import (
 )
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
+
+# Every kind at T = 1..9, haar at the powers of two among them.
+KINDS_AND_SIZES = [(kind, t) for kind in ALL_KINDS for t in range(1, 10) if kind != "haar" or t == next_power_of_two(t)]
 
 
 class TestDft:
@@ -80,6 +84,11 @@ class TestHaar:
         m = build_haar(16).m
         assert np.max(np.abs(m @ m.T - np.eye(16))) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1 << j for j in range(9)])
+    def test_rows_equal_the_sampled_mother_wavelet(self, t):
+        # Bit for bit, signs of zeros included.
+        assert build_haar(t).m.tobytes() == haar_matrix(t).tobytes()
+
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
     def test_detail_rows_sum_to_zero(self, t):
         m = build_haar(t).m
@@ -110,10 +119,7 @@ class TestInvariants:
         np.testing.assert_allclose(np.abs(dft_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
         np.testing.assert_allclose(np.abs(dct_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "kind,t",
-        [(kind, t) for kind in ALL_KINDS for t in range(1, 10) if kind != "haar" or t == next_power_of_two(t)],
-    )
+    @pytest.mark.parametrize("kind,t", KINDS_AND_SIZES)
     def test_kept_pair_inverts_real_tubes(self, kind, t):
         tm = build_transform(kind, t)
         assert tm.kept == (t // 2 + 1 if kind == "dft" else t)
@@ -123,9 +129,22 @@ class TestInvariants:
             np.testing.assert_array_equal(tm.m_kept, tm.m)
             np.testing.assert_array_equal(tm.m_inv_kept, tm.m_inv)
 
+    @pytest.mark.parametrize("kind,t", KINDS_AND_SIZES)
+    def test_inverse_is_the_readonly_conjugate_transpose(self, kind, t):
+        tm = build_transform(kind, t)
+        assert tm.size == t
+        np.testing.assert_array_equal(tm.m_inv, tm.m.conj().T)
+        assert tm.m_inv.dtype == tm.m.dtype
+        assert tm.m_inv.flags.c_contiguous and not tm.m_inv.flags.writeable
+
     def test_singular_matrix_rejected_at_construction(self):
+        # A singular M, an invertible M that is not unitary, and a non-square M.
         with pytest.raises(ValueError, match="identity"):
-            TransformMatrix("identity", 2, np.ones((2, 2)), np.ones((2, 2)))
+            TransformMatrix("identity", np.ones((2, 2)))
+        with pytest.raises(ValueError, match="identity"):
+            TransformMatrix("identity", 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match="square"):
+            TransformMatrix("identity", np.ones((2, 3)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown transform"):
