@@ -105,26 +105,26 @@ def _require_distinct(args, pairs) -> None:
             raise ValueError(f"--{out} and --{other} name the same file ({getattr(args, out)})")
 
 
-def _train_once(ds, config):
-    """Split and train; returns train()'s results and its seconds."""
-    ds = split_dataset(ds, seed=config.split_seed)
-    started = time.perf_counter()
-    params, history, metrics = train(ds, config)
-    return params, history, metrics, time.perf_counter() - started
+def _split(ds, seed: int, path):
+    """``split_dataset`` of the dataset read from ``path``, naming that file when it fails."""
+    try:
+        return split_dataset(ds, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
     _require_distinct(args, (("report", "data"), ("checkpoint", "data"), ("checkpoint", "report")))
     config = _config_from_args(args)
-    ds = parse_dataset(args.data)
+    ds = _split(parse_dataset(args.data), config.split_seed, args.data)
     # Fail on an unwritable checkpoint or report path before the first epoch.
     # The checkpoint is only checked: an earlier file there stays until the
     # new one replaces it.
     _require_file_path(args.checkpoint)
     open(args.report, "w", encoding="utf-8").close()
     started = time.perf_counter()
-    params, history, metrics, train_s = _train_once(ds, config)
-    elapsed = time.perf_counter() - started
+    params, history, metrics = train(ds, config)
+    train_s = time.perf_counter() - started
     save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data), "data_sha256": ds.digest()})
     pairs = [("command", "train"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
@@ -140,7 +140,7 @@ def cmd_train(args) -> int:
     )
     ms_per_epoch = 1000.0 * train_s / len(history)
     print(
-        f"trained {len(history)} epochs in {elapsed:.2f}s ({ms_per_epoch:.1f} ms/epoch); "
+        f"trained {len(history)} epochs in {train_s:.2f}s ({ms_per_epoch:.1f} ms/epoch); "
         f"test MAE {metrics['test_mae']:.5f}"
     )
     return 0
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return 1
-    metrics = evaluate(params, split_dataset(ds, seed=config.split_seed), config)
+    metrics = evaluate(params, _split(ds, config.split_seed, args.data), config)
     pairs = [("command", "eval"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += sorted(metrics.items())
@@ -225,12 +225,13 @@ def cmd_ablation(args) -> int:
         for scheme in TRANSFORM_CHOICES
     }
     ds_base = parse_dataset(args.data)
+    splits = [_split(ds_base, seed, args.data) for seed in range(args.seeds)]
     # Fail on an unwritable report path before the first training.
     open(args.out, "w", encoding="utf-8").close()
     rows = []
     means = {}
     for scheme, runs in configs.items():
-        metrics = [_train_once(ds_base, config)[2] for config in runs]
+        metrics = [train(splits[config.split_seed], config)[2] for config in runs]
         maes = [m["test_mae"] for m in metrics]
         rmses = [m["test_rmse"] for m in metrics]
         means[scheme] = float(np.mean(maes))

@@ -45,7 +45,8 @@ ADJACENCY_MODES = ("sym_normalized", "raw_self_loops")
 
 def apply_activation(s: np.ndarray, activation: str) -> np.ndarray:
     if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-s))
+        with np.errstate(over="ignore"):  # below s = -709, exp(-s) is inf and 1 / (1 + inf) the exact 0.0
+            return 1.0 / (1.0 + np.exp(-s))
     if activation == "relu":
         return np.maximum(s, 0.0)
     if activation == "identity":

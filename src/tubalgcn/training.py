@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import json
+import math
 import numbers
 import os
 import zipfile
@@ -26,7 +27,7 @@ from scipy import sparse
 
 from .data import DynamicGraphDataset, build_tube_adjacency
 from .gtcn import ACTIVATIONS, ADJACENCY_MODES, layer_backward, layer_forward, preprocess_tubes, transformed_blocks
-from .head_loss import loss, mae, params_l2_norm, predict, rmse
+from .head_loss import head_scores, loss, mae, params_l2_norm, predict, rmse
 from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
 
 __all__ = [
@@ -80,12 +81,9 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type(f.default)]):
                 raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
+        for name in ("patience", "embedding_dim", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -153,21 +151,33 @@ def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     embeddings into every frequency.
     """
     rng = np.random.default_rng(config.seed)
-    params = {}
-    for key, shape in _param_shapes(config, ds.n_nodes, ds.n_slots).items():
+    shapes = _param_shapes(config, ds.n_nodes, ds.n_slots)
+    params = _views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+    for arr in params.values():
         # fan_in + fan_out; the head maps 2F inputs to one output.
-        fan = shape[0] + (shape[1] if len(shape) > 1 else 1)
+        fan = arr.shape[0] + (arr.shape[1] if arr.ndim > 1 else 1)
         bound = np.sqrt(6.0 / fan)
-        params[key] = rng.uniform(-bound, bound, size=shape)
+        arr[...] = rng.uniform(-bound, bound, size=arr.shape)
     return params
+
+
+def _views(vector: np.ndarray, shapes: dict) -> dict:
+    """``vector`` cut into consecutive reshaped views, keyed and ordered as ``shapes``."""
+    named, end = {}, 0
+    for key, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        named[key] = vector[start:end].reshape(shape)
+    return named
+
+
+def _vector(named: dict) -> np.ndarray:
+    """The one vector that a dict made by ``_views`` views."""
+    return next(iter(named.values())).base
 
 
 def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     """``{kind: Branch}`` in ``config.branch_kinds()`` order: the adjacency
-    preprocessed once, then transformed per branch.
-
-    The branches are weighted equally in the ensemble sum.
-    """
+    preprocessed once, then transformed per branch."""
     a_hat = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
     aux = {}
     for kind in config.branch_kinds():
@@ -205,80 +215,71 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     """Loss and exact analytic gradients over the training batch.
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
-    one-based time indices.  Returns (loss_value, gradients, h, y_hat): the
-    gradient dict is keyed like ``params``, h is the time-major (T, N, F)
-    representation tensor and y_hat the batch predictions.
+    one-based time indices.  Returns (loss_value, gradients, scores, y_hat):
+    the gradients are views into one vector, keyed and laid out in the order
+    of ``params``; scores the ``head_scores`` of the representation tensor
+    h; y_hat the batch predictions.
 
-    The head's backward pass works per (slot, node) row of h, like
-    ``predict``: the residual gradient is summed onto each endpoint row with
-    one ``bincount`` per endpoint, giving the (T * N, 2) matrix c of
-    (c_i, c_j), and then ``g_r = h^T c`` and ``g_h = c [r[:F]; r[F:]]``.
-    The branches' input gradients are summed before they reach E and U.
+    The head's backward pass works per (slot, node) row of h: the residual
+    gradient is summed onto each endpoint row with one ``bincount`` per
+    endpoint, giving the (T * N, 2) matrix c of (c_i, c_j), and then
+    ``g_r = h^T c`` and ``g_h = c [r[:F]; r[F:]]``.  The branches' input
+    gradients are summed before they reach E and U.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(params, aux, config)
     e, u, r = params["e"], params["u"], params["r"]
     t_n, n, f = h.shape
-    y_hat, (rows_i, rows_j) = predict(h, r, t_idx, i_idx, j_idx)
-    total = loss(y, y_hat, params.values(), config.kappa)
+    scores = head_scores(h, r)
+    y_hat = predict(scores, t_idx, i_idx, j_idx)
+    norm = params_l2_norm(params.values())
+    total = loss(y, y_hat, norm, config.kappa)
 
     # c[row, 0] and c[row, 1] sum the residual gradient over the links whose
-    # first and second endpoint is that (slot, node) row.
+    # first and second endpoint is that slot-major (slot, node) row.
     g_yhat = 2.0 * (y_hat - y)
-    c = np.stack([np.bincount(rows, weights=g_yhat, minlength=t_n * n) for rows in (rows_i, rows_j)], axis=1)
-    g_r = (h.reshape(-1, f).T @ c).T.ravel()
+    c = np.stack([np.bincount((t_idx - 1) * n + k, weights=g_yhat, minlength=t_n * n) for k in (i_idx, j_idx)], axis=1)
     g_h = (c @ r.reshape(2, f)).reshape(h.shape)
 
-    g_w = {}
+    parts = {"r": (h.reshape(-1, f).T @ c).T}
     g_x0 = None
     for kind, caches in branch_caches.items():
         b = aux[kind]
         g_x = (1.0 / len(aux)) * g_h
         for layer in reversed(range(len(caches))):
-            g_x, g_w[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
+            g_x, parts[f"w:{kind}:{layer}"] = layer_backward(b.blocks, g_x, caches[layer], b.tm, config.activation)
         g_x0 = g_x[:t_n] if g_x0 is None else g_x0 + g_x[:t_n]
-    grads = {"r": g_r, "e": np.einsum("tnf,tf->nf", g_x0, 1.0 + u), "u": np.einsum("tnf,nf->tf", g_x0, e), **g_w}
+    parts.update(e=np.einsum("tnf,tf->nf", g_x0, 1.0 + u), u=np.einsum("tnf,nf->tf", g_x0, e))
+    g = np.concatenate([parts[key].ravel() for key in params])
 
-    if config.kappa != 0.0:
-        norm = params_l2_norm(params.values())
-        if norm > 0:
-            for key, arr in params.items():
-                grads[key] = grads[key] + config.kappa * arr / norm
-    for key, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {key}")
-    return total, grads, h, y_hat
+    if config.kappa != 0.0 and norm > 0:
+        g += config.kappa * np.concatenate([a.ravel() for a in params.values()]) / norm
+    grads = _views(g, {key: a.shape for key, a in params.items()})
+    if not np.all(np.isfinite(g)):
+        key = next(k for k, a in grads.items() if not np.all(np.isfinite(a)))
+        raise FloatingPointError(f"non-finite gradient for parameter {key}")
+    return total, grads, scores, y_hat
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the parameter dict."""
+    """First and second moment vectors, laid out like the parameter vector."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
-    @classmethod
-    def for_params(cls, named: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in named.items()},
-            v={k: np.zeros_like(a) for k, a in named.items()},
-        )
 
-
-def adam_step(named: dict, grads: dict, state: AdamState, lr: float) -> dict:
-    """Standard Adam with bias correction; returns updated parameter dict."""
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
+    """Standard Adam with bias correction; returns the updated parameter
+    vector as a new array, leaving ``theta`` as it was."""
     state.step += 1
     t = state.step
-    out = {}
-    for key, theta in named.items():
-        g = grads[key]
-        state.m[key] = ADAM_BETA1 * state.m[key] + (1 - ADAM_BETA1) * g
-        state.v[key] = ADAM_BETA2 * state.v[key] + (1 - ADAM_BETA2) * g**2
-        m_hat = state.m[key] / (1 - ADAM_BETA1**t)
-        v_hat = state.v[key] / (1 - ADAM_BETA2**t)
-        out[key] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return out
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g**2
+    m_hat = state.m / (1 - ADAM_BETA1**t)
+    v_hat = state.v / (1 - ADAM_BETA2**t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class EarlyStopping:
@@ -338,47 +339,47 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
     Builds the aux from ``(ds, config)``.  Returns (params, history,
     metrics): the parameter dict of the best validation epoch; the history,
     a list of dicts with epoch, train_loss, train_mae, val_mae; and the
-    split metrics ``evaluate`` gives at those parameters, read from the
-    representation that epoch's gradient pass already computed.  On glibc
-    it raises the process's heap trim and mmap thresholds; see
-    ``_keep_freed_heap``.
+    split metrics ``evaluate`` gives at those parameters, gathered from the
+    head scores that epoch's gradient pass already computed.  Each Adam step
+    replaces the one vector the parameters view.  On glibc it raises the
+    process's heap trim and mmap thresholds; see ``_keep_freed_heap``.
     """
     if not ds.has_splits:
         raise ValueError("dataset must carry train/val/test splits")
     _keep_freed_heap()
     aux = build_aux(ds, config)
     params = init_params(ds, config)
+    theta, shapes = _vector(params), {key: a.shape for key, a in params.items()}
     train_batch = ds.subset_arrays(ds.train_idx)
     val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
 
-    state = AdamState.for_params(params)
+    state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     stopper = EarlyStopping(config.patience)
     history = []
-    best, best_h = params, None
+    best, best_scores = params, None
     for epoch in range(1, config.max_epochs + 1):
-        loss_value, grads, h, train_pred = compute_gradients(params, aux, train_batch, config)
+        loss_value, grads, scores, train_pred = compute_gradients(params, aux, train_batch, config)
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
         # Train and validation error at the current parameters (pre-update).
         train_mae = mae(train_batch[3], train_pred)
-        val_mae = mae(val_y, predict(h, params["r"], val_t, val_i, val_j)[0])
-        history.append(
-            {"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae}
-        )
+        val_mae = mae(val_y, predict(scores, val_t, val_i, val_j))
+        history.append({"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae})
         if val_mae <= stopper.best:
-            best, best_h = params, h  # adam_step and the next pass make new arrays, so no copy is needed
+            best, best_scores = params, scores  # adam_step returns a new vector, so no copy is needed
         if stopper.update(val_mae, epoch):
             break
-        params = adam_step(params, grads, state, config.learning_rate)
-    return best, history, _split_metrics(best_h, best["r"], ds)
+        theta = adam_step(theta, _vector(grads), state, config.learning_rate)
+        params = _views(theta, shapes)
+    return best, history, _split_metrics(best_scores, ds)
 
 
-def _split_metrics(h: np.ndarray, r: np.ndarray, ds: DynamicGraphDataset) -> dict:
-    """MAE/RMSE for every split, predicted from the representation tensor h by head r."""
+def _split_metrics(scores: np.ndarray, ds: DynamicGraphDataset) -> dict:
+    """MAE/RMSE for every split, gathered from one ``head_scores`` array."""
     out = {}
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
         t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
-        pred, _ = predict(h, r, t_idx, i_idx, j_idx)
+        pred = predict(scores, t_idx, i_idx, j_idx)
         out[f"{name}_mae"] = mae(y, pred)
         out[f"{name}_rmse"] = rmse(y, pred)
     return out
@@ -387,7 +388,7 @@ def _split_metrics(h: np.ndarray, r: np.ndarray, ds: DynamicGraphDataset) -> dic
 def evaluate(params: dict, ds: DynamicGraphDataset, config: TrainConfig):
     """MAE/RMSE for every split at the given parameters, on the aux built from ``(ds, config)``."""
     h, _ = forward_model(params, build_aux(ds, config), config)
-    return _split_metrics(h, params["r"], ds)
+    return _split_metrics(head_scores(h, params["r"]), ds)
 
 
 def grad_check(
@@ -431,7 +432,6 @@ def grad_check(
         return compute_gradients(params, aux, batch, config)[0]
 
     report = {}
-    max_err = 0.0
     for key, arr in params.items():
         flat = arr.reshape(-1)  # view into the live parameter array
         g_flat = grads[key].ravel()
@@ -451,7 +451,7 @@ def grad_check(
             denom = max(abs(fd), abs(g_flat[k]), 1e-8)
             worst = max(worst, abs(fd - g_flat[k]) / denom)
         report[key] = worst
-        max_err = max(max_err, worst)
+    max_err = max(report.values())
     return {"per_group": report, "max_relative_error": max_err, "passed": max_err <= 1e-4}
 
 

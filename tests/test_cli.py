@@ -2,15 +2,25 @@ import dataclasses
 import inspect
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubalgcn.cli import _config_from_args, build_parser, main
-from tubalgcn.training import TrainConfig, grad_check, load_checkpoint
+from tubalgcn.data import parse_dataset
+from tubalgcn.training import TrainConfig, grad_check, init_params, load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def two_row_file(tmp_path):
+    """A dataset of two observations, too few to split."""
+    path = tmp_path / "two.tsv"
+    path.write_text("#nodes=4\n#slots=2\n1\t0\t1\t0.5\n2\t2\t3\t0.25\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +405,54 @@ class TestTrainEval:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err, err
         assert list(tmp_path.iterdir()) == []  # neither a checkpoint nor a report
 
+    def test_too_few_observations_name_the_file_and_write_nothing(self, two_row_file, capsys):
+        out = two_row_file.parent
+        rc = main(["train", "--data", str(two_row_file), "--checkpoint", str(out / "m.npz"),
+                   "--report", str(out / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {two_row_file}: need at least 5 observations to split, got 2\n"
+        assert [p.name for p in out.iterdir()] == ["two.tsv"]
+
+    def test_eval_on_too_few_observations_names_the_file(self, two_row_file, capsys):
+        ds = parse_dataset(two_row_file)
+        config = TrainConfig(embedding_dim=2, transform="dct")
+        ckpt = two_row_file.parent / "m.npz"
+        save_checkpoint(ckpt, init_params(ds, config), config, extra={"data_sha256": ds.digest()})
+        report = two_row_file.parent / "e.txt"
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(two_row_file), "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {two_row_file}: need at least 5 observations to split, got 2\n"
+        assert not report.exists()
+
+    def test_large_learning_rate_raises_no_warning(self, tmp_path, capsys):
+        # At --lr 5 sigmoid pre-activations fall below -709, where exp(-s)
+        # overflows; the sigmoid is then exactly 0.0 and says nothing.
+        data = tmp_path / "g.tsv"
+        assert main(["gen-synth", "--nodes", "30", "--slots", "5", "--density", "0.3", "--seed", "3",
+                     "--out", str(data)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--data", str(data), "--lr", "5", "--max-epochs", "20",
+                         "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.txt")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_report_matches_the_committed_one(self, tmp_path):
+        # ensemble_2layer_train_report.txt was written by an earlier release
+        # of `tubalgcn train` with these flags: the default kappa runs the
+        # regularizer, and T = 5 runs the Haar branch padded to 8 slots.
+        data = tmp_path / "small.tsv"
+        assert main(["gen-synth", "--nodes", "12", "--slots", "5", "--density", "0.6", "--noise", "0.05",
+                     "--seed", "5", "--out", str(data)]) == 0
+        report = tmp_path / "r.txt"
+        assert main(["train", "--data", str(data), "--transform", "ensemble", "--layers", "2",
+                     "--embedding-dim", "4", "--max-epochs", "40", "--patience", "40",
+                     "--checkpoint", str(tmp_path / "m.npz"), "--report", str(report)]) == 0
+
+        def without_data_line(path):
+            return [l for l in path.read_bytes().split(b"\n") if not l.startswith(b"data = ")]
+
+        assert without_data_line(report) == without_data_line(DATA / "ensemble_2layer_train_report.txt")
+
     def test_checkpoint_is_written_at_the_given_path(self, dataset_file, tmp_path):
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--data", str(dataset_file), "--max-epochs", "2", "--checkpoint", str(ckpt),
@@ -523,6 +581,12 @@ class TestAblationCommand:
         out = tmp_path / "abl.txt"
         assert main(["ablation", "--data", str(dataset_file), "--max-epochs", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: max_epochs must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_too_few_observations_name_the_file_and_write_nothing(self, two_row_file, capsys):
+        out = two_row_file.parent / "abl.txt"
+        assert main(["ablation", "--data", str(two_row_file), "--seeds", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {two_row_file}: need at least 5 observations to split, got 2\n"
         assert not out.exists()
 
     def test_small_ablation_table(self, tmp_path):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubalgcn.gtcn import TubeAdjacency, layer_backward, layer_forward, preprocess_adjacency, transformed_blocks
+from tubalgcn.gtcn import TubeAdjacency, apply_activation, layer_backward, layer_forward, preprocess_adjacency, transformed_blocks
 from tubalgcn.tensor3 import DimensionMismatchError, m_product
 from tubalgcn.transforms import build_transform, next_power_of_two
 
@@ -42,6 +44,16 @@ def layer(a, x, w, tm, activation="sigmoid"):
     the oracle's (N, F, T) layout."""
     blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
     return node_major(layer_forward(blocks, time_major(x), w, tm, activation)[0])
+
+
+class TestActivation:
+    def test_sigmoid_saturates_without_a_warning(self):
+        s = np.array([-1000.0, -709.0, 0.0, 2.5, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_activation(s, "sigmoid")
+        assert out[0] == 0.0 and out[2] == 0.5 and out[4] == 1.0
+        np.testing.assert_array_equal(out[1:4], 1.0 / (1.0 + np.exp(-s[1:4])))
 
 
 class TestPreprocessAdjacency:

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from tubalgcn.head_loss import loss, mae, params_l2_norm, predict, rmse
+from tubalgcn.head_loss import head_scores, loss, mae, params_l2_norm, predict, rmse
 
 
 def time_major(h):
-    """An (N, F, T) representation as ``predict``'s time-major (T, N, F) layout."""
+    """An (N, F, T) representation as ``head_scores``'s time-major (T, N, F) layout."""
     return h.transpose(2, 0, 1)
 
 
 def predict_one(h, t, i, j, r):
     """The head's estimate for the single link (t, i, j), t one-based, on an (N, F, T) h."""
-    y_hat, _ = predict(time_major(h), np.asarray(r, dtype=np.float64), np.array([t]), np.array([i]), np.array([j]))
-    return float(y_hat[0])
+    scores = head_scores(time_major(h), np.asarray(r, dtype=np.float64))
+    return float(predict(scores, np.array([t]), np.array([i]), np.array([j]))[0])
 
 
 class TestEstimateWeight:
@@ -48,15 +48,14 @@ class TestEstimateWeight:
         t = np.array([1, 3, 4])
         i = np.array([0, 2, 4])
         j = np.array([1, 1, 0])
-        batch, (rows_i, rows_j) = predict(time_major(h), r, t, i, j)
+        scores = head_scores(time_major(h), r)
+        batch = predict(scores, t, i, j)
         for k in range(3):
             assert abs(batch[k] - predict_one(h, t[k], i[k], j[k], r)) <= 1e-12
-        # The slot-major row numbers pick the same rows as indexing (N, F, T).
-        h_rows = time_major(h).reshape(4 * 5, 3)
-        np.testing.assert_array_equal(h_rows[rows_i], h[i, :, t - 1])
-        np.testing.assert_array_equal(h_rows[rows_j], h[j, :, t - 1])
-        np.testing.assert_array_equal(rows_i, (t - 1) * 5 + i)
-        np.testing.assert_array_equal(rows_j, (t - 1) * 5 + j)
+        # The slot-major score rows hold the same (node, slot) rows as indexing (N, F, T).
+        s_rows = scores.reshape(2, 4 * 5)
+        np.testing.assert_allclose(s_rows[0, (t - 1) * 5 + i], h[i, :, t - 1] @ r[:3], rtol=1e-12)
+        np.testing.assert_allclose(s_rows[1, (t - 1) * 5 + j], h[j, :, t - 1] @ r[3:], rtol=1e-12)
 
     def test_out_of_range_rejected(self):
         h = np.zeros((2, 2, 2))
@@ -96,7 +95,7 @@ class TestLoss:
     def test_with_regularizer(self):
         # residuals (1, -2), kappa 0.5, ||Theta||_2 = 2 -> 5 + 1
         params = [np.array([2.0])]
-        assert loss([1.0, 0.0], [0.0, 2.0], params, kappa=0.5) == 6.0
+        assert loss([1.0, 0.0], [0.0, 2.0], params_l2_norm(params), kappa=0.5) == 6.0
 
     def test_kappa_zero_equals_count_times_mse(self):
         rng = np.random.default_rng(4)

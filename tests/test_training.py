@@ -7,6 +7,7 @@ import pytest
 
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
 from tubalgcn.gtcn import ACTIVATIONS, layer_backward, preprocess_adjacency
+from tubalgcn.head_loss import predict
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
     TRANSFORM_CHOICES,
@@ -157,6 +158,24 @@ class TestGradients:
             np.testing.assert_allclose(grads[key], 0.5 * arr / norm, atol=1e-12)
 
 
+    def test_separate_arrays_give_the_gradients_of_views(self):
+        # init_params returns views of one vector; load_checkpoint returns
+        # separate arrays.  Both give the same bits.
+        ds = small_dataset(seed=13)
+        cfg = TrainConfig(embedding_dim=3, transform="ensemble", seed=13)
+        aux = build_aux(ds, cfg)
+        params = init_params(ds, cfg)
+        batch = ds.subset_arrays(ds.train_idx)
+        loss_views, grads_views, scores_views, _ = compute_gradients(params, aux, batch, cfg)
+        separate = {key: a.copy() for key, a in params.items()}
+        loss_separate, grads_separate, scores_separate, _ = compute_gradients(separate, aux, batch, cfg)
+        assert loss_views == loss_separate
+        np.testing.assert_array_equal(scores_views, scores_separate)
+        assert list(grads_views) == list(params)
+        for key in params:
+            np.testing.assert_array_equal(grads_views[key], grads_separate[key])
+
+
 class TestHeadGradient:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -176,7 +195,8 @@ class TestHeadGradient:
         i = np.array([0, 0, 1, 2, 3, 4])
         j = np.array([1, 2, 2, 1, 3, 0])
         y = np.random.default_rng(12).uniform(size=len(t))
-        _, grads, h, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
+        _, grads, scores, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
+        h, caches = forward_model(params, aux, cfg)
         h = node_major(h)
 
         e, u, r = params["e"], params["u"], params["r"]
@@ -188,7 +208,6 @@ class TestHeadGradient:
         g_h = np.zeros((n, n_slots, f))
         np.add.at(g_h, (i, t - 1), g[:, None] * r[:f])
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
-        _, caches = forward_model(params, aux, cfg)
         for kind, b in aux.items():
             # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
             g_x = np.zeros((b.tm.size, n, f))
@@ -205,6 +224,7 @@ class TestHeadGradient:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
         close(y_hat, ref_y_hat)
+        close(predict(scores, t, i, j), ref_y_hat)
         assert grads.keys() == ref.keys()
         for key, want in ref.items():
             assert np.max(np.abs(want)) > 0, key
@@ -321,32 +341,38 @@ class TestMemory:
         assert peak < dense_bytes / 10, f"peak {peak} bytes"
 
 
+def zero_state(n):
+    return AdamState(np.zeros(n), np.zeros(n))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        named = {"a": np.array([1.0, -2.0])}
-        state = AdamState.for_params(named)
-        out = adam_step(named, {"a": np.zeros(2)}, state, lr=0.1)
-        np.testing.assert_array_equal(out["a"], named["a"])
+        theta = np.array([1.0, -2.0])
+        out = adam_step(theta, np.zeros(2), zero_state(2), lr=0.1)
+        np.testing.assert_array_equal(out, theta)
 
     def test_first_step_scalar_hand_trace(self):
         g = 3.0
-        named = {"a": np.array([1.0])}
-        state = AdamState.for_params(named)
-        out = adam_step(named, {"a": np.array([g])}, state, lr=0.01)
+        out = adam_step(np.array([1.0]), np.array([g]), zero_state(1), lr=0.01)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g**2) / (1 - 0.999)
         expected = 1.0 - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        np.testing.assert_allclose(out["a"], [expected], atol=1e-15)
+        np.testing.assert_allclose(out, [expected], atol=1e-15)
+
+    def test_returns_a_new_vector(self):
+        # train keeps the best epoch's parameters by reference.
+        theta = np.array([1.0, -2.0])
+        out = adam_step(theta, np.array([0.5, 0.5]), zero_state(2), lr=0.1)
+        assert not np.shares_memory(out, theta)
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        named = {"a": rng.normal(size=5)}
-        grads = {"a": rng.normal(size=5)}
-        s1 = AdamState.for_params(named)
-        s2 = AdamState.for_params(named)
+        theta = rng.normal(size=5)
+        g = rng.normal(size=5)
         np.testing.assert_array_equal(
-            adam_step(dict(named), grads, s1, 0.01)["a"],
-            adam_step(dict(named), grads, s2, 0.01)["a"],
+            adam_step(theta.copy(), g, zero_state(5), 0.01),
+            adam_step(theta.copy(), g, zero_state(5), 0.01),
         )
 
 
@@ -413,6 +439,26 @@ class TestTrain:
         params, hist, metrics = train(ds, cfg)
         assert hist[-1]["val_mae"] > min(h["val_mae"] for h in hist)  # the best epoch is not the last
         assert metrics == evaluate(params, ds, cfg)
+
+    def test_scores_each_representation_once(self, monkeypatch):
+        # The loss, the train and validation MAE and the best epoch's split
+        # metrics all gather from the scores of one head GEMM per pass.
+        import tubalgcn.training
+
+        calls = []
+        real = tubalgcn.training.head_scores
+
+        def counting(h, r):
+            calls.append(h.shape)
+            return real(h, r)
+
+        monkeypatch.setattr(tubalgcn.training, "head_scores", counting)
+        ds = small_dataset(seed=8, n=10)
+        cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=3, patience=3, seed=8)
+        params, hist, _ = train(ds, cfg)
+        assert len(hist) == 3 and len(calls) == 3
+        evaluate(params, ds, cfg)
+        assert len(calls) == 4
 
     def test_deterministic_history(self):
         ds = small_dataset(seed=8, n=10)
