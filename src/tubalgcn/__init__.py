@@ -19,7 +19,7 @@ from .gtcn import (
     preprocess_tubes,
     transformed_blocks,
 )
-from .head_loss import head_scores, loss, mae, predict, rmse
+from .head_loss import head_backward, head_scores, loss, mae, predict, rmse
 from .data import (
     DynamicGraphDataset,
     SynthSpec,

@@ -198,16 +198,22 @@ def cmd_transform_matrix(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    report = grad_check(
-        seed=args.seed,
-        n=args.nodes,
-        f=args.features,
-        t=args.slots,
-        transform=args.transform,
-        activation=args.activation,
-        n_layers=args.n_layers,
-        adjacency_mode=args.adjacency_mode,
-    )
+    # A bad config flag fails by its field name here; what grad_check raises
+    # after that is about the synthetic graph that --nodes and --slots size.
+    replace(_config_from_args(args), embedding_dim=args.features)
+    try:
+        report = grad_check(
+            seed=args.seed,
+            n=args.nodes,
+            f=args.features,
+            t=args.slots,
+            transform=args.transform,
+            activation=args.activation,
+            n_layers=args.n_layers,
+            adjacency_mode=args.adjacency_mode,
+        )
+    except ValueError as exc:
+        raise ValueError(f"--nodes {args.nodes} --slots {args.slots}: {exc}") from exc
     for key in sorted(report["per_group"]):
         print(f"{key}: max relative error {report['per_group'][key]:.3e}")
     print(f"max relative error: {report['max_relative_error']:.3e}")

@@ -199,7 +199,7 @@ def parse_dataset(path) -> DynamicGraphDataset:
     count).  Bad headers are reported first, then lines that do not parse;
     after that, the first line that breaks a dataset rule.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .tensor3 import (
-    DimensionMismatchError,
-    as_tensor3,
-    demote_real,
-    m_transform,
-)
+from .tensor3 import DimensionMismatchError, as_tensor3, m_transform
 from .transforms import TransformMatrix
 
 __all__ = [
@@ -172,30 +167,21 @@ def _time_major(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m_transform(x.transpose(1, 2, 0), m).transpose(2, 0, 1)
 
 
-def _real_time_major(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Re(a @ z) along time for a time-major z, as one real GEMM.
-
-    A complex z is stacked as [Re z; Im z] and multiplied by [Re a | -Im a],
-    so the imaginary half of the product is never computed.
-    """
-    if np.iscomplexobj(z):
-        a = np.hstack([a.real, -a.imag])
-        z = np.concatenate([z.real, z.imag])
-    return _time_major(a, z)
-
-
 def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
     """One layer, H = sigma(Re(Â * X * W)), on ``blocks`` from ``transformed_blocks``.
 
     ``x`` is time-major, (t, N, F_in) with t <= T = ``tm.size``; its missing
     slots count as zero, so the first t columns of ``tm.m_kept`` transform
-    it.  H is (T, N, F_out) and ``w`` is (F_in, F_out, T).  Every transform
-    is one GEMM on a (T, N * F) view and every slice stack is a free reshape.  The chain
-    runs on the K kept slices (``tm.m_kept``/``tm.m_inv_kept``); the slices
-    of P that must be real for real operands are checked with
-    ``demote_real`` before the inverse.  Returns H and the time-major cache
+    it.  H is (T, N, F_out) and ``w`` is (F_in, F_out, T); both operands
+    must be real.  Every transform is one GEMM on a (T, N * F) view and
+    every slice stack is a free reshape.  The chain runs on the K kept
+    slices (``tm.m_kept``/``tm.m_inv_kept``), and the pre-activation is the
+    real part of the inverse GEMM.  Returns H and the time-major cache
     (Q̂, Ŵ, H) that ``layer_backward`` needs.
     """
+    for name, a in (("x", x), ("w", w)):
+        if np.iscomplexobj(a):
+            raise ValueError(f"layer input {name} must be real, got {a.dtype}")
     t, n, f_in = x.shape
     k = tm.kept
     if t > tm.size or w.shape[0] != f_in or w.shape[2] != tm.size or blocks.shape != (k * n, k * n):
@@ -205,10 +191,7 @@ def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, act
     xh = _time_major(tm.m_kept[:, :t], x)
     wh = m_transform(w, tm.m_kept).transpose(2, 0, 1)
     q = (blocks @ xh.reshape(k * n, f_in)).reshape(k, n, f_in)
-    p = np.matmul(q, wh)
-    if np.iscomplexobj(p):
-        p[tm.real_slices, :, :] = demote_real(p[tm.real_slices, :, :])
-    s = _real_time_major(tm.m_inv_kept, p)
+    s = _time_major(tm.m_inv_kept, np.matmul(q, wh)).real
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     h = apply_activation(s, activation)
@@ -234,6 +217,6 @@ def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, ac
     g_p = _time_major(tm.m_inv_kept[:t].T, g_s)
     g_q = np.matmul(g_p, wh.transpose(0, 2, 1))
     g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
-    g_w = _real_time_major(tm.m_kept.T, g_wh).transpose(1, 2, 0)
-    g_x = _real_time_major(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f_in)).reshape(k, n, f_in))
+    g_w = _time_major(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
+    g_x = _time_major(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f_in)).reshape(k, n, f_in)).real
     return g_x, g_w

@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "head_scores",
     "predict",
+    "head_backward",
     "loss",
     "params_l2_norm",
     "mae",
@@ -35,7 +36,25 @@ def predict(scores: np.ndarray, t_idx, i_idx, j_idx) -> np.ndarray:
     ):
         raise IndexError(f"link indices out of range for {t} slots and {n} nodes")
     s_i, s_j = scores.reshape(2, t * n)
-    return s_i[(t_idx - 1) * n + i_idx] + s_j[(t_idx - 1) * n + j_idx]
+    return s_i[_rows(t_idx, i_idx, n)] + s_j[_rows(t_idx, j_idx, n)]
+
+
+def _rows(t_idx, node_idx, n: int) -> np.ndarray:
+    """The slot-major row (t - 1) * N + i of each link endpoint (t one-based)."""
+    return (t_idx - 1) * n + node_idx
+
+
+def head_backward(h: np.ndarray, r: np.ndarray, g_yhat: np.ndarray, t_idx, i_idx, j_idx):
+    """(dL/dh, dL/dr) from dL/dy_hat, the backward pass of ``predict`` on ``head_scores``.
+
+    The residual gradient is summed onto each endpoint's (slot, node) row of
+    the time-major (T, N, F) h with one ``bincount`` per endpoint, giving
+    the (T * N, 2) matrix c of (c_i, c_j); then g_h = c [r[:F]; r[F:]] and
+    g_r = h^T c, as a (2, F) array.
+    """
+    t, n, f = h.shape
+    c = np.stack([np.bincount(_rows(t_idx, k, n), weights=g_yhat, minlength=t * n) for k in (i_idx, j_idx)], axis=1)
+    return (c @ r.reshape(2, f)).reshape(h.shape), (h.reshape(-1, f).T @ c).T
 
 
 def params_l2_norm(param_arrays) -> float:

@@ -20,8 +20,7 @@ __all__ = [
 ]
 
 # Imaginary residue allowed when demoting a complex result that should be
-# real (e.g. the DFT-based M-product of real operands, or a layer's
-# pre-activation).
+# real, such as the DFT-based M-product of real operands.
 IMAG_RESIDUE_TOL = 1e-8
 
 

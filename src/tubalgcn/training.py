@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .data import DynamicGraphDataset, build_tube_adjacency
 from .gtcn import ACTIVATIONS, ADJACENCY_MODES, layer_backward, layer_forward, preprocess_tubes, transformed_blocks
-from .head_loss import head_scores, loss, mae, params_l2_norm, predict, rmse
+from .head_loss import head_backward, head_scores, loss, mae, params_l2_norm, predict, rmse
 from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
 
 __all__ = [
@@ -220,28 +220,20 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     of ``params``; scores the ``head_scores`` of the representation tensor
     h; y_hat the batch predictions.
 
-    The head's backward pass works per (slot, node) row of h: the residual
-    gradient is summed onto each endpoint row with one ``bincount`` per
-    endpoint, giving the (T * N, 2) matrix c of (c_i, c_j), and then
-    ``g_r = h^T c`` and ``g_h = c [r[:F]; r[F:]]``.  The branches' input
+    The head's backward pass is ``head_backward``.  The branches' input
     gradients are summed before they reach E and U.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(params, aux, config)
     e, u, r = params["e"], params["u"], params["r"]
-    t_n, n, f = h.shape
+    t_n = len(h)
     scores = head_scores(h, r)
     y_hat = predict(scores, t_idx, i_idx, j_idx)
     norm = params_l2_norm(params.values())
     total = loss(y, y_hat, norm, config.kappa)
 
-    # c[row, 0] and c[row, 1] sum the residual gradient over the links whose
-    # first and second endpoint is that slot-major (slot, node) row.
-    g_yhat = 2.0 * (y_hat - y)
-    c = np.stack([np.bincount((t_idx - 1) * n + k, weights=g_yhat, minlength=t_n * n) for k in (i_idx, j_idx)], axis=1)
-    g_h = (c @ r.reshape(2, f)).reshape(h.shape)
-
-    parts = {"r": (h.reshape(-1, f).T @ c).T}
+    parts = {}
+    g_h, parts["r"] = head_backward(h, r, 2.0 * (y_hat - y), t_idx, i_idx, j_idx)
     g_x0 = None
     for kind, caches in branch_caches.items():
         b = aux[kind]

@@ -39,9 +39,7 @@ class TransformMatrix:
     carry information: ``m_kept`` is those rows of M, and ``m_inv_kept`` the
     leading K columns of M_inv with each column that has a conjugate partner
     doubled, so that Re(m_inv_kept @ m_kept @ x) = x for real x.  For a real M,
-    K = T and the pair is ``m``/``m_inv`` itself.  ``real_slices`` are the
-    kept slices that are real for real input: slice 0, and T/2 for even T,
-    under the DFT; every slice under a real M.
+    K = T and the pair is ``m``/``m_inv`` itself.
     """
 
     kind: str
@@ -49,7 +47,6 @@ class TransformMatrix:
     m_inv: np.ndarray = field(init=False, repr=False)
     m_kept: np.ndarray = field(init=False, repr=False)
     m_inv_kept: np.ndarray = field(init=False, repr=False)
-    real_slices: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m.ndim != 2 or self.m.shape[0] != self.m.shape[1]:
@@ -75,7 +72,6 @@ class TransformMatrix:
             )
         object.__setattr__(self, "m_kept", m_kept)
         object.__setattr__(self, "m_inv_kept", m_inv_kept)
-        object.__setattr__(self, "real_slices", tuple(int(s) for s in k[~paired]))
 
     @property
     def size(self) -> int:

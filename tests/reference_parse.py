@@ -27,7 +27,7 @@ def parse_dataset(path) -> DynamicGraphDataset:
     """
     n_header = None
     t_header = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
         try:
             lines = [line.strip() for line in fh.read().split("\n")]
         except UnicodeDecodeError as exc:

@@ -436,22 +436,24 @@ class TestTrainEval:
                          "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.txt")]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_report_matches_the_committed_one(self, tmp_path):
-        # ensemble_2layer_train_report.txt was written by an earlier release
+    @pytest.mark.parametrize("transform", ["ensemble", "haar"])
+    def test_report_matches_the_committed_one(self, tmp_path, transform):
+        # <transform>_2layer_train_report.txt was written by an earlier release
         # of `tubalgcn train` with these flags: the default kappa runs the
-        # regularizer, and T = 5 runs the Haar branch padded to 8 slots.
+        # regularizer, and T = 5 runs the Haar branch padded to 8 slots.  The
+        # haar report, with no DFT branch, pins the real branches byte for byte.
         data = tmp_path / "small.tsv"
         assert main(["gen-synth", "--nodes", "12", "--slots", "5", "--density", "0.6", "--noise", "0.05",
                      "--seed", "5", "--out", str(data)]) == 0
         report = tmp_path / "r.txt"
-        assert main(["train", "--data", str(data), "--transform", "ensemble", "--layers", "2",
+        assert main(["train", "--data", str(data), "--transform", transform, "--layers", "2",
                      "--embedding-dim", "4", "--max-epochs", "40", "--patience", "40",
                      "--checkpoint", str(tmp_path / "m.npz"), "--report", str(report)]) == 0
 
         def without_data_line(path):
             return [l for l in path.read_bytes().split(b"\n") if not l.startswith(b"data = ")]
 
-        assert without_data_line(report) == without_data_line(DATA / "ensemble_2layer_train_report.txt")
+        assert without_data_line(report) == without_data_line(DATA / f"{transform}_2layer_train_report.txt")
 
     def test_checkpoint_is_written_at_the_given_path(self, dataset_file, tmp_path):
         ckpt = tmp_path / "m.ckpt"
@@ -549,6 +551,19 @@ class TestGradCheckCommand:
 
     def test_ensemble_passes(self):
         assert main(["grad-check", "--transform", "ensemble"]) == 0
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--nodes", "2", "--slots", "1"], "--nodes 2 --slots 1: need at least 5 observations to split, got 1"),
+            (["--nodes", "1"], "--nodes 1 --slots 4: need n >= 2 nodes and t >= 1 slots"),
+            (["--features", "0"], "embedding_dim must be >= 1"),
+        ],
+        ids=["too_few_observations", "one_node", "no_features"],
+    )
+    def test_bad_size_names_its_flag(self, capsys, flags, message):
+        assert main(["grad-check", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_two_dft_layers_at_odd_slots_pass(self, capsys):
         assert main(["grad-check", "--transform", "dft", "--slots", "5", "--layers", "2"]) == 0

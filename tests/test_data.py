@@ -57,6 +57,14 @@ class TestParse:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: not UTF-8 text \('utf-8' codec"):
             parse_dataset(p)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = b"#nodes=3\n#slots=2\n1\t0\t1\t0.5\n2\t2\t1\t0.25\n"
+        plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert parse_outcome(parse_dataset, bom) == parse_outcome(parse_dataset, plain)
+        assert parse_dataset(bom).digest() == parse_dataset(plain).digest()
+
     def test_malformed_line_named(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("1\t0\t1\t0.5\nnot a line\n")

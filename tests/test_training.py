@@ -127,18 +127,27 @@ class TestGradients:
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
     @pytest.mark.parametrize(
-        "transform,t", [("dft", 4), ("haar", 3), ("dft", 5), ("dft", 6), ("identity", 4), ("dct", 5)]
+        "transform,t,mode",
+        [
+            pytest.param(kind, t, "sym_normalized", id=f"{kind}-{t}")
+            for kind, t in [("dft", 4), ("haar", 3), ("dft", 5), ("dft", 6), ("identity", 4), ("dct", 5)]
+        ]
+        + [
+            pytest.param(kind, t, "raw_self_loops", id=f"{kind}-{t}-raw_self_loops")
+            for kind, t in [("dft", 4), ("dft", 5), ("haar", 3)]
+        ],
     )
-    def test_finite_differences_two_layers(self, transform, t, activation):
-        rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2)
+    def test_finite_differences_two_layers(self, transform, t, mode, activation):
+        rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2, adjacency_mode=mode)
         assert rep["passed"], rep
         assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
 
-    @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("t", [3, 5, 6])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 6])
     def test_finite_differences_ensemble_at_padded_slot_counts(self, t, n_layers):
         # The padded Haar branch and the unpadded DFT and DCT branches share
-        # g_h and the gradients of E and U.
+        # g_h and the gradients of E and U.  At T = 1 and 2 every DFT slice
+        # is self-conjugate (K = T).
         rep = grad_check(seed=3, t=t, transform="ensemble", n_layers=n_layers)
         assert rep["passed"], rep
 
@@ -286,7 +295,7 @@ class TestForwardMatchesOracle:
             x = message_passing_oracle(a, x, params[f"w:haar:{layer}"], tm, cfg.activation)
         assert np.max(np.abs(h - x[:, :, :t])) <= 1e-9
 
-    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
