@@ -17,7 +17,11 @@ from .gtcn import (
     layer_forward,
     preprocess_adjacency,
     preprocess_tubes,
+    propagate,
+    propagate_grad,
+    transform_weight,
     transformed_blocks,
+    weight_grad,
 )
 from .head_loss import head_backward, head_scores, loss, mae, predict, rmse
 from .data import (

@@ -75,6 +75,9 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def cmd_gen_synth(args) -> int:
+    for flag, value, least in (("--nodes", args.nodes, 2), ("--slots", args.slots, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     spec = SynthSpec(
         n=args.nodes,
         t=args.slots,

@@ -1,13 +1,17 @@
 """Graph tensor convolution layer and adjacency preprocessing.
 
 The layer computes H = sigma(A * X * W) where * is the M-product.  The
-chain is evaluated in the transform domain once: hat all three operands,
-multiply slices, apply the inverse transform, take the real part, then
+chain is evaluated in the transform domain once: multiply the kept slices
+of Â x_3 M X̂ and Ŵ, apply the inverse transform, take the real part, then
 the activation; the backward pass runs its adjoint with plain transposes.
 ``layer_forward`` and ``layer_backward`` are the one implementation of
-the layer; training and the oracle tests both run them.  The layer keeps
-its activations, gradients and cache time-major, as (T, N, F) arrays, so
-that every transform is one GEMM on a (T, N * F) view.
+that chain; training and the oracle tests both run them.  They start from
+the transformed operands, so that the first layer can form Â x_3 M X̂ from
+one product with the untransformed Â shared by every branch (see
+``training.forward_model``), and later layers from ``propagate`` on a
+branch's transformed blocks.  The layer keeps its activations, gradients
+and cache time-major, as (T, N, F) arrays, so that every transform is one
+GEMM on a (T, N * F) view.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ __all__ = [
     "preprocess_tubes",
     "preprocess_adjacency",
     "transformed_blocks",
+    "transform_slots",
+    "transform_weight",
+    "weight_grad",
+    "propagate",
+    "propagate_grad",
     "layer_forward",
     "layer_backward",
     "apply_activation",
@@ -104,13 +113,25 @@ class TubeAdjacency:
         a[self.rows, self.cols] = self.vals
         return a
 
+    def _slot_rows(self, indices: np.ndarray, width: int) -> sparse.csr_array:
+        """The (T*N, width) CSR matrix whose row s*N + i holds slot s of row
+        i's tubes, at the column ``indices`` (tube-major within each slot)."""
+        n, (nnz, t) = self.n, self.vals.shape
+        indptr = np.append((self.indptr[:-1] + nnz * np.arange(t)[:, None]).ravel(), t * nnz)
+        # A copy even at T = 1, where ravel returns a view: slot_stack drops zeros in place.
+        return sparse.csr_array((self.vals.T.flatten(), indices, indptr), shape=(t * n, width))
+
     def slot_blocks(self) -> sparse.csr_array:
         """Block-diagonal (T*N, T*N) CSR matrix whose block s is slot s."""
-        n, (nnz, t) = self.n, self.vals.shape
-        offsets = np.arange(t)[:, None]
-        indptr = np.append((self.indptr[:-1] + nnz * offsets).ravel(), t * nnz)
-        indices = (self.cols + n * offsets).ravel()
-        return sparse.csr_array((self.vals.T.ravel(), indices, indptr), shape=(t * n, t * n))
+        t = self.vals.shape[1]
+        return self._slot_rows((self.cols + self.n * np.arange(t)[:, None]).ravel(), t * self.n)
+
+    def slot_stack(self) -> sparse.csr_array:
+        """The T slices stacked as one (T*N, N) CSR matrix with no stored
+        zeros: row s*N + i is row i of slot s."""
+        stack = self._slot_rows(np.tile(self.cols, self.vals.shape[1]), self.n)
+        stack.eliminate_zeros()
+        return stack
 
 
 def preprocess_tubes(raw: TubeAdjacency, mode: str = "sym_normalized") -> TubeAdjacency:
@@ -154,69 +175,98 @@ def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_arra
     Each tube's T slots are transformed by ``tm.m_kept[:, :T]``, which is
     ``tm.m_kept`` on the tube zero-padded to ``tm.size`` slots (the Haar
     branch runs at the next power of two); block s of the result is slice s
-    of Â x_3 M, for s < K (K = T//2 + 1 for the DFT, T otherwise).  The
-    backward runs on ``blocks.T``, a view.
+    of Â x_3 M, for s < K (K = T//2 + 1 for the DFT, T otherwise).  Only
+    layers after the first run on it; the backward runs on ``blocks.T``, a
+    view.
     """
     # Transform the tubes as an (nnz_tubes, 1, T) tensor.
     vals = m_transform(a.vals[:, None, :], tm.m_kept[:, : a.vals.shape[1]])[:, 0, :]
     return replace(a, vals=vals).slot_blocks()
 
 
-def _time_major(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def transform_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m_transform`` of a time-major (T, N, F) tensor: one GEMM, time-major result."""
     return m_transform(x.transpose(1, 2, 0), m).transpose(2, 0, 1)
 
 
-def layer_forward(blocks, x: np.ndarray, w: np.ndarray, tm: TransformMatrix, activation: str):
-    """One layer, H = sigma(Re(Â * X * W)), on ``blocks`` from ``transformed_blocks``.
+def transform_weight(w: np.ndarray, tm: TransformMatrix) -> np.ndarray:
+    """Ŵ, the K kept slices of W x_3 M, time-major (K, F_in, F_out), of a
+    real (F_in, F_out, T) weight with T = ``tm.size``."""
+    if np.iscomplexobj(w):
+        raise ValueError(f"layer input w must be real, got {w.dtype}")
+    if w.ndim != 3 or w.shape[2] != tm.size:
+        raise DimensionMismatchError(f"weights {w.shape} do not fit a {tm.size}-slot {tm.kind} transform")
+    return m_transform(w, tm.m_kept).transpose(2, 0, 1)
 
-    ``x`` is time-major, (t, N, F_in) with t <= T = ``tm.size``; its missing
-    slots count as zero, so the first t columns of ``tm.m_kept`` transform
-    it.  H is (T, N, F_out) and ``w`` is (F_in, F_out, T); both operands
-    must be real.  Every transform is one GEMM on a (T, N * F) view and
-    every slice stack is a free reshape.  The chain runs on the K kept
-    slices (``tm.m_kept``/``tm.m_inv_kept``), and the pre-activation is the
-    real part of the inverse GEMM.  Returns H and the time-major cache
-    (Q̂, Ŵ, H) that ``layer_backward`` needs.
+
+def weight_grad(g_wh: np.ndarray, tm: TransformMatrix) -> np.ndarray:
+    """dL/dW, (F_in, F_out, T), from the conjugated transform-domain ḡ_Ŵ: Re(m_kept^T ḡ_Ŵ)."""
+    return transform_slots(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
+
+
+def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
+    """Q̂ = (Â x_3 M)·X̂ slice by slice, time-major (K, N, F), on ``blocks``
+    from ``transformed_blocks``.
+
+    ``x`` is real and time-major, (t, N, F) with t <= T = ``tm.size``; its
+    missing slots count as zero, so the first t columns of ``tm.m_kept``
+    transform it.  Every slice stack is a free (K * N, F) reshape, so the
+    face-wise products are one sparse x dense product.
     """
-    for name, a in (("x", x), ("w", w)):
-        if np.iscomplexobj(a):
-            raise ValueError(f"layer input {name} must be real, got {a.dtype}")
-    t, n, f_in = x.shape
+    if np.iscomplexobj(x):
+        raise ValueError(f"layer input x must be real, got {x.dtype}")
+    t, n, f = x.shape
     k = tm.kept
-    if t > tm.size or w.shape[0] != f_in or w.shape[2] != tm.size or blocks.shape != (k * n, k * n):
+    if t > tm.size or blocks.shape != (k * n, k * n):
+        raise DimensionMismatchError(f"features {x.shape} and adjacency blocks {blocks.shape} disagree")
+    xh = transform_slots(tm.m_kept[:, :t], x)
+    return (blocks @ xh.reshape(k * n, f)).reshape(k, n, f)
+
+
+def propagate_grad(blocks, g_q: np.ndarray, tm: TransformMatrix) -> np.ndarray:
+    """dL/dX, (T, N, F), from the conjugated ḡ_Q̂ of ``propagate``: Re(m_kept^T Â^T ḡ_Q)."""
+    k, n, f = g_q.shape
+    return transform_slots(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real
+
+
+def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activation: str):
+    """One layer's transform-domain chain, H = sigma(Re(M^-1 (Q̂ Ŵ))).
+
+    ``qh`` is the (K, N, F_in) product of Â's and the input's kept slices
+    and ``wh`` the (K, F_in, F_out) transformed weight, both time-major.
+    The first layer passes Ẑ and W̃ (see ``training.forward_model``), the
+    others ``propagate`` and ``transform_weight``.  Every transform is one
+    GEMM on a (K, N * F) view; the pre-activation is the real part of the
+    inverse GEMM on the K kept slices (``tm.m_inv_kept``), kept as a
+    C-contiguous float64 array.  H is (T, N, F_out), T = ``tm.size``.
+    Returns H and the time-major cache (Q̂, Ŵ, H) that ``layer_backward``
+    needs.
+    """
+    k, n, f_in = qh.shape
+    if k != tm.kept or wh.shape[:2] != (k, f_in):
         raise DimensionMismatchError(
-            f"features {x.shape}, weights {w.shape} and adjacency blocks {blocks.shape} disagree"
+            f"{tm.kind} layer: transformed features {qh.shape} and weights {wh.shape} disagree"
         )
-    xh = _time_major(tm.m_kept[:, :t], x)
-    wh = m_transform(w, tm.m_kept).transpose(2, 0, 1)
-    q = (blocks @ xh.reshape(k * n, f_in)).reshape(k, n, f_in)
-    s = _time_major(tm.m_inv_kept, np.matmul(q, wh)).real
+    # .real of a complex result is a strided view of twice its bytes; copy it out.
+    s = np.ascontiguousarray(transform_slots(tm.m_inv_kept, np.matmul(qh, wh)).real)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     h = apply_activation(s, activation)
-    return h, {"q": q, "wh": wh, "h": h}
+    return h, {"q": qh, "wh": wh, "h": h}
 
 
-def layer_backward(blocks, g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
-    """Gradients (dL/dX, dL/dW) of one layer from dL/dH, on the forward's ``blocks``.
+def layer_backward(g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation: str):
+    """The conjugated transform-domain gradients (ḡ_Q̂, ḡ_Ŵ) of one layer from dL/dH.
 
     ``g_h`` is time-major, (t, N, F) with t <= T = ``tm.size``, the gradient
-    of H's first t slots (the rest get none).  dL/dX is (T, N, F) and dL/dW
-    has the weight's (F_in, F_out, T) shape.  Only real parts leave the
+    of H's first t slots (the rest get none).  Only real parts leave the
     complex-linear chain, so it runs on the conjugated gradients, with plain
-    transposes:
-    ḡ_P = m_inv_kept^T g_S, ḡ_Q = ḡ_P Ŵ^T, ḡ_Ŵ = Q̂^T ḡ_P,
-    g_X = Re(m_kept^T Â^T ḡ_Q) and g_W = Re(m_kept^T ḡ_Ŵ).  Conjugation
-    only flips signs, which is exact.
+    transposes: ḡ_P = m_inv_kept^T g_S, ḡ_Q = ḡ_P Ŵ^T and ḡ_Ŵ = Q̂^T ḡ_P.
+    ``propagate_grad`` and ``weight_grad`` take them on to dL/dX and dL/dW.
+    Conjugation only flips signs, which is exact.
     """
     q, wh = cache["q"], cache["wh"]
-    k, n, f_in = q.shape
     t = len(g_h)
     g_s = g_h * activation_grad(cache["h"][:t], activation)
-    g_p = _time_major(tm.m_inv_kept[:t].T, g_s)
-    g_q = np.matmul(g_p, wh.transpose(0, 2, 1))
-    g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
-    g_w = _time_major(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
-    g_x = _time_major(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f_in)).reshape(k, n, f_in)).real
-    return g_x, g_w
+    g_p = transform_slots(tm.m_inv_kept[:t].T, g_s)
+    return np.matmul(g_p, wh.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), g_p)

@@ -14,7 +14,14 @@ import pytest
 
 from tubalgcn.cli import main
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, generate_synthetic, split_dataset
-from tubalgcn.gtcn import TubeAdjacency, layer_forward, preprocess_adjacency, transformed_blocks
+from tubalgcn.gtcn import (
+    TubeAdjacency,
+    layer_forward,
+    preprocess_adjacency,
+    propagate,
+    transform_weight,
+    transformed_blocks,
+)
 from tubalgcn.tensor3 import facewise_product, m_product, m_transform
 from tubalgcn.training import EarlyStopping, TrainConfig, evaluate, grad_check, train
 from tubalgcn.transforms import TRANSFORM_KINDS, build_transform
@@ -80,9 +87,10 @@ class TestAcceptance:
             x = rng.normal(size=(n, f_in, t))
             w = rng.normal(size=(f_in, f_out, t))
             tm = build_transform(kind, t)
-            # The layer the trainer runs, on blocks built as build_aux builds them.
+            # The layer the trainer runs after the first, on blocks built as build_aux builds them.
             blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
-            h, _ = layer_forward(blocks, np.ascontiguousarray(x.transpose(2, 0, 1)), w, tm, "sigmoid")
+            qh = propagate(blocks, np.ascontiguousarray(x.transpose(2, 0, 1)), tm)
+            h, _ = layer_forward(qh, transform_weight(w, tm), tm, "sigmoid")
             h = h.transpose(1, 2, 0)  # time-major (T, N, F) to the oracle's (N, F, T)
             diff = np.max(np.abs(h - message_passing_oracle(a, x, w, tm, "sigmoid")))
             worst = max(worst, diff)

@@ -55,6 +55,18 @@ class TestGenSynth:
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--nodes", "1", "--slots", "4"], "--nodes must be >= 2, got 1"),
+         (["--nodes", "4", "--slots", "0"], "--slots must be >= 1, got 0")],
+        ids=["nodes", "slots"],
+    )
+    def test_bad_size_names_its_flag(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.tsv"
+        assert main(["gen-synth", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_fails_by_name(self, tmp_path, capsys, noise):
         out = tmp_path / "x.tsv"
@@ -438,8 +450,8 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("transform", ["ensemble", "haar"])
     def test_report_matches_the_committed_one(self, tmp_path, transform):
-        # <transform>_2layer_train_report.txt was written by an earlier release
-        # of `tubalgcn train` with these flags: the default kappa runs the
+        # <transform>_2layer_train_report.txt is the report `tubalgcn train`
+        # writes with these flags: the default kappa runs the
         # regularizer, and T = 5 runs the Haar branch padded to 8 slots.  The
         # haar report, with no DFT branch, pins the real branches byte for byte.
         data = tmp_path / "small.tsv"
@@ -481,14 +493,16 @@ class TestTrainEval:
         # ensemble_2layer_v1.npz was written by an earlier release of
         # `tubalgcn train` (two-layer ensemble, --embedding-dim 3 --seed 1
         # --max-epochs 30 --patience 30) on this gen-synth graph; its eval
-        # report then read test_mae = 0.17490955675835435.
+        # report then read test_mae = 0.17490955675835435, and reads
+        # 0.17490955675835432 since the first layer runs Â E once for every
+        # branch (1.6e-16 relative).
         data = tmp_path / "g.tsv"
         assert main(["gen-synth", "--nodes", "12", "--slots", "4", "--density", "0.5",
                      "--noise", "0.02", "--seed", "5", "--out", str(data)]) == 0
         report = tmp_path / "e.txt"
         assert main(["eval", "--checkpoint", str(DATA / "ensemble_2layer_v1.npz"), "--data", str(data),
                      "--report", str(report)]) == 0
-        assert "test_mae = 0.17490955675835435" in report.read_text().splitlines()
+        assert "test_mae = 0.17490955675835432" in report.read_text().splitlines()
 
 
 class TestTransformMatrix:

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubalgcn.gtcn import TubeAdjacency, apply_activation, layer_backward, layer_forward, preprocess_adjacency, transformed_blocks
+from tubalgcn.gtcn import (
+    TubeAdjacency,
+    apply_activation,
+    layer_backward,
+    layer_forward,
+    preprocess_adjacency,
+    propagate,
+    propagate_grad,
+    transform_weight,
+    transformed_blocks,
+    weight_grad,
+)
 from tubalgcn.tensor3 import DimensionMismatchError, m_product
 from tubalgcn.transforms import build_transform, next_power_of_two
 
@@ -39,11 +50,22 @@ def node_major(x):
     return x.transpose(1, 2, 0)
 
 
+def run_layer(blocks, x, w, tm, activation):
+    """The trainer's layer after the first on time-major ``x``: (H, cache)."""
+    return layer_forward(propagate(blocks, x, tm), transform_weight(w, tm), tm, activation)
+
+
+def layer_grads(blocks, g_h, cache, tm, activation):
+    """(dL/dX, dL/dW) of ``run_layer`` from dL/dH."""
+    g_q, g_wh = layer_backward(g_h, cache, tm, activation)
+    return propagate_grad(blocks, g_q, tm), weight_grad(g_wh, tm)
+
+
 def layer(a, x, w, tm, activation="sigmoid"):
     """The trainer's layer on blocks built from the dense adjacency ``a``, in
     the oracle's (N, F, T) layout."""
     blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
-    return node_major(layer_forward(blocks, time_major(x), w, tm, activation)[0])
+    return node_major(run_layer(blocks, time_major(x), w, tm, activation)[0])
 
 
 class TestActivation:
@@ -171,14 +193,14 @@ class TestGtcnForward:
         w = rng.normal(size=(f_in, f_out, t_b))
         a_pad, x_pad = (np.concatenate([v, np.zeros(v.shape[:2] + (t_b - t,))], axis=2) for v in (a, x))
         blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
-        h, _ = layer_forward(blocks, time_major(x_pad), w, tm, "identity")
+        h, _ = run_layer(blocks, time_major(x_pad), w, tm, "identity")
         expected = m_product(m_product(a_pad, x_pad, tm), w, tm)
         assert np.max(np.abs(node_major(h) - expected)) <= 1e-9
         # The T-slot Â and X, transformed by the first T columns of M, give
         # the same blocks and layer as their zero-padded copies.
         blocks_pad = transformed_blocks(TubeAdjacency.from_dense(a_pad), tm)
         assert np.max(np.abs((blocks - blocks_pad).toarray())) <= 1e-12
-        h_t, _ = layer_forward(blocks, time_major(x), w, tm, "identity")
+        h_t, _ = run_layer(blocks, time_major(x), w, tm, "identity")
         assert h_t.shape == h.shape and np.max(np.abs(h_t - h)) <= 1e-12
 
     def test_permutation_equivariance(self):
@@ -231,15 +253,15 @@ class TestLayerAdjoint:
         x = rng.normal(size=(n, f_in, t_b))
         w = rng.normal(size=(f_in, f_out, t_b))
         g = rng.normal(size=(n, f_out, t_b))
-        h, cache = layer_forward(blocks, time_major(x), w, tm, "identity")
-        g_x, g_w = layer_backward(blocks, time_major(g), cache, tm, "identity")
+        h, cache = run_layer(blocks, time_major(x), w, tm, "identity")
+        g_x, g_w = layer_grads(blocks, time_major(g), cache, tm, "identity")
         if t_b > t:
             # A gradient on H's first T slots only, as the trainer's cropped
             # output gives, equals the padded gradient with zero extra slots.
             g_pad = g.copy()
             g_pad[:, :, t:] = 0.0
-            g_x_t, g_w_t = layer_backward(blocks, time_major(g)[:t], cache, tm, "identity")
-            g_x_pad, g_w_pad = layer_backward(blocks, time_major(g_pad), cache, tm, "identity")
+            g_x_t, g_w_t = layer_grads(blocks, time_major(g)[:t], cache, tm, "identity")
+            g_x_pad, g_w_pad = layer_grads(blocks, time_major(g_pad), cache, tm, "identity")
             assert np.max(np.abs(g_x_t - g_x_pad)) <= 1e-12 and np.max(np.abs(g_w_t - g_w_pad)) <= 1e-12
         h, g_x = node_major(h), node_major(g_x)
         assert g_x.dtype == g_w.dtype == np.float64

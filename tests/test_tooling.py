@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy import sparse
 
 from tubalgcn.data import SynthSpec, generate_synthetic, split_dataset
 from tubalgcn.training import TRANSFORM_CHOICES, TrainConfig, build_aux, compute_gradients, init_params
@@ -80,6 +81,33 @@ def test_gradient_pass_calls_the_traced_names_per_layer(monkeypatch, transform, 
     counts = count_calls(monkeypatch, PER_LAYER_SPANS)
     compute_gradients(params, aux, batch, config)
     layers = n_layers * len(config.branch_kinds())
-    # Per layer and branch: the forward transforms X, W and the inverse, the
-    # backward ones of g_S, g_W and g_X; one activation and one derivative.
+    # Per layer and branch: the forward transforms of the input (Z = Â E in
+    # the first layer, X after it), W and the inverse, the backward ones of
+    # g_S, g_W and the input's gradient; one activation and one derivative.
     assert counts == {"tensor3.m_transform": 6 * layers, "gtcn.apply_activation": layers, "gtcn.activation_grad": layers}
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+def test_gradient_pass_makes_one_first_layer_sparse_product_each_way(monkeypatch, transform, n_layers):
+    # The first layer runs on the raw Â stack shared by every branch: one
+    # CSR product forward (Z = Â E) and one CSC product backward (Âᵀ g_Z,
+    # on the transposed view) per pass.  Each later layer of each branch
+    # adds one of each on its transformed blocks.
+    ds = split_dataset(generate_synthetic(SynthSpec(n=6, t=3, density=0.8, seed=1)), seed=1)
+    config = TrainConfig(embedding_dim=3, transform=transform, n_layers=n_layers)
+    aux = build_aux(ds, config)
+    params = init_params(ds, config)
+    batch = ds.subset_arrays(ds.train_idx)
+    counts = {}
+    for cls in (sparse.csr_array, sparse.csc_array):
+        counts[cls.__name__] = 0
+
+        def counting(self, other, _name=cls.__name__, _fn=cls.__matmul__):
+            counts[_name] += 1
+            return _fn(self, other)
+
+        monkeypatch.setattr(cls, "__matmul__", counting)
+    compute_gradients(params, aux, batch, config)
+    each_way = 1 + (n_layers - 1) * len(config.branch_kinds())
+    assert counts == {"csr_array": each_way, "csc_array": each_way}

@@ -4,9 +4,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubalgcn.data import DynamicGraphDataset, SynthSpec, build_adjacency, generate_synthetic, split_dataset
-from tubalgcn.gtcn import ACTIVATIONS, layer_backward, preprocess_adjacency
+from tubalgcn.data import (
+    DynamicGraphDataset,
+    SynthSpec,
+    build_adjacency,
+    build_tube_adjacency,
+    generate_synthetic,
+    split_dataset,
+)
+from tubalgcn.gtcn import (
+    ACTIVATIONS,
+    ADJACENCY_MODES,
+    layer_backward,
+    layer_forward,
+    preprocess_adjacency,
+    preprocess_tubes,
+    propagate,
+    propagate_grad,
+    transform_weight,
+    transformed_blocks,
+    weight_grad,
+)
 from tubalgcn.head_loss import predict
 from tubalgcn.tensor3 import m_transform
 from tubalgcn.training import (
@@ -205,8 +226,7 @@ class TestHeadGradient:
         j = np.array([1, 2, 2, 1, 3, 0])
         y = np.random.default_rng(12).uniform(size=len(t))
         _, grads, scores, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
-        h, caches = forward_model(params, aux, cfg)
-        h = node_major(h)
+        h = node_major(forward_model(params, aux, cfg)[0])
 
         e, u, r = params["e"], params["u"], params["r"]
         n, f, n_slots = h.shape
@@ -217,14 +237,24 @@ class TestHeadGradient:
         g_h = np.zeros((n, n_slots, f))
         np.add.at(g_h, (i, t - 1), g[:, None] * r[:f])
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
+        tubes = preprocess_tubes(build_tube_adjacency(ds), cfg.adjacency_mode)
+        x0 = e[None, :, :] * (1.0 + u[:, None, :])  # time-major (T, N, F)
         for kind, b in aux.items():
+            # The explicit route the trainer's first layer skips: the input
+            # X = E (1 + U) and the blocks of Â x_3 M, as later layers run.
+            blocks = transformed_blocks(tubes, b.tm)
+            x, ref_caches = x0, []
+            for layer in range(n_layers):
+                wh = transform_weight(params[f"w:{kind}:{layer}"], b.tm)
+                x, cache = layer_forward(propagate(blocks, x, b.tm), wh, b.tm, activation)
+                ref_caches.append(cache)
             # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
             g_x = np.zeros((b.tm.size, n, f))
             g_x[:n_slots] = (1.0 / len(aux)) * g_h.transpose(1, 0, 2)
             for layer in reversed(range(n_layers)):
-                g_x, ref[f"w:{kind}:{layer}"] = layer_backward(
-                    b.blocks, g_x, caches[kind][layer], b.tm, activation
-                )
+                g_q, g_wh = layer_backward(g_x, ref_caches[layer], b.tm, activation)
+                ref[f"w:{kind}:{layer}"] = weight_grad(g_wh, b.tm)
+                g_x = propagate_grad(blocks, g_q, b.tm)
             g_x = node_major(g_x[:n_slots])
             ref["e"] += (g_x * (1.0 + u.T[None, :, :])).sum(axis=2)
             ref["u"] += np.einsum("nft,nf->tf", g_x, e)
@@ -273,7 +303,25 @@ class TestForwardMatchesOracle:
         expected = np.zeros((k * n, k * n), dtype=a_hat_t.dtype)
         for s in range(k):
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
-        np.testing.assert_allclose(branch.blocks.toarray(), expected, rtol=0, atol=1e-12)
+        # A one-layer model builds no blocks; a deeper one builds these.
+        assert branch.blocks is None
+        blocks = transformed_blocks(preprocess_tubes(build_tube_adjacency(ds), mode), tm)
+        np.testing.assert_allclose(blocks.toarray(), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [3, 5])
+    @pytest.mark.parametrize("mode", ["sym_normalized", "raw_self_loops"])
+    def test_every_branch_shares_one_raw_a_hat_stack(self, mode, t):
+        # T = 3 and 5 run the Haar branch padded to 4 and 8 slots; the stack
+        # holds Â's T slices, untransformed, with no stored zero.
+        n = 6
+        ds = small_dataset(seed=t, n=n, t=t)
+        aux = build_aux(ds, TrainConfig(embedding_dim=3, transform="ensemble", adjacency_mode=mode, seed=t))
+        stacks = [b.a_hat for b in aux.values()]
+        assert all(a is stacks[0] for a in stacks)
+        a = stacks[0]
+        assert a.shape == (t * n, n) and np.all(a.data != 0)
+        dense = preprocess_adjacency(build_adjacency(ds), mode)
+        np.testing.assert_array_equal(a.toarray().reshape(t, n, n), dense.transpose(2, 0, 1))
 
     def test_two_layer_haar_keeps_activations_in_padded_slots(self):
         # T = 3 runs the Haar branch at 4 slots.  Layer 2 sees sigma(z) in the
@@ -301,31 +349,83 @@ class TestForwardMatchesOracle:
     @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
     def test_every_cli_configuration(self, transform, n_layers, activation, t):
         # Every transform, layer count and activation `tubalgcn train` accepts.
-        # Each branch runs the oracle with its own weights on the operands
-        # zero-padded to its slot count and is cropped to T; the ensemble's
-        # reference is the equally weighted sum of its three branches.
         n = 6
         ds = small_dataset(seed=t, n=n, t=t)
         cfg = TrainConfig(embedding_dim=3, transform=transform, activation=activation, n_layers=n_layers, seed=t)
         params = init_params(ds, cfg)
         h = node_major(forward_model(params, build_aux(ds, cfg), cfg)[0])
-
-        kinds = ("dft", "dct", "haar") if transform == "ensemble" else (transform,)
-        a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
-        x0 = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
-        expected = np.zeros_like(h)
-        for kind in kinds:
-            tm = build_transform(kind, next_power_of_two(t) if kind == "haar" else t)
-            pad = ((0, 0), (0, 0), (0, tm.size - t))
-            a, x = np.pad(a_hat, pad), np.pad(x0, pad)
-            for layer in range(n_layers):
-                x = message_passing_oracle(a, x, params[f"w:{kind}:{layer}"], tm, activation)
-            expected += x[:, :, :t] / len(kinds)
+        expected = oracle_representation(ds, params, cfg)
         assert np.max(np.abs(expected)) > 0
         assert np.max(np.abs(h - expected)) <= 1e-9
 
 
+def oracle_representation(ds, params, cfg):
+    """The model's (N, F, T) representation by the message-passing oracle.
+
+    Each branch runs the oracle with its own weights on the operands
+    zero-padded to its slot count and is cropped to T; the ensemble's
+    reference is the equally weighted sum of its three branches.
+    """
+    t = ds.n_slots
+    kinds = cfg.branch_kinds()
+    a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
+    x0 = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
+    expected = 0.0
+    for kind in kinds:
+        tm = build_transform(kind, next_power_of_two(t) if kind == "haar" else t)
+        pad = ((0, 0), (0, 0), (0, tm.size - t))
+        a, x = np.pad(a_hat, pad), np.pad(x0, pad)
+        for layer in range(cfg.n_layers):
+            x = message_passing_oracle(a, x, params[f"w:{kind}:{layer}"], tm, cfg.activation)
+        expected = expected + x[:, :, :t] / len(kinds)
+    return expected
+
+
+class TestEveryConfiguration:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        transform=st.sampled_from(TRANSFORM_CHOICES),
+        n_layers=st.integers(1, 3),
+        activation=st.sampled_from(ACTIVATIONS),
+        mode=st.sampled_from(ADJACENCY_MODES),
+        t=st.integers(1, 9),
+        n=st.integers(4, 7),
+        f=st.integers(1, 3),
+        seed=st.integers(0, 999),
+    )
+    def test_gradients_and_forward_match_their_references(self, transform, n_layers, activation, mode, t, n, f, seed):
+        # Any configuration the CLI accepts, on any small graph: the analytic
+        # gradients against finite differences, and the forward pass against
+        # the message-passing oracle.
+        rep = grad_check(
+            seed=seed, n=n, f=f, t=t, transform=transform, activation=activation, n_layers=n_layers, adjacency_mode=mode
+        )
+        assert rep["passed"], rep
+        ds = small_dataset(seed=seed, n=n, t=t)
+        cfg = TrainConfig(
+            embedding_dim=f, transform=transform, activation=activation, n_layers=n_layers, adjacency_mode=mode,
+            seed=seed,
+        )
+        params = init_params(ds, cfg)
+        h = node_major(forward_model(params, build_aux(ds, cfg), cfg)[0])
+        assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
+
+
 class TestMemory:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_dft_identity_layer_caches_a_contiguous_real_h(self, n_layers):
+        # With the identity activation H is the pre-activation itself, the
+        # real part of a complex inverse: the cache must not keep that
+        # complex array, twice H's bytes, alive through a strided view.
+        ds = small_dataset(seed=4, n=8, t=6)
+        cfg = TrainConfig(embedding_dim=3, transform="dft", activation="identity", n_layers=n_layers, seed=4)
+        _, branch_caches = forward_model(init_params(ds, cfg), build_aux(ds, cfg), cfg)
+        hs = [cache["h"] for cache in branch_caches["dft"][2]]
+        assert len(hs) == n_layers
+        for h in hs:
+            assert h.dtype == np.float64 and h.flags.c_contiguous
+            assert not np.iscomplexobj(h.base)
+
     def test_aux_and_epoch_allocate_no_dense_adjacency(self):
         # N = 2000, T = 8, 0.1 % of node pairs linked in every slot.  The
         # embedding is small so that the N x F x T activations stay far
