@@ -156,22 +156,17 @@ def cmd_eval(args) -> int:
     sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
     for what, trained, have in sizes:
         if trained != have:
-            print(
-                f"error: checkpoint {args.checkpoint} was trained on {trained} {what}, "
-                f"dataset has {have} ({args.data})",
-                file=sys.stderr,
+            raise ValueError(
+                f"checkpoint {args.checkpoint} was trained on {trained} {what}, dataset has {have} ({args.data})"
             )
-            return 1
     # Re-splitting other rows with the checkpoint's split seed would score
     # training rows as test rows.  Checkpoints without a digest predate it.
     digest = extra.get("data_sha256")
     if digest is not None and digest != ds.digest():
-        print(
-            f"error: checkpoint {args.checkpoint} was not trained on the rows of {args.data} "
-            "in their file order (dataset SHA-256 differs)",
-            file=sys.stderr,
+        raise ValueError(
+            f"checkpoint {args.checkpoint} was not trained on the rows of {args.data} "
+            "in their file order (dataset SHA-256 differs)"
         )
-        return 1
     metrics = evaluate(params, _split(ds, config.split_seed, args.data), config)
     pairs = [("command", "eval"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
@@ -182,11 +177,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transform_matrix(args) -> int:
-    try:
-        tm = build_transform(args.kind, args.size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    tm = build_transform(args.kind, args.size)
     if tm.is_complex:
         real_path = f"{args.out}_real.csv"
         imag_path = f"{args.out}_imag.csv"
@@ -201,9 +192,11 @@ def cmd_transform_matrix(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.features < 1:
+        raise ValueError(f"--features must be >= 1, got {args.features}")
     # A bad config flag fails by its field name here; what grad_check raises
     # after that is about the synthetic graph that --nodes and --slots size.
-    replace(_config_from_args(args), embedding_dim=args.features)
+    _config_from_args(args)
     try:
         report = grad_check(
             seed=args.seed,

@@ -10,8 +10,10 @@ the transformed operands, so that the first layer can form Â x_3 M X̂ from
 one product with the untransformed Â shared by every branch (see
 ``training.forward_model``), and later layers from ``propagate`` on a
 branch's transformed blocks.  The layer keeps its activations, gradients
-and cache time-major, as (T, N, F) arrays, so that every transform is one
-GEMM on a (T, N * F) view.
+and cache time-major, as (T, N, F) arrays, the layout of ``tensor3``, so
+that every transform is one ``m_transform`` GEMM on a (T, N * F) view.
+Only the (F_in, F_out, T) weights and the (nnz_tubes, T) tube values are
+transposed on their way in and out of a transform.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "preprocess_tubes",
     "preprocess_adjacency",
     "transformed_blocks",
-    "transform_slots",
     "transform_weight",
     "weight_grad",
     "propagate",
@@ -179,14 +180,8 @@ def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_arra
     layers after the first run on it; the backward runs on ``blocks.T``, a
     view.
     """
-    # Transform the tubes as an (nnz_tubes, 1, T) tensor.
-    vals = m_transform(a.vals[:, None, :], tm.m_kept[:, : a.vals.shape[1]])[:, 0, :]
+    vals = m_transform(tm.m_kept[:, : a.vals.shape[1]], a.vals.T).T
     return replace(a, vals=vals).slot_blocks()
-
-
-def transform_slots(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``m_transform`` of a time-major (T, N, F) tensor: one GEMM, time-major result."""
-    return m_transform(x.transpose(1, 2, 0), m).transpose(2, 0, 1)
 
 
 def transform_weight(w: np.ndarray, tm: TransformMatrix) -> np.ndarray:
@@ -196,12 +191,12 @@ def transform_weight(w: np.ndarray, tm: TransformMatrix) -> np.ndarray:
         raise ValueError(f"layer input w must be real, got {w.dtype}")
     if w.ndim != 3 or w.shape[2] != tm.size:
         raise DimensionMismatchError(f"weights {w.shape} do not fit a {tm.size}-slot {tm.kind} transform")
-    return m_transform(w, tm.m_kept).transpose(2, 0, 1)
+    return m_transform(tm.m_kept, w.transpose(2, 0, 1))
 
 
 def weight_grad(g_wh: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     """dL/dW, (F_in, F_out, T), from the conjugated transform-domain ḡ_Ŵ: Re(m_kept^T ḡ_Ŵ)."""
-    return transform_slots(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
+    return m_transform(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
 
 
 def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
@@ -219,14 +214,14 @@ def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     k = tm.kept
     if t > tm.size or blocks.shape != (k * n, k * n):
         raise DimensionMismatchError(f"features {x.shape} and adjacency blocks {blocks.shape} disagree")
-    xh = transform_slots(tm.m_kept[:, :t], x)
+    xh = m_transform(tm.m_kept[:, :t], x)
     return (blocks @ xh.reshape(k * n, f)).reshape(k, n, f)
 
 
 def propagate_grad(blocks, g_q: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     """dL/dX, (T, N, F), from the conjugated ḡ_Q̂ of ``propagate``: Re(m_kept^T Â^T ḡ_Q)."""
     k, n, f = g_q.shape
-    return transform_slots(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real
+    return m_transform(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real
 
 
 def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activation: str):
@@ -248,7 +243,7 @@ def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activatio
             f"{tm.kind} layer: transformed features {qh.shape} and weights {wh.shape} disagree"
         )
     # .real of a complex result is a strided view of twice its bytes; copy it out.
-    s = np.ascontiguousarray(transform_slots(tm.m_inv_kept, np.matmul(qh, wh)).real)
+    s = np.ascontiguousarray(m_transform(tm.m_inv_kept, np.matmul(qh, wh)).real)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     h = apply_activation(s, activation)
@@ -268,5 +263,5 @@ def layer_backward(g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation
     q, wh = cache["q"], cache["wh"]
     t = len(g_h)
     g_s = g_h * activation_grad(cache["h"][:t], activation)
-    g_p = transform_slots(tm.m_inv_kept[:t].T, g_s)
+    g_p = m_transform(tm.m_inv_kept[:t].T, g_s)
     return np.matmul(g_p, wh.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), g_p)

@@ -1,12 +1,15 @@
-"""Dense third-order tensor algebra built on the M-product.
+"""Dense tensor algebra built on the M-product, time-major throughout.
 
-Tensors are plain numpy arrays of shape (I, J, T) in C order.  The third
-axis is time: the tube at (i, j) is ``x[i, j, :]`` and the frontal slice
-at time t is ``x[:, :, t]``.  Real tensors use float64, complex ones
-complex128.
+Tensors are plain numpy arrays with time on the first axis: a third-order
+tensor is (T, I, J) in C order, its frontal slice at time t is ``x[t]`` and
+its tube at (i, j) is ``x[:, i, j]``.  Every transform is a product along
+that first axis, so it is one GEMM on the (T, I * J) reshape.  Real
+tensors use float64, complex ones complex128.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,71 +31,58 @@ class DimensionMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+def _as_float(x) -> np.ndarray:
+    """``x`` as a float64 or complex128 array."""
+    a = np.asarray(x)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
 def as_tensor3(x) -> np.ndarray:
     """Coerce ``x`` to a 3-d float64/complex128 array."""
-    a = np.asarray(x)
+    a = _as_float(x)
     if a.ndim != 3:
         raise DimensionMismatchError(f"expected a third-order tensor, got ndim={a.ndim}")
-    if np.iscomplexobj(a):
-        return a.astype(np.complex128, copy=False)
-    return a.astype(np.float64, copy=False)
+    return a
 
 
-def _as_matrix(u) -> np.ndarray:
-    a = np.asarray(u)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got ndim={a.ndim}")
-    if np.iscomplexobj(a):
-        return a.astype(np.complex128, copy=False)
-    return a.astype(np.float64, copy=False)
+def m_transform(m, x) -> np.ndarray:
+    """Product along time of a K x T transform matrix (K = T for a full
+    transform) and a time-major x of shape (T, ...), any trailing shape.
 
-
-def m_transform(x, m) -> np.ndarray:
-    """Mode-3 product with a K x T transform matrix (K = T for a full transform).
-
-    One GEMM, ``M @ x`` on the (T, I*J) time-major view of x.  That view
-    copies nothing when x is itself a view of a (T, I, J)-contiguous array,
-    as the layer's time-major tensors are; the result is always an (I, J, K)
-    view of a (K, I, J)-contiguous array.  A complex matrix applied to a
-    real tensor runs as one real GEMM with ``[Re M; Im M]`` stacked, instead
-    of a complex GEMM on a complex copy of the tensor.
+    One GEMM, ``M @ x`` on the (T, -1) reshape of x, which copies nothing
+    when x is C-contiguous; the result is the C-contiguous (K, ...) array.
+    A complex matrix applied to a real tensor runs as one real GEMM with
+    ``[Re M; Im M]`` stacked, instead of a complex GEMM on a complex copy
+    of the tensor.
     """
-    x = as_tensor3(x)
-    m = _as_matrix(m)
-    i, j, t = x.shape
-    if m.shape[1] != t:
-        raise DimensionMismatchError(
-            f"m_transform: transform is {m.shape}, tensor has T={t}"
-        )
-    k = m.shape[0]
-    xt = x.transpose(2, 0, 1).reshape(t, i * j)
+    m, x = _as_float(m), _as_float(x)
+    if m.ndim != 2 or x.ndim == 0 or m.shape[1] != len(x):
+        raise DimensionMismatchError(f"m_transform: transform is {m.shape}, tensor is {x.shape}")
+    (k, t), rest = m.shape, x.shape[1:]
+    xt = x.reshape(t, math.prod(rest))
     if np.iscomplexobj(m) and not np.iscomplexobj(x):
         parts = np.concatenate([m.real, m.imag]) @ xt
-        out = np.empty((k, i * j), dtype=np.complex128)
+        out = np.empty((k, xt.shape[1]), dtype=np.complex128)
         out.real = parts[:k]
         out.imag = parts[k:]
     else:
         out = m @ xt
-    return out.reshape(k, i, j).transpose(1, 2, 0)
+    return out.reshape(k, *rest)
 
 
 def facewise_product(x, y) -> np.ndarray:
-    """Slice-by-slice matrix product of two tensors (I,J,T) x (J,K,T).
+    """Slice-by-slice matrix product of two tensors (T, I, J) x (T, J, K).
 
     One batched ``matmul`` over the time-stacked slices, which reaches BLAS
     where an einsum would not.
     """
     x = as_tensor3(x)
     y = as_tensor3(y)
-    if x.shape[2] != y.shape[2]:
-        raise DimensionMismatchError(
-            f"facewise product: T mismatch {x.shape[2]} vs {y.shape[2]}"
-        )
-    if x.shape[1] != y.shape[0]:
-        raise DimensionMismatchError(
-            f"facewise product: inner dims {x.shape[1]} vs {y.shape[0]}"
-        )
-    return np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1)).transpose(1, 2, 0)
+    if x.shape[0] != y.shape[0]:
+        raise DimensionMismatchError(f"facewise product: T mismatch {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[2] != y.shape[1]:
+        raise DimensionMismatchError(f"facewise product: inner dims {x.shape[2]} vs {y.shape[1]}")
+    return np.matmul(x, y)
 
 
 def demote_real(z: np.ndarray) -> np.ndarray:
@@ -118,9 +108,7 @@ def m_product(x, y, tm) -> np.ndarray:
     """
     x = as_tensor3(x)
     y = as_tensor3(y)
-    xh = m_transform(x, tm.m)
-    yh = m_transform(y, tm.m)
-    z = m_transform(facewise_product(xh, yh), tm.m_inv)
+    z = m_transform(tm.m_inv, facewise_product(m_transform(tm.m, x), m_transform(tm.m, y)))
     if not np.iscomplexobj(x) and not np.iscomplexobj(y):
         return demote_real(z)
     return z

@@ -37,12 +37,12 @@ from .gtcn import (
     preprocess_tubes,
     propagate,
     propagate_grad,
-    transform_slots,
     transform_weight,
     transformed_blocks,
     weight_grad,
 )
 from .head_loss import head_backward, head_scores, loss, mae, params_l2_norm, predict, rmse
+from .tensor3 import m_transform
 from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
 
 __all__ = [
@@ -232,7 +232,7 @@ def forward_model(params: dict, aux: dict, config: TrainConfig):
         m = b.tm.m_kept[:, :n_slots]
         u_hat = m @ (1.0 + u)
         w_hat = transform_weight(params[f"w:{kind}:0"], b.tm)
-        x, cache = layer_forward(transform_slots(m, z), u_hat[:, :, None] * w_hat, b.tm, config.activation)
+        x, cache = layer_forward(m_transform(m, z), u_hat[:, :, None] * w_hat, b.tm, config.activation)
         caches = [cache]
         for layer in range(1, config.n_layers):
             wh = transform_weight(params[f"w:{kind}:{layer}"], b.tm)
@@ -281,7 +281,7 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
         g_zh, g_wt = layer_backward(g_x, caches[0], b.tm, config.activation)
         parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, b.tm)
         m_t = b.tm.m_kept[:, :t_n].T
-        g_z_b = transform_slots(m_t, g_zh).real
+        g_z_b = m_transform(m_t, g_zh).real
         g_u_b = (m_t @ np.sum(g_wt * w_hat, axis=2)).real
         g_z, g_u = (g_z_b, g_u_b) if g_z is None else (g_z + g_z_b, g_u + g_u_b)
     parts.update(e=next(iter(aux.values())).a_hat.T @ g_z.reshape(-1, e.shape[1]), u=g_u)

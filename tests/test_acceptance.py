@@ -44,12 +44,12 @@ class TestAcceptance:
                 tm = build_transform(kind, t)
                 resid = np.max(np.abs(tm.m @ tm.m_inv - np.eye(t)))
                 ok &= resid <= 1e-12
-                x = rng.normal(size=(3, 2, t))
-                back = m_transform(m_transform(x, tm.m), tm.m_inv)
+                x = rng.normal(size=(3, 2, t)).transpose(2, 0, 1)
+                back = m_transform(tm.m_inv, m_transform(tm.m, x))
                 ok &= np.max(np.abs(back - x)) <= 1e-10
             eye = build_transform("identity", t)
-            a = rng.normal(size=(2, 3, t))
-            b = rng.normal(size=(3, 4, t))
+            a = rng.normal(size=(2, 3, t)).transpose(2, 0, 1)
+            b = rng.normal(size=(3, 4, t)).transpose(2, 0, 1)
             ok &= np.array_equal(m_product(a, b, eye), facewise_product(a, b))
         ok &= (time.perf_counter() - started) < 5.0
         _report(1, "algebra suite", ok)
@@ -63,7 +63,7 @@ class TestAcceptance:
             for _ in range(50):
                 a = rng.normal(size=(1, 1, t))
                 b = rng.normal(size=(1, 1, t))
-                prod = m_product(a, b, tm)[0, 0]
+                prod = m_product(a.transpose(2, 0, 1), b.transpose(2, 0, 1), tm)[:, 0, 0]
                 conv = np.array(
                     [sum(a[0, 0, j] * b[0, 0, (k - j) % t] for j in range(t)) for k in range(t)]
                 )

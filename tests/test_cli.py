@@ -448,12 +448,13 @@ class TestTrainEval:
                          "--checkpoint", str(tmp_path / "m.npz"), "--report", str(tmp_path / "r.txt")]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("transform", ["ensemble", "haar"])
+    @pytest.mark.parametrize("transform", ["ensemble", "haar", "identity", "dft"])
     def test_report_matches_the_committed_one(self, tmp_path, transform):
         # <transform>_2layer_train_report.txt is the report `tubalgcn train`
         # writes with these flags: the default kappa runs the
         # regularizer, and T = 5 runs the Haar branch padded to 8 slots.  The
-        # haar report, with no DFT branch, pins the real branches byte for byte.
+        # single-branch reports pin the identity, Haar and DFT branches byte
+        # for byte on their own, the DFT one keeping 3 of its 5 slices.
         data = tmp_path / "small.tsv"
         assert main(["gen-synth", "--nodes", "12", "--slots", "5", "--density", "0.6", "--noise", "0.05",
                      "--seed", "5", "--out", str(data)]) == 0
@@ -571,9 +572,10 @@ class TestGradCheckCommand:
         [
             (["--nodes", "2", "--slots", "1"], "--nodes 2 --slots 1: need at least 5 observations to split, got 1"),
             (["--nodes", "1"], "--nodes 1 --slots 4: need n >= 2 nodes and t >= 1 slots"),
-            (["--features", "0"], "embedding_dim must be >= 1"),
+            (["--features", "0"], "--features must be >= 1, got 0"),
+            (["--features", "-2"], "--features must be >= 1, got -2"),
         ],
-        ids=["too_few_observations", "one_node", "no_features"],
+        ids=["too_few_observations", "one_node", "no_features", "negative_features"],
     )
     def test_bad_size_names_its_flag(self, capsys, flags, message):
         assert main(["grad-check", *flags]) == 1

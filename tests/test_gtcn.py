@@ -194,7 +194,7 @@ class TestGtcnForward:
         a_pad, x_pad = (np.concatenate([v, np.zeros(v.shape[:2] + (t_b - t,))], axis=2) for v in (a, x))
         blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
         h, _ = run_layer(blocks, time_major(x_pad), w, tm, "identity")
-        expected = m_product(m_product(a_pad, x_pad, tm), w, tm)
+        expected = node_major(m_product(m_product(time_major(a_pad), time_major(x_pad), tm), time_major(w), tm))
         assert np.max(np.abs(node_major(h) - expected)) <= 1e-9
         # The T-slot Â and X, transformed by the first T columns of M, give
         # the same blocks and layer as their zero-padded copies.

@@ -36,145 +36,148 @@ KIND_AND_SLOTS = st.one_of(
 
 
 def identity_tensor(n, tm):
-    """The real (n, n, T) tensor whose every transform-domain slice is I_n."""
-    eye_hat = np.broadcast_to(np.eye(n)[:, :, None], (n, n, tm.size))
-    return demote_real(m_transform(eye_hat, tm.m_inv))
+    """The real (T, n, n) tensor whose every transform-domain slice is I_n."""
+    eye_hat = np.broadcast_to(np.eye(n), (tm.size, n, n))
+    return demote_real(m_transform(tm.m_inv, eye_hat))
 
 
 def facewise_loop(x, y):
-    i, j, t = x.shape
-    k = y.shape[1]
-    out = np.zeros((i, k, t), dtype=np.result_type(x, y))
+    t, i, j = x.shape
+    k = y.shape[2]
+    out = np.zeros((t, i, k), dtype=np.result_type(x, y))
     for s in range(t):
-        out[:, :, s] = x[:, :, s] @ y[:, :, s]
+        out[s] = x[s] @ y[s]
     return out
 
 
 class TestMTransform:
     def test_identity(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 3, 4))
-        np.testing.assert_array_equal(m_transform(x, np.eye(4)), x)
+        x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        np.testing.assert_array_equal(m_transform(np.eye(4), x), x)
 
     def test_permutation(self):
-        x = np.array([1.0, 2.0]).reshape(1, 1, 2)
+        x = np.array([1.0, 2.0]).reshape(2, 1, 1)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(m_transform(x, swap)[0, 0], [2.0, 1.0])
+        np.testing.assert_array_equal(m_transform(swap, x)[:, 0, 0], [2.0, 1.0])
 
-    def test_matches_loop_oracle(self):
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 4)], ids=["T", "T-F", "T-N-F"])
+    def test_matches_loop_oracle(self, shape):
+        # Time-major inputs of any trailing shape: the time axis drawn last
+        # is moved to the front, where m_transform takes it.
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 2, 4))
+        x = np.moveaxis(rng.normal(size=shape), -1, 0)
         m = rng.normal(size=(4, 4)) + np.eye(4)
-        np.testing.assert_allclose(m_transform(x, m), mode_n_loop(x, m, 3), atol=1e-12)
+        np.testing.assert_allclose(m_transform(m, x), mode_n_loop(x, m, 1), atol=1e-12)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            m_transform(np.zeros((2, 2, 3)), np.eye(4))
+            m_transform(np.eye(4), np.zeros((3, 2, 2)))
 
     @pytest.mark.parametrize("t", [1, 2, 5, 6, 9])
     def test_kept_rows_match_complex_gemm(self, t):
         # A K x T matrix maps T slots to K; a complex matrix on a real tensor
         # runs as a real GEMM and must agree with the complex one.
         rng = np.random.default_rng(t)
-        x = rng.normal(size=(3, 2, t))
+        x = rng.normal(size=(3, 2, t)).transpose(2, 0, 1)
         m = build_dft(t).m_kept
-        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [2])).transpose(1, 2, 0)
-        out = m_transform(x, m)
-        assert out.shape == (3, 2, t // 2 + 1) and out.dtype == np.complex128
+        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [0]))
+        out = m_transform(m, x)
+        assert out.shape == (t // 2 + 1, 3, 2) and out.dtype == np.complex128
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_complex_matrix_on_real_tensor_matches_complex_gemm(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(4, 3, 6))
+        x = rng.normal(size=(4, 3, 6)).transpose(2, 0, 1)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [2])).transpose(1, 2, 0)
-        assert np.max(np.abs(m_transform(x, m) - expected)) <= 1e-12
-        np.testing.assert_allclose(m_transform(x, m), mode_n_loop(x, m, 3), atol=1e-12)
+        expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [0]))
+        assert np.max(np.abs(m_transform(m, x) - expected)) <= 1e-12
+        np.testing.assert_allclose(m_transform(m, x), mode_n_loop(x, m, 1), atol=1e-12)
 
     def test_kept_matrix_column_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            m_transform(np.zeros((2, 2, 5)), build_dft(6).m_kept)
+            m_transform(build_dft(6).m_kept, np.zeros((5, 2, 2)))
 
 
 class TestInverseTransform:
     @pytest.mark.parametrize("kind", ["identity", "dft", "dct"])
     def test_round_trip(self, kind):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 3, 4))
+        x = rng.normal(size=(3, 3, 4)).transpose(2, 0, 1)
         tm = build_transform(kind, 4)
-        back = m_transform(m_transform(x, tm.m), tm.m_inv)
+        back = m_transform(tm.m_inv, m_transform(tm.m, x))
         assert np.max(np.abs(back - x)) <= 1e-10
 
     def test_haar_round_trip_t8(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 2, 8))
+        x = rng.normal(size=(2, 2, 8)).transpose(2, 0, 1)
         tm = build_haar(8)
-        back = m_transform(m_transform(x, tm.m), tm.m_inv)
+        back = m_transform(tm.m_inv, m_transform(tm.m, x))
         assert np.max(np.abs(back - x)) <= 1e-10
 
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
     @pytest.mark.parametrize("kind", ["identity", "dft", "dct", "haar"])
     def test_round_trip_all_sizes(self, kind, t):
         rng = np.random.default_rng(t)
-        x = rng.normal(size=(2, 3, t))
+        x = rng.normal(size=(2, 3, t)).transpose(2, 0, 1)
         tm = build_transform(kind, t)
-        back = m_transform(m_transform(x, tm.m), tm.m_inv)
+        back = m_transform(tm.m_inv, m_transform(tm.m, x))
         assert np.max(np.abs(back - x)) <= 1e-10
 
 
 class TestFacewiseProduct:
     def test_dot_product_case(self):
-        x = np.array([[1.0, 2.0]]).reshape(1, 2, 1)
-        y = np.array([[3.0], [4.0]]).reshape(2, 1, 1)
+        x = np.array([[1.0, 2.0]]).reshape(1, 1, 2)
+        y = np.array([[3.0], [4.0]]).reshape(1, 2, 1)
         assert facewise_product(x, y)[0, 0, 0] == 11.0
 
     def test_scalar_tubes(self):
-        x = np.array([2.0, 3.0]).reshape(1, 1, 2)
-        y = np.array([5.0, 7.0]).reshape(1, 1, 2)
-        np.testing.assert_array_equal(facewise_product(x, y)[0, 0], [10.0, 21.0])
+        x = np.array([2.0, 3.0]).reshape(2, 1, 1)
+        y = np.array([5.0, 7.0]).reshape(2, 1, 1)
+        np.testing.assert_array_equal(facewise_product(x, y)[:, 0, 0], [10.0, 21.0])
 
     def test_matches_slice_loop(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(3, 2, 4))
+        x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
         np.testing.assert_allclose(facewise_product(x, y), facewise_loop(x, y), atol=1e-12)
 
     def test_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            facewise_product(np.zeros((2, 3, 4)), np.zeros((2, 2, 4)))
+            facewise_product(np.zeros((4, 2, 3)), np.zeros((4, 2, 2)))
         with pytest.raises(DimensionMismatchError):
-            facewise_product(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
+            facewise_product(np.zeros((4, 2, 3)), np.zeros((5, 3, 2)))
 
 
 class TestMProduct:
     def test_identity_m_equals_facewise(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(3, 2, 4))
+        x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
         tm = build_identity(4)
         np.testing.assert_array_equal(m_product(x, y, tm), facewise_product(x, y))
 
     def test_dft_tube_example(self):
-        x = np.array([1.0, 2.0]).reshape(1, 1, 2)
-        y = np.array([3.0, 4.0]).reshape(1, 1, 2)
+        x = np.array([1.0, 2.0]).reshape(2, 1, 1)
+        y = np.array([3.0, 4.0]).reshape(2, 1, 1)
         out = m_product(x, y, build_dft(2))
-        np.testing.assert_allclose(out[0, 0], np.array([11.0, 10.0]) / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(out[:, 0, 0], np.array([11.0, 10.0]) / np.sqrt(2), atol=1e-12)
 
     def test_haar_matches_composition(self):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(2, 2, 4))
-        y = rng.normal(size=(2, 2, 4))
+        x = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         tm = build_haar(4)
         expected = m_transform(
-            facewise_product(m_transform(x, tm.m), m_transform(y, tm.m)), tm.m_inv
+            tm.m_inv, facewise_product(m_transform(tm.m, x), m_transform(tm.m, y))
         )
         np.testing.assert_allclose(m_product(x, y, tm), expected, atol=1e-12)
 
     def test_linear_in_first_operand(self):
         rng = np.random.default_rng(11)
-        x1 = rng.normal(size=(2, 3, 4))
-        x2 = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(3, 2, 4))
+        x1 = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        x2 = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
         tm = build_dft(4)
         a, b = 0.7, -1.3
         lhs = m_product(a * x1 + b * x2, y, tm)
@@ -191,7 +194,7 @@ class TestMProduct:
             u = rng.normal(size=t)
             v = rng.normal(size=t)
             conv = np.array([sum(u[k] * v[(s - k) % t] for k in range(t)) for s in range(t)])
-            out = m_product(u.reshape(1, 1, t), v.reshape(1, 1, t), tm)[0, 0]
+            out = m_product(u.reshape(t, 1, 1), v.reshape(t, 1, 1), tm)[:, 0, 0]
             assert np.max(np.abs(out - conv / np.sqrt(t))) <= 1e-10
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -205,7 +208,7 @@ class TestMProduct:
         kind, t = kind_t
         i, j, k, l = dims
         rng = np.random.default_rng(seed)
-        x, y, z = (rng.uniform(-1.0, 1.0, size=shape) for shape in ((i, j, t), (j, k, t), (k, l, t)))
+        x, y, z = (rng.uniform(-1.0, 1.0, size=shape).transpose(2, 0, 1) for shape in ((i, j, t), (j, k, t), (k, l, t)))
         tm = build_transform(kind, t)
         lhs = m_product(m_product(x, y, tm), z, tm)
         rhs = m_product(x, m_product(y, z, tm), tm)
@@ -222,7 +225,7 @@ class TestMProduct:
         # is a left and right identity: I_M * X == X == X * I_M.
         kind, t = kind_t
         i, j = dims
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(i, j, t))
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(i, j, t)).transpose(2, 0, 1)
         tm = build_transform(kind, t)
         left, right = (identity_tensor(n, tm) for n in (i, j))
         assert np.max(np.abs(m_product(left, x, tm) - x)) <= 1e-9
@@ -243,16 +246,16 @@ class TestMProduct:
         kind, t = kind_t
         i, j, k = dims
         rng = np.random.default_rng(seed)
-        x, y = (rng.uniform(-1.0, 1.0, size=shape) for shape in ((i, j, t), (j, k, t)))
+        x, y = (rng.uniform(-1.0, 1.0, size=shape).transpose(2, 0, 1) for shape in ((i, j, t), (j, k, t)))
         tm = build_transform(kind, t)
-        lhs = m_product(x, y, tm).transpose(1, 0, 2)
-        rhs = m_product(y.transpose(1, 0, 2), x.transpose(1, 0, 2), tm)
+        lhs = m_product(x, y, tm).transpose(0, 2, 1)
+        rhs = m_product(y.transpose(0, 2, 1), x.transpose(0, 2, 1), tm)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_real_inputs_give_real_output(self):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, 2, 4))
-        y = rng.normal(size=(2, 2, 4))
+        x = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         out = m_product(x, y, build_dft(4))
         assert not np.iscomplexobj(out)
 
@@ -263,12 +266,12 @@ class TestMProduct:
             for _ in range(5):
                 i, j, k = rng.integers(1, 5, size=3)
                 t = int(rng.choice([2, 4, 8]))
-                x = rng.normal(size=(i, j, t))
-                y = rng.normal(size=(j, k, t))
+                x = rng.normal(size=(i, j, t)).transpose(2, 0, 1)
+                y = rng.normal(size=(j, k, t)).transpose(2, 0, 1)
                 tm = build_transform(kind, t)
-                xh = mode_n_loop(x, tm.m, 3)
-                yh = mode_n_loop(y, tm.m, 3)
-                expected = mode_n_loop(facewise_loop(xh, yh), tm.m_inv, 3)
+                xh = mode_n_loop(x, tm.m, 1)
+                yh = mode_n_loop(y, tm.m, 1)
+                expected = mode_n_loop(facewise_loop(xh, yh), tm.m_inv, 1)
                 if np.iscomplexobj(expected):
                     expected = expected.real
                 assert np.max(np.abs(m_product(x, y, tm) - expected)) <= 1e-10

@@ -296,7 +296,7 @@ class TestForwardMatchesOracle:
 
         # The blocks hold the K kept slices of Â x_3 M; under the DFT each
         # dropped slice T_b - s is the conjugate of kept slice s.
-        a_hat_t = m_transform(a, tm.m)
+        a_hat_t = m_transform(tm.m, a.transpose(2, 0, 1)).transpose(1, 2, 0)
         k = tm.kept
         for s in range(k, t_b):
             np.testing.assert_allclose(a_hat_t[:, :, s], a_hat_t[:, :, t_b - s].conj(), rtol=0, atol=1e-12)
