@@ -12,11 +12,9 @@ from .transforms import (
     build_transform,
 )
 from .gtcn import (
-    TubeAdjacency,
     layer_backward,
     layer_forward,
     preprocess_adjacency,
-    preprocess_tubes,
     propagate,
     propagate_grad,
     transform_weight,
@@ -28,7 +26,6 @@ from .data import (
     DynamicGraphDataset,
     SynthSpec,
     build_adjacency,
-    build_tube_adjacency,
     generate_synthetic,
     parse_dataset,
     serialize_dataset,

@@ -14,8 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .gtcn import TubeAdjacency
+from scipy import sparse
 
 __all__ = [
     "DynamicGraphDataset",
@@ -23,7 +22,6 @@ __all__ = [
     "parse_dataset",
     "serialize_dataset",
     "split_dataset",
-    "build_tube_adjacency",
     "build_adjacency",
     "generate_synthetic",
 ]
@@ -262,23 +260,19 @@ def split_dataset(ds: DynamicGraphDataset, seed: int = 0) -> DynamicGraphDataset
     return out
 
 
-def build_tube_adjacency(ds: DynamicGraphDataset) -> TubeAdjacency:
-    """The adjacency of the TRAIN observations over its tube support.
+def build_adjacency(ds: DynamicGraphDataset) -> sparse.csr_array:
+    """The adjacency of the TRAIN observations as a (T * N, N) CSR slot stack.
 
-    Directions are preserved and the support also holds the N self-loop
-    tubes.  Validation and test weights never enter it, so the model never
-    sees the values it is evaluated on.  Memory scales with the number of
-    tubes times T, never with N * N * T.
+    Row s * N + i is row i of slot s, directions preserved, with no
+    self-loops added (see ``gtcn.preprocess_adjacency``).  Validation and
+    test weights never enter it, so the model never sees the values it is
+    evaluated on.  Memory scales with the number of train rows, never with
+    N * N * T.
     """
     if not ds.has_splits:
         raise ValueError("assign splits before building the adjacency tensor")
-    k = ds.train_idx
-    return TubeAdjacency.from_entries(ds.n_nodes, ds.n_slots, ds.i[k], ds.j[k], ds.t[k] - 1, ds.y[k])
-
-
-def build_adjacency(ds: DynamicGraphDataset) -> np.ndarray:
-    """The dense (N, N, T) form of ``build_tube_adjacency``."""
-    return build_tube_adjacency(ds).to_dense()
+    k, n = ds.train_idx, ds.n_nodes
+    return sparse.csr_array((ds.y[k], ((ds.t[k] - 1) * n + ds.i[k], ds.j[k])), shape=(ds.n_slots * n, n))
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,22 @@ and cache time-major, as (T, N, F) arrays, the layout of ``tensor3``, so
 that every transform is one ``m_transform`` GEMM on a (T, N * F) view.
 Only the (F_in, F_out, T) weights and the (nnz_tubes, T) tube values are
 transposed on their way in and out of a transform.
+
+Â has one format, the (T * N, N) CSR slot stack: row s * N + i is row i
+of slot s, the slot-major order of the time-major activations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 from scipy import sparse
 
-from .tensor3 import DimensionMismatchError, as_tensor3, m_transform
+from .tensor3 import DimensionMismatchError, m_transform
 from .transforms import TransformMatrix
 
 __all__ = [
     "ACTIVATIONS",
     "ADJACENCY_MODES",
-    "TubeAdjacency",
-    "preprocess_tubes",
     "preprocess_adjacency",
     "transformed_blocks",
     "transform_weight",
@@ -70,118 +69,69 @@ def activation_grad(h: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-@dataclass(frozen=True)
-class TubeAdjacency:
-    """An (N, N, T) adjacency stored over its tube support.
+def preprocess_adjacency(raw: sparse.csr_array, mode: str = "sym_normalized") -> sparse.csr_array:
+    """Â from the raw (T * N, N) CSR slot stack of ``data.build_adjacency``.
 
-    The support is every (row, col) pair that is nonzero in some slot, plus
-    every diagonal pair, in CSR order: row i owns tubes
-    ``indptr[i]:indptr[i + 1]``, sorted by column, and tube k holds the slot
-    values ``vals[k]`` of entry (i, ``cols[k]``).  A mode-3 transform mixes
-    only along time, so Â and Â x_3 M share one support.
-    """
-
-    n: int
-    indptr: np.ndarray  # (N + 1,) int64
-    cols: np.ndarray  # (nnz_tubes,) int64
-    vals: np.ndarray  # (nnz_tubes, T)
-
-    @classmethod
-    def from_entries(cls, n: int, n_slots: int, i, j, slot, y) -> "TubeAdjacency":
-        """Entries (i[k], j[k], slot[k]) = y[k], zero-based and unique, over
-        their tubes plus the N self-loop tubes."""
-        key = np.concatenate([np.asarray(i, dtype=np.int64) * n + j, np.arange(n, dtype=np.int64) * (n + 1)])
-        tubes, inverse = np.unique(key, return_inverse=True)
-        vals = np.zeros((len(tubes), n_slots))
-        vals[inverse[: len(y)], slot] = y
-        rows, cols = np.divmod(tubes, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n, indptr, cols, vals)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "TubeAdjacency":
-        """The nonzero entries of an (N, N, T) array over their tubes."""
-        nz = np.nonzero(a)
-        return cls.from_entries(a.shape[0], a.shape[2], *nz, a[nz])
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n, self.vals.shape[1]), dtype=self.vals.dtype)
-        a[self.rows, self.cols] = self.vals
-        return a
-
-    def _slot_rows(self, indices: np.ndarray, width: int) -> sparse.csr_array:
-        """The (T*N, width) CSR matrix whose row s*N + i holds slot s of row
-        i's tubes, at the column ``indices`` (tube-major within each slot)."""
-        n, (nnz, t) = self.n, self.vals.shape
-        indptr = np.append((self.indptr[:-1] + nnz * np.arange(t)[:, None]).ravel(), t * nnz)
-        # A copy even at T = 1, where ravel returns a view: slot_stack drops zeros in place.
-        return sparse.csr_array((self.vals.T.flatten(), indices, indptr), shape=(t * n, width))
-
-    def slot_blocks(self) -> sparse.csr_array:
-        """Block-diagonal (T*N, T*N) CSR matrix whose block s is slot s."""
-        t = self.vals.shape[1]
-        return self._slot_rows((self.cols + self.n * np.arange(t)[:, None]).ravel(), t * self.n)
-
-    def slot_stack(self) -> sparse.csr_array:
-        """The T slices stacked as one (T*N, N) CSR matrix with no stored
-        zeros: row s*N + i is row i of slot s."""
-        stack = self._slot_rows(np.tile(self.cols, self.vals.shape[1]), self.n)
-        stack.eliminate_zeros()
-        return stack
-
-
-def preprocess_tubes(raw: TubeAdjacency, mode: str = "sym_normalized") -> TubeAdjacency:
-    """Add self-loops per slice, optionally symmetrically normalized.
-
-    raw_self_loops: A^t + I.  sym_normalized: D^-1/2 (A^t + I) D^-1/2 with
-    D the diagonal of row sums of A^t + I.  ``raw`` must be nonnegative.
+    raw_self_loops: A_t + I per slot.  sym_normalized: D^-1/2 (A_t + I) D^-1/2
+    with D the diagonal of row sums of A_t + I.  ``raw`` must be real and
+    nonnegative and is left as it is; the result is a new stack of the same
+    layout, row s * N + i holding row i of slot s, with no stored zeros.
     """
     if mode not in ADJACENCY_MODES:
         raise ValueError(f"unknown preprocessing mode {mode!r}")
-    rows = raw.rows
-    vals = raw.vals.copy()
-    vals[rows == raw.cols] += 1.0
-    if mode == "sym_normalized":
-        # Row sums per slice, (N, T).  bincount adds each row's tubes in
-        # column order, as a dense row sum does; the self-loop keeps every
-        # degree >= 1.
-        n, t = raw.n, vals.shape[1]
-        slot_rows = (rows[:, None] * t + np.arange(t)).ravel()
-        deg = np.bincount(slot_rows, weights=vals.ravel(), minlength=n * t).reshape(n, t)
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        vals *= inv_sqrt[rows]
-        vals *= inv_sqrt[raw.cols]
-    return TubeAdjacency(raw.n, raw.indptr, raw.cols, vals)
-
-
-def preprocess_adjacency(raw, mode: str = "sym_normalized") -> np.ndarray:
-    """Dense form of ``preprocess_tubes``; ``raw`` is an (N, N, T) array."""
-    a = as_tensor3(raw)
-    n, n2, t = a.shape
-    if n != n2:
-        raise DimensionMismatchError(f"adjacency must be square per slice, got {a.shape}")
-    if np.iscomplexobj(a) or np.any(a < 0):
+    t_n, n = raw.shape
+    if n < 1 or t_n < n or t_n % n:
+        raise DimensionMismatchError(f"adjacency must be a (T * N, N) slot stack, got shape {raw.shape}")
+    if np.iscomplexobj(raw.data) or np.any(raw.data < 0):
         raise ValueError("adjacency weights must be real and nonnegative")
-    return preprocess_tubes(TubeAdjacency.from_dense(a), mode).to_dense()
+    eye = sparse.csr_array((np.ones(t_n), np.tile(np.arange(n), t_n // n), np.arange(t_n + 1)), shape=raw.shape)
+    # The sum stores no entry that adds up to zero, such as a pair observed
+    # only with weight 0; eliminate_zeros below drops a weight that the
+    # normalization underflows to zero.
+    a = raw + eye
+    if mode == "sym_normalized":
+        # Row sums per slot.  bincount adds each row's entries in column
+        # order, as a dense row sum does; the self-loop keeps every degree >= 1.
+        rows = np.repeat(np.arange(t_n), np.diff(a.indptr))
+        inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=a.data, minlength=t_n))
+        a.data *= inv_sqrt[rows]
+        a.data *= inv_sqrt[rows - rows % n + a.indices]
+    a.eliminate_zeros()
+    return a
 
 
-def transformed_blocks(a: TubeAdjacency, tm: TransformMatrix) -> sparse.csr_array:
-    """The kept slices of Â x_3 M as one block-diagonal CSR matrix.
+def transformed_blocks(a_hat: sparse.csr_array, tms: list[TransformMatrix]) -> list[sparse.csr_array]:
+    """The kept slices of Â x_3 M for each M in ``tms``, as one
+    block-diagonal CSR matrix per transform.
 
-    Each tube's T slots are transformed by ``tm.m_kept[:, :T]``, which is
-    ``tm.m_kept`` on the tube zero-padded to ``tm.size`` slots (the Haar
-    branch runs at the next power of two); block s of the result is slice s
-    of Â x_3 M, for s < K (K = T//2 + 1 for the DFT, T otherwise).  Only
-    layers after the first run on it; the backward runs on ``blocks.T``, a
-    view.
+    A mode-3 transform mixes only along time, so Â x_3 M lives on Â's tube
+    support: the (i, j) pairs stored in some slot of the (T * N, N) stack
+    ``a_hat``, found once for every transform.  Each tube's T slots are
+    transformed by ``tm.m_kept[:, :T]``, which is ``tm.m_kept`` on the tube
+    zero-padded to ``tm.size`` slots (the Haar branch runs at the next power
+    of two); block s of the result is slice s of Â x_3 M, for s < K
+    (K = T//2 + 1 for the DFT, T otherwise), and holds every tube of the
+    support.  Only layers after the first run on it; the backward runs on
+    ``blocks.T``, a view.
     """
-    vals = m_transform(tm.m_kept[:, : a.vals.shape[1]], a.vals.T).T
-    return replace(a, vals=vals).slot_blocks()
+    t_n, n = a_hat.shape
+    t = t_n // n
+    slot, row = np.divmod(np.repeat(np.arange(t_n), np.diff(a_hat.indptr)), n)
+    tubes, tube = np.unique(row * n + a_hat.indices, return_inverse=True)
+    nnz = len(tubes)
+    vals = np.zeros((nnz, t))
+    vals[tube, slot] = a_hat.data
+    # Row i of every block holds tubes indptr[i]:indptr[i + 1], sorted by column.
+    indptr = np.searchsorted(tubes, n * np.arange(n + 1))
+    cols = tubes % n
+    out = []
+    for tm in tms:
+        k = tm.kept
+        block_indptr = np.append((indptr[:-1] + nnz * np.arange(k)[:, None]).ravel(), k * nnz)
+        block_cols = (cols + n * np.arange(k)[:, None]).ravel()
+        block_vals = m_transform(tm.m_kept[:, :t], vals.T).ravel()
+        out.append(sparse.csr_array((block_vals, block_cols, block_indptr), shape=(k * n, k * n)))
+    return out
 
 
 def transform_weight(w: np.ndarray, tm: TransformMatrix) -> np.ndarray:
@@ -200,8 +150,8 @@ def weight_grad(g_wh: np.ndarray, tm: TransformMatrix) -> np.ndarray:
 
 
 def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
-    """Q̂ = (Â x_3 M)·X̂ slice by slice, time-major (K, N, F), on ``blocks``
-    from ``transformed_blocks``.
+    """Q̂ = (Â x_3 M)·X̂ slice by slice, time-major (K, N, F), on a
+    ``blocks`` matrix from ``transformed_blocks``.
 
     ``x`` is real and time-major, (t, N, F) with t <= T = ``tm.size``; its
     missing slots count as zero, so the first t columns of ``tm.m_kept``

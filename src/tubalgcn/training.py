@@ -28,13 +28,13 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy import sparse
 
-from .data import DynamicGraphDataset, build_tube_adjacency
+from .data import DynamicGraphDataset, build_adjacency
 from .gtcn import (
     ACTIVATIONS,
     ADJACENCY_MODES,
     layer_backward,
     layer_forward,
-    preprocess_tubes,
+    preprocess_adjacency,
     propagate,
     propagate_grad,
     transform_weight,
@@ -124,11 +124,12 @@ class TrainConfig:
 @dataclass(frozen=True)
 class Branch:
     """One transform branch: the transform (built at the branch's slot
-    count, the next power of two for haar), the preprocessed Â as one
-    (T * N, N) CSR stack of its slices, the same object in every branch,
+    count, the next power of two for haar), Â as the (T * N, N) CSR slot
+    stack of ``gtcn.preprocess_adjacency``, the same object in every branch,
     and, when the model has a layer after the first, the K kept slices of
-    Â x_3 M as one block-diagonal CSR matrix (else None).  Each of the
-    ``len(aux)`` branches weighs 1 / len(aux) in the ensemble sum.
+    Â x_3 M as one block-diagonal CSR matrix from ``gtcn.transformed_blocks``
+    (else None).  Each of the ``len(aux)`` branches weighs 1 / len(aux) in
+    the ensemble sum.
 
     The first layer's sparse products run once per pass on ``a_hat``, for
     every branch (see ``forward_model``); each later face-wise product with
@@ -196,16 +197,14 @@ def _vector(named: dict) -> np.ndarray:
 
 
 def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
-    """``{kind: Branch}`` in ``config.branch_kinds()`` order: the adjacency
-    preprocessed and stacked once, then transformed per branch if a layer
-    after the first needs it."""
-    tubes = preprocess_tubes(build_tube_adjacency(ds), config.adjacency_mode)
-    a_hat = tubes.slot_stack()
-    aux = {}
-    for kind in config.branch_kinds():
-        tm = build_transform(kind, _branch_slots(kind, ds.n_slots))
-        aux[kind] = Branch(tm, a_hat, transformed_blocks(tubes, tm) if config.n_layers > 1 else None)
-    return aux
+    """``{kind: Branch}`` in ``config.branch_kinds()`` order: Â built from
+    the train rows and preprocessed once, as one slot stack for every
+    branch, and, if a layer after the first needs them, every branch's
+    blocks of Â x_3 M from one pass over Â's tube support."""
+    a_hat = preprocess_adjacency(build_adjacency(ds), config.adjacency_mode)
+    tms = [build_transform(kind, _branch_slots(kind, ds.n_slots)) for kind in config.branch_kinds()]
+    blocks = transformed_blocks(a_hat, tms) if config.n_layers > 1 else [None] * len(tms)
+    return {tm.kind: Branch(tm, a_hat, b) for tm, b in zip(tms, blocks)}
 
 
 def forward_model(params: dict, aux: dict, config: TrainConfig):

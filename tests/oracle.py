@@ -1,12 +1,48 @@
 """The message-passing oracle: an entrywise nested-loop reference for the
 graph tensor convolution layer, in the (N, F, T) layout of the tensor
-algebra.  The layer tests compare ``gtcn.layer_forward`` against it."""
+algebra.  The layer tests compare ``gtcn.layer_forward`` against it.
+
+It runs on a dense (N, N, T) Â made here, from the train rows and the
+textbook formula, independently of the package's sparse preprocessing;
+``slot_stack`` and ``unstack`` convert between that layout and the
+(T * N, N) CSR slot stack the package runs on.
+"""
 
 import numpy as np
+from scipy import sparse
 
 from tubalgcn.gtcn import apply_activation
 from tubalgcn.tensor3 import DimensionMismatchError, as_tensor3
 from tubalgcn.transforms import TransformMatrix
+
+
+def dense_adjacency(ds) -> np.ndarray:
+    """The (N, N, T) adjacency of the train rows of ``ds``."""
+    a = np.zeros((ds.n_nodes, ds.n_nodes, ds.n_slots))
+    k = ds.train_idx
+    a[ds.i[k], ds.j[k], ds.t[k] - 1] = ds.y[k]
+    return a
+
+
+def dense_a_hat(raw: np.ndarray, mode: str = "sym_normalized") -> np.ndarray:
+    """A + I per slice; for sym_normalized then D^-1/2 (A + I) D^-1/2, D the row sums of A + I."""
+    a = raw + np.eye(raw.shape[0])[:, :, None]
+    if mode == "sym_normalized":
+        inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        a = a * inv_sqrt[:, None, :] * inv_sqrt[None, :, :]
+    return a
+
+
+def slot_stack(a: np.ndarray) -> sparse.csr_array:
+    """A dense (N, N, T) adjacency as a (T * N, N) CSR slot stack: row s * N + i is row i of slot s."""
+    n, _, t = a.shape
+    return sparse.csr_array(a.transpose(2, 0, 1).reshape(t * n, n))
+
+
+def unstack(stack) -> np.ndarray:
+    """The dense (N, N, T) adjacency of a (T * N, N) slot stack."""
+    t_n, n = stack.shape
+    return stack.toarray().reshape(t_n // n, n, n).transpose(1, 2, 0)
 
 
 def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmoid") -> np.ndarray:

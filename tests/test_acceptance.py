@@ -14,19 +14,12 @@ import pytest
 
 from tubalgcn.cli import main
 from tubalgcn.data import DynamicGraphDataset, SynthSpec, generate_synthetic, split_dataset
-from tubalgcn.gtcn import (
-    TubeAdjacency,
-    layer_forward,
-    preprocess_adjacency,
-    propagate,
-    transform_weight,
-    transformed_blocks,
-)
+from tubalgcn.gtcn import layer_forward, propagate, transform_weight, transformed_blocks
 from tubalgcn.tensor3 import facewise_product, m_product, m_transform
 from tubalgcn.training import EarlyStopping, TrainConfig, evaluate, grad_check, train
 from tubalgcn.transforms import TRANSFORM_KINDS, build_transform
 
-from oracle import message_passing_oracle
+from oracle import dense_a_hat, message_passing_oracle, slot_stack
 
 
 def _report(num, label, ok):
@@ -83,12 +76,12 @@ class TestAcceptance:
             kind = TRANSFORM_KINDS[seed % 4]
             raw = rng.uniform(0.0, 1.0, size=(n, n, t))
             raw[np.arange(n), np.arange(n), :] = 0.0
-            a = preprocess_adjacency(raw, "sym_normalized")
+            a = dense_a_hat(raw, "sym_normalized")
             x = rng.normal(size=(n, f_in, t))
             w = rng.normal(size=(f_in, f_out, t))
             tm = build_transform(kind, t)
             # The layer the trainer runs after the first, on blocks built as build_aux builds them.
-            blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+            (blocks,) = transformed_blocks(slot_stack(a), [tm])
             qh = propagate(blocks, np.ascontiguousarray(x.transpose(2, 0, 1)), tm)
             h, _ = layer_forward(qh, transform_weight(w, tm), tm, "sigmoid")
             h = h.transpose(1, 2, 0)  # time-major (T, N, F) to the oracle's (N, F, T)

@@ -16,6 +16,7 @@ from tubalgcn.data import (
 )
 
 import reference_parse
+from oracle import unstack
 
 
 def rows(ds):
@@ -326,19 +327,19 @@ class TestBuildAdjacency:
         ds.train_idx = np.array([0])
         ds.val_idx = np.array([], dtype=int)
         ds.test_idx = np.array([], dtype=int)
-        a = build_adjacency(ds)
+        a = unstack(build_adjacency(ds))
         assert a[0, 1, 0] == 0.5
         assert a.sum() == 0.5
 
     def test_no_leakage_from_held_out_entries(self):
         ds = split_dataset(generate_synthetic(SynthSpec(n=10, t=4, density=0.5, seed=0)), seed=0)
-        a = build_adjacency(ds)
+        a = unstack(build_adjacency(ds))
         for k in np.concatenate([ds.val_idx, ds.test_idx]):
             assert a[ds.i[k], ds.j[k], ds.t[k] - 1] == 0.0
 
     def test_matches_loop_oracle(self):
         ds = split_dataset(generate_synthetic(SynthSpec(n=8, t=3, density=0.6, seed=1)), seed=1)
-        a = build_adjacency(ds)
+        a = unstack(build_adjacency(ds))
         expected = np.zeros_like(a)
         for k in ds.train_idx:
             expected[ds.i[k], ds.j[k], ds.t[k] - 1] = ds.y[k]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from tubalgcn.gtcn import (
-    TubeAdjacency,
     apply_activation,
     layer_backward,
     layer_forward,
@@ -20,7 +20,7 @@ from tubalgcn.gtcn import (
 from tubalgcn.tensor3 import DimensionMismatchError, m_product
 from tubalgcn.transforms import build_transform, next_power_of_two
 
-from oracle import message_passing_oracle
+from oracle import dense_a_hat, message_passing_oracle, slot_stack, unstack
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
@@ -34,7 +34,7 @@ KIND_AND_SLOTS = st.one_of(
 def random_instance(rng, n, f_in, f_out, t):
     raw = rng.uniform(0.0, 1.0, size=(n, n, t))
     raw[np.arange(n), np.arange(n), :] = 0.0
-    a = preprocess_adjacency(raw, "sym_normalized")
+    a = dense_a_hat(raw, "sym_normalized")
     x = rng.normal(size=(n, f_in, t))
     w = rng.normal(size=(f_in, f_out, t))
     return a, x, w
@@ -64,7 +64,7 @@ def layer_grads(blocks, g_h, cache, tm, activation):
 def layer(a, x, w, tm, activation="sigmoid"):
     """The trainer's layer on blocks built from the dense adjacency ``a``, in
     the oracle's (N, F, T) layout."""
-    blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+    (blocks,) = transformed_blocks(slot_stack(a), [tm])
     return node_major(run_layer(blocks, time_major(x), w, tm, activation)[0])
 
 
@@ -78,29 +78,34 @@ class TestActivation:
         np.testing.assert_array_equal(out[1:4], 1.0 / (1.0 + np.exp(-s[1:4])))
 
 
+def preprocess(raw, mode):
+    """``preprocess_adjacency`` on the slot stack of a dense (N, N, T) ``raw``, as a dense array."""
+    return unstack(preprocess_adjacency(slot_stack(raw), mode))
+
+
 class TestPreprocessAdjacency:
     def test_single_node_gets_self_loop(self):
         raw = np.zeros((1, 1, 3))
         for mode in ["raw_self_loops", "sym_normalized"]:
-            out = preprocess_adjacency(raw, mode)
+            out = preprocess(raw, mode)
             np.testing.assert_array_equal(out, np.ones((1, 1, 3)))
 
     def test_sym_normalized_two_nodes(self):
         raw = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1)
-        out = preprocess_adjacency(raw, "sym_normalized")
+        out = preprocess(raw, "sym_normalized")
         np.testing.assert_allclose(out[:, :, 0], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_raw_mode_preserves_off_diagonal(self):
         rng = np.random.default_rng(0)
         raw = rng.uniform(0, 1, size=(4, 4, 2))
         raw[np.arange(4), np.arange(4), :] = 0.0
-        out = preprocess_adjacency(raw, "raw_self_loops")
+        out = preprocess(raw, "raw_self_loops")
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_array_equal(out[off], raw[off])
         np.testing.assert_array_equal(out[np.arange(4), np.arange(4), :], np.ones((4, 2)))
 
     def test_negative_weights_rejected(self):
-        raw = -np.ones((2, 2, 1))
+        raw = slot_stack(-np.ones((2, 2, 1)))
         with pytest.raises(ValueError, match="nonnegative"):
             preprocess_adjacency(raw)
 
@@ -108,18 +113,14 @@ class TestPreprocessAdjacency:
     def test_leaves_raw_unchanged_and_matches_out_of_place_form(self, mode):
         rng = np.random.default_rng(3)
         raw = rng.uniform(0, 1, size=(6, 6, 4)) * (rng.random((6, 6, 4)) < 0.4)
-        before = raw.copy()
-        out = preprocess_adjacency(raw, mode)
-        np.testing.assert_array_equal(raw, before)
-        expected = raw + np.eye(6)[:, :, None]
-        if mode == "sym_normalized":
-            inv_sqrt = 1.0 / np.sqrt(expected.sum(axis=1))
-            expected = expected * inv_sqrt[:, None, :] * inv_sqrt[None, :, :]
-        np.testing.assert_array_equal(out, expected)
+        stack = slot_stack(raw)
+        out = unstack(preprocess_adjacency(stack, mode))
+        np.testing.assert_array_equal(unstack(stack), raw)
+        np.testing.assert_array_equal(out, dense_a_hat(raw, mode))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            preprocess_adjacency(np.zeros((2, 3, 1)))
+            preprocess_adjacency(sparse.csr_array((2, 3)))
 
 
 class TestGtcnForward:
@@ -192,13 +193,13 @@ class TestGtcnForward:
         tm = build_transform("haar", t_b)
         w = rng.normal(size=(f_in, f_out, t_b))
         a_pad, x_pad = (np.concatenate([v, np.zeros(v.shape[:2] + (t_b - t,))], axis=2) for v in (a, x))
-        blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+        (blocks,) = transformed_blocks(slot_stack(a), [tm])
         h, _ = run_layer(blocks, time_major(x_pad), w, tm, "identity")
         expected = node_major(m_product(m_product(time_major(a_pad), time_major(x_pad), tm), time_major(w), tm))
         assert np.max(np.abs(node_major(h) - expected)) <= 1e-9
         # The T-slot Â and X, transformed by the first T columns of M, give
         # the same blocks and layer as their zero-padded copies.
-        blocks_pad = transformed_blocks(TubeAdjacency.from_dense(a_pad), tm)
+        (blocks_pad,) = transformed_blocks(slot_stack(a_pad), [tm])
         assert np.max(np.abs((blocks - blocks_pad).toarray())) <= 1e-12
         h_t, _ = run_layer(blocks, time_major(x), w, tm, "identity")
         assert h_t.shape == h.shape and np.max(np.abs(h_t - h)) <= 1e-12
@@ -249,7 +250,7 @@ class TestLayerAdjoint:
         t_b = next_power_of_two(t) if kind == "haar" else t
         a, _, _ = random_instance(rng, n, f_in, f_out, t)
         tm = build_transform(kind, t_b)
-        blocks = transformed_blocks(TubeAdjacency.from_dense(a), tm)
+        (blocks,) = transformed_blocks(slot_stack(a), [tm])
         x = rng.normal(size=(n, f_in, t_b))
         w = rng.normal(size=(f_in, f_out, t_b))
         g = rng.normal(size=(n, f_out, t_b))
@@ -283,7 +284,7 @@ class TestMessagePassingOracle:
 
     def test_single_node_graph(self):
         t = 2
-        a = preprocess_adjacency(np.zeros((1, 1, t)), "raw_self_loops")
+        a = dense_a_hat(np.zeros((1, 1, t)), "raw_self_loops")
         x = np.array([0.5, -0.5]).reshape(1, 1, t)
         w = np.array([2.0, 3.0]).reshape(1, 1, t)
         tm = build_transform("identity", t)

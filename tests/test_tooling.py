@@ -4,10 +4,11 @@ stay on the training path.
 ``perfbench/tracer.py`` reports a vanished name only as a ``missing metric``
 line in a traced run, and a name the layer stops calling only as a per-layer
 metric that reads 0.  These tests read its ``TARGETS`` table (without
-importing the module), resolve every entry in the package, and count the
-calls one gradient pass makes to the names behind the per-layer metrics, so
-a refactor that drops, renames or routes around a traced function fails here
-instead.
+importing the module), resolve every entry in the package, check that a
+``tubalgcn train`` and ``tubalgcn eval`` call every one of them, and count
+the calls one gradient pass makes to the names behind the per-layer
+metrics, so a refactor that drops, renames or routes around a traced
+function fails here instead.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 from scipy import sparse
 
-from tubalgcn.data import SynthSpec, generate_synthetic, split_dataset
+from tubalgcn import cli
+from tubalgcn.data import SynthSpec, generate_synthetic, serialize_dataset, split_dataset
 from tubalgcn.training import TRANSFORM_CHOICES, TrainConfig, build_aux, compute_gradients, init_params
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -50,18 +52,26 @@ PER_LAYER_SPANS = ("tensor3.m_transform", "gtcn.apply_activation", "gtcn.activat
 
 def count_calls(monkeypatch, spans) -> dict:
     """Wrap each span's function in every ``tubalgcn`` namespace that binds
-    it, as the tracer does, and return the live call counts."""
+    it, or a method in its class, as the tracer does, and return the live
+    call counts."""
     targets = tracer_targets()
     counts = dict.fromkeys(spans, 0)
     modules = [m for k, m in list(sys.modules.items()) if k == "tubalgcn" or k.startswith("tubalgcn.")]
     for span in spans:
         module, qualname = targets[span]
-        original = getattr(importlib.import_module(f"tubalgcn.{module}"), qualname)
+        owner = importlib.import_module(f"tubalgcn.{module}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, attr)
 
         def counting(*args, _span=span, _fn=original, **kwargs):
             counts[_span] += 1
             return _fn(*args, **kwargs)
 
+        if path:
+            monkeypatch.setattr(owner, attr, counting)
+            continue
         for mod in modules:
             for key, value in list(vars(mod).items()):
                 if value is original:
@@ -111,3 +121,23 @@ def test_gradient_pass_makes_one_first_layer_sparse_product_each_way(monkeypatch
     compute_gradients(params, aux, batch, config)
     each_way = 1 + (n_layers - 1) * len(config.branch_kinds())
     assert counts == {"csr_array": each_way, "csc_array": each_way}
+
+
+def test_train_then_eval_calls_every_traced_name(monkeypatch, tmp_path):
+    data, ckpt = tmp_path / "g.tsv", tmp_path / "m.npz"
+    serialize_dataset(generate_synthetic(SynthSpec(n=6, t=3, density=0.8, seed=1)), data)
+    counts = count_calls(monkeypatch, list(tracer_targets()))
+    flags = ["--data", str(data), "--checkpoint", str(ckpt)]
+    assert cli.main(["train", *flags, "--max-epochs", "2", "--embedding-dim", "3", "--report", str(tmp_path / "t.txt")]) == 0
+    assert cli.main(["eval", *flags, "--report", str(tmp_path / "e.txt")]) == 0
+    assert [span for span, n in counts.items() if n == 0] == []
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+def test_build_aux_builds_and_preprocesses_the_adjacency_once(monkeypatch, transform, n_layers):
+    # Every branch shares the one Â stack, and the ensemble's blocks one pass over its tubes.
+    ds = split_dataset(generate_synthetic(SynthSpec(n=6, t=3, density=0.8, seed=1)), seed=1)
+    counts = count_calls(monkeypatch, ("data.build_adjacency", "gtcn.preprocess_adjacency"))
+    build_aux(ds, TrainConfig(embedding_dim=3, transform=transform, n_layers=n_layers))
+    assert counts == {"data.build_adjacency": 1, "gtcn.preprocess_adjacency": 1}

@@ -11,7 +11,6 @@ from tubalgcn.data import (
     DynamicGraphDataset,
     SynthSpec,
     build_adjacency,
-    build_tube_adjacency,
     generate_synthetic,
     split_dataset,
 )
@@ -21,7 +20,6 @@ from tubalgcn.gtcn import (
     layer_backward,
     layer_forward,
     preprocess_adjacency,
-    preprocess_tubes,
     propagate,
     propagate_grad,
     transform_weight,
@@ -48,7 +46,7 @@ from tubalgcn.training import (
 )
 from tubalgcn.transforms import build_transform, next_power_of_two
 
-from oracle import message_passing_oracle
+from oracle import dense_a_hat, dense_adjacency, message_passing_oracle
 
 
 def node_major(h):
@@ -237,12 +235,12 @@ class TestHeadGradient:
         g_h = np.zeros((n, n_slots, f))
         np.add.at(g_h, (i, t - 1), g[:, None] * r[:f])
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
-        tubes = preprocess_tubes(build_tube_adjacency(ds), cfg.adjacency_mode)
+        a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
         x0 = e[None, :, :] * (1.0 + u[:, None, :])  # time-major (T, N, F)
         for kind, b in aux.items():
             # The explicit route the trainer's first layer skips: the input
             # X = E (1 + U) and the blocks of Â x_3 M, as later layers run.
-            blocks = transformed_blocks(tubes, b.tm)
+            (blocks,) = transformed_blocks(a_hat, [b.tm])
             x, ref_caches = x0, []
             for layer in range(n_layers):
                 wh = transform_weight(params[f"w:{kind}:{layer}"], b.tm)
@@ -288,7 +286,7 @@ class TestForwardMatchesOracle:
         tm = branch.tm
         t_b = tm.size
         a = np.zeros((n, n, t_b))
-        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), mode)
+        a[:, :, :t] = dense_a_hat(dense_adjacency(ds), mode)
         x = np.zeros((n, cfg.embedding_dim, t_b))
         x[:, :, :t] = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
         oracle = message_passing_oracle(a, x, params[f"w:{kind}:0"], tm, cfg.activation)
@@ -305,7 +303,7 @@ class TestForwardMatchesOracle:
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
         # A one-layer model builds no blocks; a deeper one builds these.
         assert branch.blocks is None
-        blocks = transformed_blocks(preprocess_tubes(build_tube_adjacency(ds), mode), tm)
+        (blocks,) = transformed_blocks(preprocess_adjacency(build_adjacency(ds), mode), [tm])
         np.testing.assert_allclose(blocks.toarray(), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [3, 5])
@@ -320,7 +318,7 @@ class TestForwardMatchesOracle:
         assert all(a is stacks[0] for a in stacks)
         a = stacks[0]
         assert a.shape == (t * n, n) and np.all(a.data != 0)
-        dense = preprocess_adjacency(build_adjacency(ds), mode)
+        dense = dense_a_hat(dense_adjacency(ds), mode)
         np.testing.assert_array_equal(a.toarray().reshape(t, n, n), dense.transpose(2, 0, 1))
 
     def test_two_layer_haar_keeps_activations_in_padded_slots(self):
@@ -336,7 +334,7 @@ class TestForwardMatchesOracle:
 
         tm = aux["haar"].tm
         a = np.zeros((n, n, tm.size))
-        a[:, :, :t] = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
+        a[:, :, :t] = dense_a_hat(dense_adjacency(ds), cfg.adjacency_mode)
         x = np.zeros((n, cfg.embedding_dim, tm.size))
         x[:, :, :t] = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
         for layer in range(2):
@@ -358,6 +356,38 @@ class TestForwardMatchesOracle:
         assert np.max(np.abs(expected)) > 0
         assert np.max(np.abs(h - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("mode", ADJACENCY_MODES)
+    def test_observed_self_loop_and_all_zero_pair(self, mode):
+        # Node 2 links to itself with weight 0.7 at slot 2, and the pair
+        # (0, 3) is observed in every slot with weight 0.  Â adds the
+        # self-loop to the observed weight and stores no zero, so the pair
+        # has no tube in the blocks of the second layer either.
+        n, t = 5, 3
+        base = generate_synthetic(SynthSpec(n=n, t=t, density=0.6, seed=2))
+        keep = ~((base.i == 0) & (base.j == 3))
+        ds = DynamicGraphDataset(
+            n,
+            t,
+            np.concatenate([base.t[keep], [2], np.arange(1, t + 1)]),
+            np.concatenate([base.i[keep], [2], np.zeros(t, dtype=int)]),
+            np.concatenate([base.j[keep], [2], np.full(t, 3)]),
+            np.concatenate([base.y[keep], [0.7], np.zeros(t)]),
+        )
+        ds.train_idx = np.arange(len(ds.t))
+        cfg = TrainConfig(embedding_dim=3, transform="ensemble", n_layers=2, adjacency_mode=mode, seed=2)
+        aux = build_aux(ds, cfg)
+        a = next(iter(aux.values())).a_hat
+        assert np.all(a.data != 0)
+        if mode == "raw_self_loops":
+            assert a[n + 2, 2] == 0.7 + 1.0
+        for b in aux.values():
+            assert 3 not in b.blocks.indices[b.blocks.indptr[0] : b.blocks.indptr[1]]
+        params = init_params(ds, cfg)
+        h = node_major(forward_model(params, aux, cfg)[0])
+        assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
+        _, grads, _, _ = compute_gradients(params, aux, ds.subset_arrays(ds.train_idx), cfg)
+        assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
+
 
 def oracle_representation(ds, params, cfg):
     """The model's (N, F, T) representation by the message-passing oracle.
@@ -368,7 +398,7 @@ def oracle_representation(ds, params, cfg):
     """
     t = ds.n_slots
     kinds = cfg.branch_kinds()
-    a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
+    a_hat = dense_a_hat(dense_adjacency(ds), cfg.adjacency_mode)
     x0 = params["e"][:, :, None] * (1.0 + params["u"].T[None, :, :])
     expected = 0.0
     for kind in kinds:
