@@ -270,7 +270,7 @@ def build_adjacency(ds: DynamicGraphDataset) -> sparse.csr_array:
     N * N * T.
     """
     if not ds.has_splits:
-        raise ValueError("assign splits before building the adjacency tensor")
+        raise ValueError("dataset has no train/val/test splits; call split_dataset first")
     k, n = ds.train_idx, ds.n_nodes
     return sparse.csr_array((ds.y[k], ((ds.t[k] - 1) * n + ds.i[k], ds.j[k])), shape=(ds.n_slots * n, n))
 

@@ -43,11 +43,11 @@ from .gtcn import (
 )
 from .head_loss import head_backward, head_scores, loss, mae, params_l2_norm, predict, rmse
 from .tensor3 import m_transform
-from .transforms import TRANSFORM_KINDS, TransformMatrix, build_transform, next_power_of_two
+from .transforms import TRANSFORM_KINDS, build_transform, next_power_of_two
 
 __all__ = [
     "TrainConfig",
-    "Branch",
+    "ModelAux",
     "EarlyStopping",
     "AdamState",
     "init_params",
@@ -122,14 +122,13 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One transform branch: the transform (built at the branch's slot
-    count, the next power of two for haar), Â as the (T * N, N) CSR slot
-    stack of ``gtcn.preprocess_adjacency``, the same object in every branch,
-    and, when the model has a layer after the first, the K kept slices of
-    Â x_3 M as one block-diagonal CSR matrix from ``gtcn.transformed_blocks``
-    (else None).  Each of the ``len(aux)`` branches weighs 1 / len(aux) in
-    the ensemble sum.
+class ModelAux:
+    """One model's fixed inputs, from ``build_aux``: its config; Â as the
+    (T * N, N) CSR slot stack of ``gtcn.preprocess_adjacency``; and, keyed by
+    branch kind in ``config.branch_kinds()`` order, each branch's transform
+    (built at its slot count, the next power of two for haar) and, when the
+    model has a layer after the first, the K kept slices of Â x_3 M as one
+    block-diagonal CSR matrix from ``gtcn.transformed_blocks`` (else None).
 
     The first layer's sparse products run once per pass on ``a_hat``, for
     every branch (see ``forward_model``); each later face-wise product with
@@ -137,9 +136,10 @@ class Branch:
     the stacked (K * N, F) slices.
     """
 
-    tm: TransformMatrix
+    config: TrainConfig
     a_hat: sparse.csr_array
-    blocks: sparse.csr_array | None
+    tms: dict
+    blocks: dict
 
 
 def _branch_slots(kind: str, t: int) -> int:
@@ -156,6 +156,13 @@ def _param_shapes(config: TrainConfig, n_nodes: int, n_slots: int) -> dict:
     }
     shapes.update(e=(n_nodes, f), u=(n_slots, f), r=(2 * f,))
     return shapes
+
+
+def _check_fit(params: dict, shapes: dict, owner: str):
+    """Raise ValueError, led by ``owner``, naming every key ``params`` lacks, adds or misshapes against ``shapes``."""
+    wrong = sorted(k for k in shapes.keys() | params.keys() if k not in params or np.shape(params[k]) != shapes.get(k))
+    if wrong:
+        raise ValueError(f"{owner} (arrays {wrong} are missing or do not fit its config)")
 
 
 def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
@@ -196,22 +203,24 @@ def _vector(named: dict) -> np.ndarray:
     return next(iter(named.values())).base
 
 
-def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
-    """``{kind: Branch}`` in ``config.branch_kinds()`` order: Â built from
-    the train rows and preprocessed once, as one slot stack for every
-    branch, and, if a layer after the first needs them, every branch's
-    blocks of Â x_3 M from one pass over Â's tube support."""
+def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
+    """The ``ModelAux`` of ``config`` on ``ds``: Â built from the train rows
+    and preprocessed once, as one slot stack for every branch, and, if a
+    layer after the first needs them, every branch's blocks of Â x_3 M from
+    one pass over Â's tube support."""
     a_hat = preprocess_adjacency(build_adjacency(ds), config.adjacency_mode)
     tms = [build_transform(kind, _branch_slots(kind, ds.n_slots)) for kind in config.branch_kinds()]
     blocks = transformed_blocks(a_hat, tms) if config.n_layers > 1 else [None] * len(tms)
-    return {tm.kind: Branch(tm, a_hat, b) for tm, b in zip(tms, blocks)}
+    return ModelAux(config, a_hat, {tm.kind: tm for tm in tms}, {tm.kind: b for tm, b in zip(tms, blocks)})
 
 
-def forward_model(params: dict, aux: dict, config: TrainConfig):
+def forward_model(params: dict, aux: ModelAux):
     """Time-major (T, N, F) representation tensor plus per-branch caches.
 
-    The input X[t] = E (1 + U[t]) is separable, and a mode-3 product acts
-    along time only, so the first layer never forms X: slice k of
+    The model is ``aux.config``; ``params`` that do not fit it raise
+    ValueError naming every missing or misshaped key.  The input
+    X[t] = E (1 + U[t]) is separable, and a mode-3 product acts along time
+    only, so the first layer never forms X: slice k of
     (Â x_3 M) X̂ is Ẑ[k] diag(Û[k]), with Z[t] = Â_t E computed once for
     every branch (one sparse product on ``a_hat``), Ẑ = Z x_3 M[:, :T] and
     Û = M[:, :T] (1 + U), a (K, F) array.  Each branch's first layer then
@@ -219,32 +228,33 @@ def forward_model(params: dict, aux: dict, config: TrainConfig):
     layers on ``propagate`` and ``transform_weight``.  The Haar branch's
     layers output its transform's slot count.  The representation is the
     sum of the branch outputs, each cropped to the model's T slots and
-    scaled by 1 / len(aux), in ``aux`` order; a single branch is returned as
-    it is, without a copy.  Each branch's cache is (Û, Ŵ, layer caches).
+    scaled by 1 / len(aux.tms), in that order; a single branch is returned
+    as it is, without a copy.  Each branch's cache is (Û, Ŵ, layer caches).
     """
-    e, u = params["e"], params["u"]
-    n_slots = len(u)
-    z = (next(iter(aux.values())).a_hat @ e).reshape(n_slots, *e.shape)
+    config, (t_n, n) = aux.config, aux.a_hat.shape
+    _check_fit(params, _param_shapes(config, n, t_n // n), "parameters do not fit the model")
+    e, u, n_slots = params["e"], params["u"], t_n // n
+    z = (aux.a_hat @ e).reshape(n_slots, *e.shape)
     h = None
     branch_caches = {}
-    for kind, b in aux.items():
-        m = b.tm.m_kept[:, :n_slots]
+    for kind, tm in aux.tms.items():
+        m = tm.m_kept[:, :n_slots]
         u_hat = m @ (1.0 + u)
-        w_hat = transform_weight(params[f"w:{kind}:0"], b.tm)
-        x, cache = layer_forward(m_transform(m, z), u_hat[:, :, None] * w_hat, b.tm, config.activation)
+        w_hat = transform_weight(params[f"w:{kind}:0"], tm)
+        x, cache = layer_forward(m_transform(m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
         caches = [cache]
         for layer in range(1, config.n_layers):
-            wh = transform_weight(params[f"w:{kind}:{layer}"], b.tm)
-            x, cache = layer_forward(propagate(b.blocks, x, b.tm), wh, b.tm, config.activation)
+            wh = transform_weight(params[f"w:{kind}:{layer}"], tm)
+            x, cache = layer_forward(propagate(aux.blocks[kind], x, tm), wh, tm, config.activation)
             caches.append(cache)
         branch_caches[kind] = (u_hat, w_hat, caches)
-        x = x[:n_slots] if len(aux) == 1 else (1.0 / len(aux)) * x[:n_slots]
+        x = x[:n_slots] if len(aux.tms) == 1 else (1.0 / len(aux.tms)) * x[:n_slots]
         h = x if h is None else h + x
     return h, branch_caches
 
 
-def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
-    """Loss and exact analytic gradients over the training batch.
+def compute_gradients(params: dict, aux: ModelAux, batch):
+    """Loss and exact analytic gradients of ``aux``'s model over the training batch.
 
     ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
     one-based time indices.  Returns (loss_value, gradients, scores, y_hat):
@@ -259,8 +269,8 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     is the pass's one backward sparse product on ``a_hat``.
     """
     t_idx, i_idx, j_idx, y = batch
-    h, branch_caches = forward_model(params, aux, config)
-    e, r = params["e"], params["r"]
+    h, branch_caches = forward_model(params, aux)
+    config, e, r = aux.config, params["e"], params["r"]
     t_n = len(h)
     scores = head_scores(h, r)
     y_hat = predict(scores, t_idx, i_idx, j_idx)
@@ -271,19 +281,19 @@ def compute_gradients(params: dict, aux: dict, batch, config: TrainConfig):
     g_h, parts["r"] = head_backward(h, r, 2.0 * (y_hat - y), t_idx, i_idx, j_idx)
     g_z = g_u = None
     for kind, (u_hat, w_hat, caches) in branch_caches.items():
-        b = aux[kind]
-        g_x = (1.0 / len(aux)) * g_h
+        tm = aux.tms[kind]
+        g_x = (1.0 / len(aux.tms)) * g_h
         for layer in reversed(range(1, len(caches))):
-            g_q, g_wh = layer_backward(g_x, caches[layer], b.tm, config.activation)
-            parts[f"w:{kind}:{layer}"] = weight_grad(g_wh, b.tm)
-            g_x = propagate_grad(b.blocks, g_q, b.tm)
-        g_zh, g_wt = layer_backward(g_x, caches[0], b.tm, config.activation)
-        parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, b.tm)
-        m_t = b.tm.m_kept[:, :t_n].T
+            g_q, g_wh = layer_backward(g_x, caches[layer], tm, config.activation)
+            parts[f"w:{kind}:{layer}"] = weight_grad(g_wh, tm)
+            g_x = propagate_grad(aux.blocks[kind], g_q, tm)
+        g_zh, g_wt = layer_backward(g_x, caches[0], tm, config.activation)
+        parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, tm)
+        m_t = tm.m_kept[:, :t_n].T
         g_z_b = m_transform(m_t, g_zh).real
         g_u_b = (m_t @ np.sum(g_wt * w_hat, axis=2)).real
         g_z, g_u = (g_z_b, g_u_b) if g_z is None else (g_z + g_z_b, g_u + g_u_b)
-    parts.update(e=next(iter(aux.values())).a_hat.T @ g_z.reshape(-1, e.shape[1]), u=g_u)
+    parts.update(e=aux.a_hat.T @ g_z.reshape(-1, e.shape[1]), u=g_u)
     g = np.concatenate([parts[key].ravel() for key in params])
 
     if config.kappa != 0.0 and norm > 0:
@@ -375,13 +385,11 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
     a list of dicts with epoch, train_loss, train_mae, val_mae; and the
     split metrics ``evaluate`` gives at those parameters, gathered from the
     head scores that epoch's gradient pass already computed.  Each Adam step
-    replaces the one vector the parameters view.  On glibc it raises the
-    process's heap trim and mmap thresholds; see ``_keep_freed_heap``.
+    replaces the one vector the parameters view.  With the aux built, it
+    raises glibc's heap trim and mmap thresholds; see ``_keep_freed_heap``.
     """
-    if not ds.has_splits:
-        raise ValueError("dataset must carry train/val/test splits")
-    _keep_freed_heap()
     aux = build_aux(ds, config)
+    _keep_freed_heap()
     params = init_params(ds, config)
     theta, shapes = _vector(params), {key: a.shape for key, a in params.items()}
     train_batch = ds.subset_arrays(ds.train_idx)
@@ -392,7 +400,7 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
     history = []
     best, best_scores = params, None
     for epoch in range(1, config.max_epochs + 1):
-        loss_value, grads, scores, train_pred = compute_gradients(params, aux, train_batch, config)
+        loss_value, grads, scores, train_pred = compute_gradients(params, aux, train_batch)
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
         # Train and validation error at the current parameters (pre-update).
@@ -421,7 +429,7 @@ def _split_metrics(scores: np.ndarray, ds: DynamicGraphDataset) -> dict:
 
 def evaluate(params: dict, ds: DynamicGraphDataset, config: TrainConfig):
     """MAE/RMSE for every split at the given parameters, on the aux built from ``(ds, config)``."""
-    h, _ = forward_model(params, build_aux(ds, config), config)
+    h, _ = forward_model(params, build_aux(ds, config))
     return _split_metrics(head_scores(h, params["r"]), ds)
 
 
@@ -466,11 +474,11 @@ def grad_check(
     params = init_params(ds, config)
     t_idx, i_idx, j_idx, y = batch = ds.subset_arrays(ds.train_idx[:GRAD_CHECK_LINKS])
 
-    _, grads, _, _ = compute_gradients(params, aux, batch, config)
+    _, grads, _, _ = compute_gradients(params, aux, batch)
 
     def probe():
         """The loss's data term and parameter norm, and which ReLU units are active."""
-        h, branch_caches = forward_model(params, aux, config)
+        h, branch_caches = forward_model(params, aux)
         y_hat = predict(head_scores(h, params["r"]), t_idx, i_idx, j_idx)
         terms = np.array([loss(y, y_hat), params_l2_norm(params.values())])
         if config.activation != "relu":
@@ -581,9 +589,7 @@ def load_checkpoint(path):
         shapes = _param_shapes(config, named["e"].shape[0], named["u"].shape[0])
     except (KeyError, IndexError) as exc:  # no e or u, or a 0-d one
         raise ValueError(f"{foreign} (it has no (N, F) array e and (T, F) array u)") from exc
-    wrong = sorted(k for k in shapes.keys() | named.keys() if k not in named or named[k].shape != shapes.get(k))
-    if wrong:
-        raise ValueError(f"{foreign} (arrays {wrong} are missing or do not fit its config)")
+    _check_fit(named, shapes, foreign)
     bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
     if bad:
         raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")

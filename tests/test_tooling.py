@@ -89,7 +89,7 @@ def test_gradient_pass_calls_the_traced_names_per_layer(monkeypatch, transform, 
     params = init_params(ds, config)
     batch = ds.subset_arrays(ds.train_idx)
     counts = count_calls(monkeypatch, PER_LAYER_SPANS)
-    compute_gradients(params, aux, batch, config)
+    compute_gradients(params, aux, batch)
     layers = n_layers * len(config.branch_kinds())
     # Per layer and branch: the forward transforms of the input (Z = Â E in
     # the first layer, X after it), W and the inverse, the backward ones of
@@ -118,7 +118,7 @@ def test_gradient_pass_makes_one_first_layer_sparse_product_each_way(monkeypatch
             return _fn(self, other)
 
         monkeypatch.setattr(cls, "__matmul__", counting)
-    compute_gradients(params, aux, batch, config)
+    compute_gradients(params, aux, batch)
     each_way = 1 + (n_layers - 1) * len(config.branch_kinds())
     assert counts == {"csr_array": each_way, "csc_array": each_way}
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubalgcn import training
 from tubalgcn.data import (
     DynamicGraphDataset,
     SynthSpec,
@@ -117,6 +118,45 @@ class TestInit:
         assert np.max(np.abs(a["e"] - b["e"])) > 0
 
 
+class TestModelAux:
+    # The aux carries its config, so the only mismatch left is params that
+    # do not fit it; every misfit key is named.
+    @pytest.mark.parametrize(
+        "params_config, aux_config, keys",
+        [
+            (dict(transform="dct"), dict(transform="dct", n_layers=2), ["w:dct:1"]),
+            (dict(transform="dft"), dict(transform="dct"), ["w:dct:0", "w:dft:0"]),
+            (dict(transform="dct", embedding_dim=4), dict(transform="dct"), ["e", "r", "u", "w:dct:0"]),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["forward_model", "compute_gradients"])
+    def test_params_that_do_not_fit_the_aux_fail_by_name(self, entry, params_config, aux_config, keys):
+        ds = small_dataset(n=12, t=5)
+        params = init_params(ds, TrainConfig(**{"embedding_dim": 3, **params_config}))
+        aux = build_aux(ds, TrainConfig(**{"embedding_dim": 3, **aux_config}))
+        message = f"parameters do not fit the model (arrays {keys} are missing or do not fit its config)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if entry == "forward_model":
+                forward_model(params, aux)
+            else:
+                compute_gradients(params, aux, ds.subset_arrays(ds.train_idx))
+
+    @pytest.mark.parametrize("entry", ["train", "evaluate", "build_aux"])
+    def test_unsplit_dataset_is_refused_by_name(self, entry, monkeypatch):
+        # A refused train leaves the process's heap settings as they were.
+        monkeypatch.setattr(training, "_keep_freed_heap", lambda: pytest.fail("heap settings changed"))
+        ds = generate_synthetic(SynthSpec(n=5, t=2, density=1.0, seed=0))
+        cfg = TrainConfig(embedding_dim=3, max_epochs=2)
+        calls = {
+            "train": lambda: train(ds, cfg),
+            "evaluate": lambda: evaluate(init_params(ds, cfg), ds, cfg),
+            "build_aux": lambda: build_aux(ds, cfg),
+        }
+        message = "dataset has no train/val/test splits; call split_dataset first"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            calls[entry]()
+
+
 class TestGradients:
     def test_zero_at_perfect_fit_without_reg(self):
         # One self-consistent observation: force y to equal the model's
@@ -125,13 +165,13 @@ class TestGradients:
         cfg = TrainConfig(embedding_dim=3, transform="dct", kappa=0.0, seed=4)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        h = node_major(forward_model(params, aux)[0])
         t_idx = np.array([1])
         i_idx = np.array([0])
         j_idx = np.array([1])
         f = cfg.embedding_dim
         y_val = h[0, :, 0] @ params["r"][:f] + h[1, :, 0] @ params["r"][f:]
-        _, grads, _, _ = compute_gradients(params, aux, (t_idx, i_idx, j_idx, np.array([y_val])), cfg)
+        _, grads, _, _ = compute_gradients(params, aux, (t_idx, i_idx, j_idx, np.array([y_val])))
         for key, g in grads.items():
             assert np.max(np.abs(g)) <= 1e-12, key
 
@@ -176,11 +216,11 @@ class TestGradients:
         cfg = TrainConfig(embedding_dim=3, transform="identity", kappa=0.5, seed=6)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        h = node_major(forward_model(params, aux)[0])
         f = cfg.embedding_dim
         y_val = h[0, :, 0] @ params["r"][:f] + h[1, :, 0] @ params["r"][f:]
         batch = (np.array([1]), np.array([0]), np.array([1]), np.array([y_val]))
-        _, grads, _, _ = compute_gradients(params, aux, batch, cfg)
+        _, grads, _, _ = compute_gradients(params, aux, batch)
         norm = np.sqrt(sum(float(np.sum(a**2)) for a in params.values()))
         for key, arr in params.items():
             np.testing.assert_allclose(grads[key], 0.5 * arr / norm, atol=1e-12)
@@ -194,9 +234,9 @@ class TestGradients:
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
         batch = ds.subset_arrays(ds.train_idx)
-        loss_views, grads_views, scores_views, _ = compute_gradients(params, aux, batch, cfg)
+        loss_views, grads_views, scores_views, _ = compute_gradients(params, aux, batch)
         separate = {key: a.copy() for key, a in params.items()}
-        loss_separate, grads_separate, scores_separate, _ = compute_gradients(separate, aux, batch, cfg)
+        loss_separate, grads_separate, scores_separate, _ = compute_gradients(separate, aux, batch)
         assert loss_views == loss_separate
         np.testing.assert_array_equal(scores_views, scores_separate)
         assert list(grads_views) == list(params)
@@ -223,8 +263,8 @@ class TestHeadGradient:
         i = np.array([0, 0, 1, 2, 3, 4])
         j = np.array([1, 2, 2, 1, 3, 0])
         y = np.random.default_rng(12).uniform(size=len(t))
-        _, grads, scores, y_hat = compute_gradients(params, aux, (t, i, j, y), cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        _, grads, scores, y_hat = compute_gradients(params, aux, (t, i, j, y))
+        h = node_major(forward_model(params, aux)[0])
 
         e, u, r = params["e"], params["u"], params["r"]
         n, f, n_slots = h.shape
@@ -237,22 +277,22 @@ class TestHeadGradient:
         np.add.at(g_h, (j, t - 1), g[:, None] * r[f:])
         a_hat = preprocess_adjacency(build_adjacency(ds), cfg.adjacency_mode)
         x0 = e[None, :, :] * (1.0 + u[:, None, :])  # time-major (T, N, F)
-        for kind, b in aux.items():
+        for kind, tm in aux.tms.items():
             # The explicit route the trainer's first layer skips: the input
             # X = E (1 + U) and the blocks of Â x_3 M, as later layers run.
-            (blocks,) = transformed_blocks(a_hat, [b.tm])
+            (blocks,) = transformed_blocks(a_hat, [tm])
             x, ref_caches = x0, []
             for layer in range(n_layers):
-                wh = transform_weight(params[f"w:{kind}:{layer}"], b.tm)
-                x, cache = layer_forward(propagate(blocks, x, b.tm), wh, b.tm, activation)
+                wh = transform_weight(params[f"w:{kind}:{layer}"], tm)
+                x, cache = layer_forward(propagate(blocks, x, tm), wh, tm, activation)
                 ref_caches.append(cache)
             # The layer runs time-major: (T_b, N, F) in, (T_b, N, F) out.
-            g_x = np.zeros((b.tm.size, n, f))
-            g_x[:n_slots] = (1.0 / len(aux)) * g_h.transpose(1, 0, 2)
+            g_x = np.zeros((tm.size, n, f))
+            g_x[:n_slots] = (1.0 / len(aux.tms)) * g_h.transpose(1, 0, 2)
             for layer in reversed(range(n_layers)):
-                g_q, g_wh = layer_backward(g_x, ref_caches[layer], b.tm, activation)
-                ref[f"w:{kind}:{layer}"] = weight_grad(g_wh, b.tm)
-                g_x = propagate_grad(blocks, g_q, b.tm)
+                g_q, g_wh = layer_backward(g_x, ref_caches[layer], tm, activation)
+                ref[f"w:{kind}:{layer}"] = weight_grad(g_wh, tm)
+                g_x = propagate_grad(blocks, g_q, tm)
             g_x = node_major(g_x[:n_slots])
             ref["e"] += (g_x * (1.0 + u.T[None, :, :])).sum(axis=2)
             ref["u"] += np.einsum("nft,nf->tf", g_x, e)
@@ -280,10 +320,9 @@ class TestForwardMatchesOracle:
         cfg = TrainConfig(embedding_dim=3, transform=kind, adjacency_mode=mode, seed=t)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        h = node_major(forward_model(params, aux)[0])
 
-        branch = aux[kind]
-        tm = branch.tm
+        tm = aux.tms[kind]
         t_b = tm.size
         a = np.zeros((n, n, t_b))
         a[:, :, :t] = dense_a_hat(dense_adjacency(ds), mode)
@@ -302,21 +341,18 @@ class TestForwardMatchesOracle:
         for s in range(k):
             expected[s * n : (s + 1) * n, s * n : (s + 1) * n] = a_hat_t[:, :, s]
         # A one-layer model builds no blocks; a deeper one builds these.
-        assert branch.blocks is None
+        assert aux.blocks[kind] is None
         (blocks,) = transformed_blocks(preprocess_adjacency(build_adjacency(ds), mode), [tm])
         np.testing.assert_allclose(blocks.toarray(), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [3, 5])
     @pytest.mark.parametrize("mode", ["sym_normalized", "raw_self_loops"])
     def test_every_branch_shares_one_raw_a_hat_stack(self, mode, t):
-        # T = 3 and 5 run the Haar branch padded to 4 and 8 slots; the stack
-        # holds Â's T slices, untransformed, with no stored zero.
+        # T = 3 and 5 run the Haar branch padded to 4 and 8 slots; the one
+        # stack holds Â's T slices, untransformed, with no stored zero.
         n = 6
         ds = small_dataset(seed=t, n=n, t=t)
-        aux = build_aux(ds, TrainConfig(embedding_dim=3, transform="ensemble", adjacency_mode=mode, seed=t))
-        stacks = [b.a_hat for b in aux.values()]
-        assert all(a is stacks[0] for a in stacks)
-        a = stacks[0]
+        a = build_aux(ds, TrainConfig(embedding_dim=3, transform="ensemble", adjacency_mode=mode, seed=t)).a_hat
         assert a.shape == (t * n, n) and np.all(a.data != 0)
         dense = dense_a_hat(dense_adjacency(ds), mode)
         np.testing.assert_array_equal(a.toarray().reshape(t, n, n), dense.transpose(2, 0, 1))
@@ -330,9 +366,9 @@ class TestForwardMatchesOracle:
         cfg = TrainConfig(embedding_dim=3, transform="haar", n_layers=2, seed=t)
         aux = build_aux(ds, cfg)
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        h = node_major(forward_model(params, aux)[0])
 
-        tm = aux["haar"].tm
+        tm = aux.tms["haar"]
         a = np.zeros((n, n, tm.size))
         a[:, :, :t] = dense_a_hat(dense_adjacency(ds), cfg.adjacency_mode)
         x = np.zeros((n, cfg.embedding_dim, tm.size))
@@ -351,7 +387,7 @@ class TestForwardMatchesOracle:
         ds = small_dataset(seed=t, n=n, t=t)
         cfg = TrainConfig(embedding_dim=3, transform=transform, activation=activation, n_layers=n_layers, seed=t)
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, build_aux(ds, cfg), cfg)[0])
+        h = node_major(forward_model(params, build_aux(ds, cfg))[0])
         expected = oracle_representation(ds, params, cfg)
         assert np.max(np.abs(expected)) > 0
         assert np.max(np.abs(h - expected)) <= 1e-9
@@ -376,16 +412,16 @@ class TestForwardMatchesOracle:
         ds.train_idx = np.arange(len(ds.t))
         cfg = TrainConfig(embedding_dim=3, transform="ensemble", n_layers=2, adjacency_mode=mode, seed=2)
         aux = build_aux(ds, cfg)
-        a = next(iter(aux.values())).a_hat
+        a = aux.a_hat
         assert np.all(a.data != 0)
         if mode == "raw_self_loops":
             assert a[n + 2, 2] == 0.7 + 1.0
-        for b in aux.values():
-            assert 3 not in b.blocks.indices[b.blocks.indptr[0] : b.blocks.indptr[1]]
+        for blocks in aux.blocks.values():
+            assert 3 not in blocks.indices[blocks.indptr[0] : blocks.indptr[1]]
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, aux, cfg)[0])
+        h = node_major(forward_model(params, aux)[0])
         assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
-        _, grads, _, _ = compute_gradients(params, aux, ds.subset_arrays(ds.train_idx), cfg)
+        _, grads, _, _ = compute_gradients(params, aux, ds.subset_arrays(ds.train_idx))
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
 
 
@@ -437,7 +473,7 @@ class TestEveryConfiguration:
             seed=seed,
         )
         params = init_params(ds, cfg)
-        h = node_major(forward_model(params, build_aux(ds, cfg), cfg)[0])
+        h = node_major(forward_model(params, build_aux(ds, cfg))[0])
         assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
 
 
@@ -449,7 +485,7 @@ class TestMemory:
         # complex array, twice H's bytes, alive through a strided view.
         ds = small_dataset(seed=4, n=8, t=6)
         cfg = TrainConfig(embedding_dim=3, transform="dft", activation="identity", n_layers=n_layers, seed=4)
-        _, branch_caches = forward_model(init_params(ds, cfg), build_aux(ds, cfg), cfg)
+        _, branch_caches = forward_model(init_params(ds, cfg), build_aux(ds, cfg))
         hs = [cache["h"] for cache in branch_caches["dft"][2]]
         assert len(hs) == n_layers
         for h in hs:
@@ -472,7 +508,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             aux = build_aux(ds, cfg)
-            compute_gradients(params, aux, batch, cfg)
+            compute_gradients(params, aux, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
