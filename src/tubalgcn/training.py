@@ -96,6 +96,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type(f.default)]):
                 raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+            # A numpy scalar passes the check; store the builtin, which JSON can write.
+            object.__setattr__(self, f.name, type(f.default)(value))
         for name in ("patience", "embedding_dim", "n_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse
 
 from tubalgcn.gtcn import apply_activation
-from tubalgcn.tensor3 import DimensionMismatchError, as_tensor3
+from tubalgcn.tensor3 import DimensionMismatchError
 from tubalgcn.transforms import TransformMatrix
 
 
@@ -55,9 +55,9 @@ def message_passing_oracle(a, x, w, m: TransformMatrix, activation: str = "sigmo
     transformed weight slices, then the inverse transform and the
     activation.  Quadratic loops; small instances only.
     """
-    a = as_tensor3(a)
-    x = as_tensor3(x)
-    w = as_tensor3(w)
+    a, x, w = (np.asarray(v, dtype=np.float64) for v in (a, x, w))
+    if a.ndim != 3 or x.ndim != 3 or w.ndim != 3:
+        raise DimensionMismatchError(f"expected third-order a, x and w, got ndim {a.ndim}, {x.ndim}, {w.ndim}")
     n, n2, t = a.shape
     if n2 != n or x.shape[0] != n or x.shape[2] != t:
         raise DimensionMismatchError(f"features {x.shape} incompatible with adjacency {a.shape}")

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubalgcn.tensor3 import (
-    DimensionMismatchError,
-    demote_real,
-    facewise_product,
-    m_product,
-    m_transform,
-)
+from tubalgcn.gtcn import layer_forward
+from tubalgcn.tensor3 import DimensionMismatchError, m_transform
 from tubalgcn.transforms import build_dft, build_haar, build_identity, build_transform
 
 
@@ -35,10 +30,15 @@ KIND_AND_SLOTS = st.one_of(
 )
 
 
+def chain_product(x, y, tm):
+    """X *_M Y of real time-major operands, computed by the layer chain on the kept slices."""
+    return layer_forward(m_transform(tm.m_kept, x), m_transform(tm.m_kept, y), tm, "identity")[0]
+
+
 def identity_tensor(n, tm):
     """The real (T, n, n) tensor whose every transform-domain slice is I_n."""
     eye_hat = np.broadcast_to(np.eye(n), (tm.size, n, n))
-    return demote_real(m_transform(tm.m_inv, eye_hat))
+    return m_transform(tm.m_inv, eye_hat).real
 
 
 def facewise_loop(x, y):
@@ -125,42 +125,24 @@ class TestInverseTransform:
         assert np.max(np.abs(back - x)) <= 1e-10
 
 
-class TestFacewiseProduct:
-    def test_dot_product_case(self):
-        x = np.array([[1.0, 2.0]]).reshape(1, 1, 2)
-        y = np.array([[3.0], [4.0]]).reshape(1, 2, 1)
-        assert facewise_product(x, y)[0, 0, 0] == 11.0
-
-    def test_scalar_tubes(self):
-        x = np.array([2.0, 3.0]).reshape(2, 1, 1)
-        y = np.array([5.0, 7.0]).reshape(2, 1, 1)
-        np.testing.assert_array_equal(facewise_product(x, y)[:, 0, 0], [10.0, 21.0])
-
-    def test_matches_slice_loop(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
-        y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
-        np.testing.assert_allclose(facewise_product(x, y), facewise_loop(x, y), atol=1e-12)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            facewise_product(np.zeros((4, 2, 3)), np.zeros((4, 2, 2)))
-        with pytest.raises(DimensionMismatchError):
-            facewise_product(np.zeros((4, 2, 3)), np.zeros((5, 3, 2)))
-
-
 class TestMProduct:
     def test_identity_m_equals_facewise(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
         tm = build_identity(4)
-        np.testing.assert_array_equal(m_product(x, y, tm), facewise_product(x, y))
+        np.testing.assert_array_equal(chain_product(x, y, tm), np.matmul(x, y))
+
+    def test_identity_m_matches_slice_loop(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
+        y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
+        np.testing.assert_allclose(chain_product(x, y, build_identity(4)), facewise_loop(x, y), atol=1e-12)
 
     def test_dft_tube_example(self):
         x = np.array([1.0, 2.0]).reshape(2, 1, 1)
         y = np.array([3.0, 4.0]).reshape(2, 1, 1)
-        out = m_product(x, y, build_dft(2))
+        out = chain_product(x, y, build_dft(2))
         np.testing.assert_allclose(out[:, 0, 0], np.array([11.0, 10.0]) / np.sqrt(2), atol=1e-12)
 
     def test_haar_matches_composition(self):
@@ -169,9 +151,9 @@ class TestMProduct:
         y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         tm = build_haar(4)
         expected = m_transform(
-            tm.m_inv, facewise_product(m_transform(tm.m, x), m_transform(tm.m, y))
+            tm.m_inv, np.matmul(m_transform(tm.m, x), m_transform(tm.m, y))
         )
-        np.testing.assert_allclose(m_product(x, y, tm), expected, atol=1e-12)
+        np.testing.assert_allclose(chain_product(x, y, tm), expected, atol=1e-12)
 
     def test_linear_in_first_operand(self):
         rng = np.random.default_rng(11)
@@ -180,11 +162,11 @@ class TestMProduct:
         y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
         tm = build_dft(4)
         a, b = 0.7, -1.3
-        lhs = m_product(a * x1 + b * x2, y, tm)
-        rhs = a * m_product(x1, y, tm) + b * m_product(x2, y, tm)
+        lhs = chain_product(a * x1 + b * x2, y, tm)
+        rhs = a * chain_product(x1, y, tm) + b * chain_product(x2, y, tm)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
-    @pytest.mark.parametrize("t", [2, 4, 8])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 8])
     def test_dft_equals_scaled_circular_convolution(self, t):
         # The normalized DFT turns tube products into circular
         # convolution scaled by 1/sqrt(T).
@@ -194,7 +176,7 @@ class TestMProduct:
             u = rng.normal(size=t)
             v = rng.normal(size=t)
             conv = np.array([sum(u[k] * v[(s - k) % t] for k in range(t)) for s in range(t)])
-            out = m_product(u.reshape(t, 1, 1), v.reshape(t, 1, 1), tm)[:, 0, 0]
+            out = chain_product(u.reshape(t, 1, 1), v.reshape(t, 1, 1), tm)[:, 0, 0]
             assert np.max(np.abs(out - conv / np.sqrt(t))) <= 1e-10
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -210,8 +192,8 @@ class TestMProduct:
         rng = np.random.default_rng(seed)
         x, y, z = (rng.uniform(-1.0, 1.0, size=shape).transpose(2, 0, 1) for shape in ((i, j, t), (j, k, t), (k, l, t)))
         tm = build_transform(kind, t)
-        lhs = m_product(m_product(x, y, tm), z, tm)
-        rhs = m_product(x, m_product(y, z, tm), tm)
+        lhs = chain_product(chain_product(x, y, tm), z, tm)
+        rhs = chain_product(x, chain_product(y, z, tm), tm)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -228,8 +210,8 @@ class TestMProduct:
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(i, j, t)).transpose(2, 0, 1)
         tm = build_transform(kind, t)
         left, right = (identity_tensor(n, tm) for n in (i, j))
-        assert np.max(np.abs(m_product(left, x, tm) - x)) <= 1e-9
-        assert np.max(np.abs(m_product(x, right, tm) - x)) <= 1e-9
+        assert np.max(np.abs(chain_product(left, x, tm) - x)) <= 1e-9
+        assert np.max(np.abs(chain_product(x, right, tm) - x)) <= 1e-9
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -248,15 +230,15 @@ class TestMProduct:
         rng = np.random.default_rng(seed)
         x, y = (rng.uniform(-1.0, 1.0, size=shape).transpose(2, 0, 1) for shape in ((i, j, t), (j, k, t)))
         tm = build_transform(kind, t)
-        lhs = m_product(x, y, tm).transpose(0, 2, 1)
-        rhs = m_product(y.transpose(0, 2, 1), x.transpose(0, 2, 1), tm)
+        lhs = chain_product(x, y, tm).transpose(0, 2, 1)
+        rhs = chain_product(y.transpose(0, 2, 1), x.transpose(0, 2, 1), tm)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_real_inputs_give_real_output(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
-        out = m_product(x, y, build_dft(4))
+        out = chain_product(x, y, build_dft(4))
         assert not np.iscomplexobj(out)
 
     def test_all_kinds_match_naive_oracle(self):
@@ -274,4 +256,4 @@ class TestMProduct:
                 expected = mode_n_loop(facewise_loop(xh, yh), tm.m_inv, 1)
                 if np.iscomplexobj(expected):
                     expected = expected.real
-                assert np.max(np.abs(m_product(x, y, tm) - expected)) <= 1e-10
+                assert np.max(np.abs(chain_product(x, y, tm) - expected)) <= 1e-10

@@ -9,6 +9,11 @@ importing the module), resolve every entry in the package, check that a
 the calls one gradient pass makes to the names behind the per-layer
 metrics, so a refactor that drops, renames or routes around a traced
 function fails here instead.
+
+Two more checks keep the package's surface honest: every top-level
+function and class in ``src/tubalgcn`` is reachable from the program, not
+only from tests, and the package exports exactly its modules' ``__all__``
+names.
 """
 
 import ast
@@ -19,11 +24,14 @@ from pathlib import Path
 import pytest
 from scipy import sparse
 
+import tubalgcn
 from tubalgcn import cli
 from tubalgcn.data import SynthSpec, generate_synthetic, serialize_dataset, split_dataset
 from tubalgcn.training import TRANSFORM_CHOICES, TrainConfig, build_aux, compute_gradients, init_params
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE_MODULES = ("tensor3", "transforms", "gtcn", "head_loss", "data", "training")
 
 
 def tracer_targets() -> dict:
@@ -141,3 +149,46 @@ def test_build_aux_builds_and_preprocesses_the_adjacency_once(monkeypatch, trans
     counts = count_calls(monkeypatch, ("data.build_adjacency", "gtcn.preprocess_adjacency"))
     build_aux(ds, TrainConfig(embedding_dim=3, transform=transform, n_layers=n_layers))
     assert counts == {"data.build_adjacency": 1, "gtcn.preprocess_adjacency": 1}
+
+
+def referenced_names(node) -> set:
+    """The names and attribute names a syntax tree mentions."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_function_and_class_is_reachable_from_the_program():
+    # Roots: cli.main, every module-level statement of the package other than
+    # a def, a class, an import or __all__ (such as transforms._BUILDERS), and
+    # every name perfbench mentions.  A def or class reaches the names its
+    # body mentions.  Names are matched across modules, so a name defined
+    # twice is reached when either is; tests are not roots.
+    defs, roots = {}, {"main"}
+    for path in sorted((ROOT / "src" / "tubalgcn").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and "__all__" not in referenced_names(node):
+                roots |= referenced_names(node)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for node in defs.get(name, ()) for n in referenced_names(node))
+    assert sorted(set(defs) - reached) == []
+
+
+def test_the_package_exports_every_module_public_name():
+    missing = [
+        f"{module}.{name}"
+        for module in PACKAGE_MODULES
+        for name in importlib.import_module(f"tubalgcn.{module}").__all__
+        if getattr(tubalgcn, name, None) is not getattr(sys.modules[f"tubalgcn.{module}"], name)
+    ]
+    assert missing == []

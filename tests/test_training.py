@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -663,6 +664,20 @@ class TestCheckpoint:
         assert list(restored) == list(params)
         for key, arr in params.items():
             np.testing.assert_array_equal(arr, restored[key])
+
+    def test_numpy_scalar_config_round_trips_as_builtins(self, tmp_path):
+        # numpy scalars pass the type checks; the config stores them as the
+        # builtins of its defaults, so the checkpoint's JSON record can hold them.
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(
+            embedding_dim=np.int64(3), learning_rate=np.float32(0.01), max_epochs=np.int32(2), seed=np.int64(3)
+        )
+        params, _, _ = train(ds, cfg)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, params, cfg)
+        _, restored, _ = load_checkpoint(path)
+        assert restored == cfg
+        assert [type(v) for v in vars(restored).values()] == [type(f.default) for f in fields(TrainConfig)]
 
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         ds = small_dataset(seed=10, n=8)
