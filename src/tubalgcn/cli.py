@@ -23,8 +23,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from .data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset, serialize_dataset, split_dataset
-from .gtcn import ACTIVATIONS, ADJACENCY_MODES
 from .training import (
+    FIELD_CHOICES,
     TRANSFORM_CHOICES,
     TrainConfig,
     evaluate,
@@ -59,7 +59,6 @@ def _write_report(path, pairs, tables=()):
 
 # Config flags named otherwise than their TrainConfig field; the rest are --<field-name>.
 _FLAG_NAMES = {"learning_rate": "--lr", "adjacency_mode": "--adjacency", "n_layers": "--layers"}
-_CHOICES = {"transform": TRANSFORM_CHOICES, "activation": ACTIVATIONS, "adjacency_mode": ADJACENCY_MODES}
 
 
 def _add_config_flags(p, names=None):
@@ -68,7 +67,7 @@ def _add_config_flags(p, names=None):
     for f in fields(TrainConfig):
         if names is None or f.name in names:
             flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default, choices=_CHOICES.get(f.name))
+            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default, choices=FIELD_CHOICES.get(f.name))
 
 
 def _config_from_args(args) -> TrainConfig:
@@ -195,22 +194,13 @@ def cmd_transform_matrix(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.features < 1:
-        raise ValueError(f"--features must be >= 1, got {args.features}")
-    # A bad config flag fails by its field name here; what grad_check raises
-    # after that is about the synthetic graph that --nodes and --slots size.
-    _config_from_args(args)
+    if args.embedding_dim < 1:
+        raise ValueError(f"--features must be >= 1, got {args.embedding_dim}")
+    config = _config_from_args(args)
+    # What fails after the config is about the synthetic graph that --nodes and --slots size.
     try:
-        report = grad_check(
-            seed=args.seed,
-            n=args.nodes,
-            f=args.features,
-            t=args.slots,
-            transform=args.transform,
-            activation=args.activation,
-            n_layers=args.n_layers,
-            adjacency_mode=args.adjacency_mode,
-        )
+        spec = SynthSpec(n=args.nodes, t=args.slots, density=0.9, noise=0.05, seed=config.seed)
+        report = grad_check(split_dataset(generate_synthetic(spec), seed=config.seed), config)
     except ValueError as exc:
         raise ValueError(f"--nodes {args.nodes} --slots {args.slots}: {exc}") from exc
     for key in sorted(report["per_group"]):
@@ -309,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
     p.add_argument("--transform", choices=TRANSFORM_CHOICES, default="dft")
     p.add_argument("--nodes", type=int, default=5)
-    p.add_argument("--features", type=int, default=3)
+    p.add_argument("--features", dest="embedding_dim", metavar="FEATURES", type=int, default=3)
     p.add_argument("--slots", type=int, default=4)
     _add_config_flags(p, ("seed", "n_layers", "activation", "adjacency_mode"))
     p.set_defaults(func=cmd_grad_check)

@@ -66,6 +66,9 @@ CHECKPOINT_VERSION = 1
 
 TRANSFORM_CHOICES = TRANSFORM_KINDS + ("ensemble",)
 
+# The values each TrainConfig field with a fixed set of choices takes.
+FIELD_CHOICES = {"transform": TRANSFORM_CHOICES, "activation": ACTIVATIONS, "adjacency_mode": ADJACENCY_MODES}
+
 # Adam's moment decay rates and denominator offset.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -98,11 +101,9 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
             # A numpy scalar passes the check; store the builtin, which JSON can write.
             object.__setattr__(self, f.name, type(f.default)(value))
-        for name in ("patience", "embedding_dim", "n_layers"):
+        for name in ("max_epochs", "patience", "embedding_dim", "n_layers"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs!r}")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
@@ -110,12 +111,9 @@ class TrainConfig:
         for name in ("seed", "split_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.transform not in TRANSFORM_CHOICES:
-            raise ValueError(f"transform must be one of {TRANSFORM_CHOICES}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ValueError(f"adjacency_mode must be one of {ADJACENCY_MODES}, got {self.adjacency_mode!r}")
+        for name, choices in FIELD_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
 
     def branch_kinds(self):
         if self.transform == "ensemble":
@@ -435,43 +433,22 @@ def evaluate(params: dict, ds: DynamicGraphDataset, config: TrainConfig):
     return _split_metrics(head_scores(h, params["r"]), ds)
 
 
-def grad_check(
-    seed: int = 0,
-    n: int = 5,
-    f: int = 3,
-    t: int = 4,
-    transform: str = "dft",
-    activation: str = "sigmoid",
-    n_layers: int = 1,
-    adjacency_mode: str = "sym_normalized",
-) -> dict:
-    """Compare analytic gradients against finite differences.
+def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
+    """Compare the analytic gradients of ``config``'s model on the split
+    ``ds`` against finite differences.
 
-    Builds a random small instance, trained on its first
-    ``GRAD_CHECK_LINKS`` training links with the default ``kappa``, and
-    reports the max relative error per parameter group; ``passed`` requires
-    <= 1e-4 everywhere.  The difference is the fourth-order central one on
-    the steps ±``FD_STEP`` and ±2 ``FD_STEP``, taken of the data term and of
-    the parameter norm apart: the norm's share of a loss difference is below
-    the data term's rounding where a gradient is the regularizer's alone.
-    Under ReLU the loss has no derivative where a unit switches on or off:
-    a coordinate whose steps change which units are active is not compared,
-    and ``kinks_skipped`` counts those.
+    The parameters are ``init_params(ds, config)``, the batch the first
+    ``GRAD_CHECK_LINKS`` training links, and the coordinates probed are drawn
+    from ``config.seed``.  Reports the max relative error per parameter
+    group; ``passed`` requires <= 1e-4 everywhere.  The difference is the
+    fourth-order central one on the steps ±``FD_STEP`` and ±2 ``FD_STEP``,
+    taken of the data term and of the parameter norm apart: the norm's share
+    of a loss difference is below the data term's rounding where a gradient
+    is the regularizer's alone.  Under ReLU the loss has no derivative where
+    a unit switches on or off: a coordinate whose steps change which units
+    are active is not compared, and ``kinks_skipped`` counts those.
     """
-    from .data import SynthSpec, generate_synthetic, split_dataset
-
-    rng = np.random.default_rng(seed)
-    spec = SynthSpec(n=n, t=t, density=0.9, pattern="mixed", noise=0.05, seed=seed)
-    ds = generate_synthetic(spec)
-    ds = split_dataset(ds, seed=seed)
-    config = TrainConfig(
-        embedding_dim=f,
-        transform=transform,
-        activation=activation,
-        adjacency_mode=adjacency_mode,
-        n_layers=n_layers,
-        seed=seed,
-    )
+    rng = np.random.default_rng(config.seed)
     aux = build_aux(ds, config)
     params = init_params(ds, config)
     t_idx, i_idx, j_idx, y = batch = ds.subset_arrays(ds.train_idx[:GRAD_CHECK_LINKS])

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import json
 import re
 import warnings
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 
 from tubalgcn.cli import _config_from_args, build_parser, main
-from tubalgcn.data import parse_dataset
-from tubalgcn.training import TrainConfig, grad_check, init_params, load_checkpoint, save_checkpoint
+from tubalgcn.data import SynthSpec, generate_synthetic, parse_dataset, split_dataset
+from tubalgcn.training import TrainConfig, init_params, load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -548,14 +547,18 @@ class TestConfigFlags:
 
         calls = []
 
-        def recording(**kwargs):
-            calls.append(kwargs)
+        def recording(ds, config):
+            calls.append((ds, config))
             return {"per_group": {}, "max_relative_error": 0.0, "passed": True}
 
         monkeypatch.setattr(tubalgcn.cli, "grad_check", recording)
         assert main(["grad-check"]) == 0
-        defaults = {name: p.default for name, p in inspect.signature(grad_check).parameters.items()}
-        assert calls == [defaults]
+        [(ds, config)] = calls
+        assert config == TrainConfig(embedding_dim=3, transform="dft")
+        expected = split_dataset(generate_synthetic(SynthSpec(n=5, t=4, density=0.9, noise=0.05, seed=0)), seed=0)
+        assert (ds.n_nodes, ds.n_slots, ds.digest()) == (5, 4, expected.digest())
+        for split in ("train_idx", "val_idx", "test_idx"):
+            np.testing.assert_array_equal(getattr(ds, split), getattr(expected, split))
 
 
 class TestGradCheckCommand:

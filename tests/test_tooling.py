@@ -13,11 +13,14 @@ function fails here instead.
 Two more checks keep the package's surface honest: every top-level
 function and class in ``src/tubalgcn`` is reachable from the program, not
 only from tests, and the package exports exactly its modules' ``__all__``
-names.
+names.  A last one keeps the README's command lines in step with the
+command-line parser.
 """
 
 import ast
 import importlib
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -192,3 +195,24 @@ def test_the_package_exports_every_module_public_name():
         if getattr(tubalgcn, name, None) is not getattr(sys.modules[f"tubalgcn.{module}"], name)
     ]
     assert missing == []
+
+
+def readme_command_lines() -> list:
+    """Every ``tubalgcn ...`` command line in README.md: the lines of its
+    fenced blocks, backslash continuations joined, and its inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines + re.findall(r"`(tubalgcn [^`]*)`", text) if line.startswith("tubalgcn ")]
+
+
+def test_every_readme_command_line_parses():
+    lines = readme_command_lines()
+    assert len(lines) >= 7
+    bad = []
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            bad.append(line)
+    assert bad == []

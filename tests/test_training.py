@@ -62,9 +62,19 @@ def small_dataset(seed=0, n=6, t=4):
     )
 
 
+def synth_grad_check(seed, t=4, **config):
+    """``grad_check`` at F = 3 on the graph ``tubalgcn grad-check --seed <seed>
+    --slots <t>`` checks: 5 nodes at density 0.9, split with the same seed."""
+    ds = split_dataset(generate_synthetic(SynthSpec(n=5, t=t, density=0.9, noise=0.05, seed=seed)), seed=seed)
+    return grad_check(ds, TrainConfig(embedding_dim=3, seed=seed, **config))
+
+
 BAD_HYPERPARAMETERS = [
     ("max_epochs", 0),
     ("max_epochs", -3),
+    ("patience", 0),
+    ("embedding_dim", 0),
+    ("n_layers", 0),
     ("learning_rate", float("nan")),
     ("learning_rate", float("inf")),
     ("learning_rate", 0.0),
@@ -84,7 +94,9 @@ BAD_HYPERPARAMETERS = [
 
 
 class TestConfig:
-    @pytest.mark.parametrize("name,value", [("activation", "tanh"), ("adjacency_mode", "dense")])
+    @pytest.mark.parametrize(
+        "name,value", [("transform", "wavelet"), ("activation", "tanh"), ("adjacency_mode", "dense")]
+    )
     def test_unknown_choice_fails_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be one of .*'{value}'"):
             TrainConfig(**{name: value})
@@ -178,11 +190,11 @@ class TestGradients:
 
     @pytest.mark.parametrize("transform", ["identity", "dft", "dct", "haar", "ensemble"])
     def test_finite_differences(self, transform):
-        rep = grad_check(seed=3, transform=transform)
+        rep = synth_grad_check(3, transform=transform)
         assert rep["passed"], rep
 
     def test_finite_differences_haar_padding(self):
-        rep = grad_check(seed=5, t=3, transform="haar")
+        rep = synth_grad_check(5, t=3, transform="haar")
         assert rep["passed"], rep
 
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
@@ -198,7 +210,7 @@ class TestGradients:
         ],
     )
     def test_finite_differences_two_layers(self, transform, t, mode, activation):
-        rep = grad_check(seed=3, t=t, transform=transform, activation=activation, n_layers=2, adjacency_mode=mode)
+        rep = synth_grad_check(3, t=t, transform=transform, activation=activation, n_layers=2, adjacency_mode=mode)
         assert rep["passed"], rep
         assert {"w:%s:0" % transform, "w:%s:1" % transform} <= rep["per_group"].keys()
 
@@ -208,7 +220,7 @@ class TestGradients:
         # The padded Haar branch and the unpadded DFT and DCT branches share
         # g_h and the gradients of E and U.  At T = 1 and 2 every DFT slice
         # is self-conjugate (K = T).
-        rep = grad_check(seed=3, t=t, transform="ensemble", n_layers=n_layers)
+        rep = synth_grad_check(3, t=t, transform="ensemble", n_layers=n_layers)
         assert rep["passed"], rep
 
     def test_norm_gradient(self):
@@ -424,6 +436,7 @@ class TestForwardMatchesOracle:
         assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
         _, grads, _, _ = compute_gradients(params, aux, ds.subset_arrays(ds.train_idx))
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
+        assert grad_check(ds, cfg)["passed"]
 
 
 def oracle_representation(ds, params, cfg):
@@ -459,20 +472,21 @@ class TestEveryConfiguration:
         n=st.integers(4, 7),
         f=st.integers(1, 3),
         seed=st.integers(0, 999),
+        kappa=st.sampled_from([0.0, 1e-4, 0.1]),
     )
-    def test_gradients_and_forward_match_their_references(self, transform, n_layers, activation, mode, t, n, f, seed):
-        # Any configuration the CLI accepts, on any small graph: the analytic
-        # gradients against finite differences, and the forward pass against
-        # the message-passing oracle.
-        rep = grad_check(
-            seed=seed, n=n, f=f, t=t, transform=transform, activation=activation, n_layers=n_layers, adjacency_mode=mode
-        )
-        assert rep["passed"], rep
+    def test_gradients_and_forward_match_their_references(
+        self, transform, n_layers, activation, mode, t, n, f, seed, kappa
+    ):
+        # Any configuration the CLI accepts, and kappa = 0, on any small
+        # graph: the analytic gradients against finite differences, and the
+        # forward pass against the message-passing oracle.
         ds = small_dataset(seed=seed, n=n, t=t)
         cfg = TrainConfig(
             embedding_dim=f, transform=transform, activation=activation, n_layers=n_layers, adjacency_mode=mode,
-            seed=seed,
+            kappa=kappa, seed=seed,
         )
+        rep = grad_check(ds, cfg)
+        assert rep["passed"], rep
         params = init_params(ds, cfg)
         h = node_major(forward_model(params, build_aux(ds, cfg))[0])
         assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
