@@ -47,21 +47,38 @@ ACTIVATIONS = ("sigmoid", "relu", "identity")
 ADJACENCY_MODES = ("sym_normalized", "raw_self_loops")
 
 
-def apply_activation(s: np.ndarray, activation: str) -> np.ndarray:
+def apply_activation(s: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma(s): sigmoid, ReLU or the identity.
+
+    With ``out`` the result is written into that buffer and returned;
+    ``out=s`` overwrites the pre-activation, so the layer holds one array
+    where it would hold two.  The bits are those of the out-of-place result
+    either way.  Without ``out`` the identity returns ``s`` itself.
+    """
     if activation == "sigmoid":
-        with np.errstate(over="ignore"):  # below s = -709, exp(-s) is inf and 1 / (1 + inf) the exact 0.0
-            return 1.0 / (1.0 + np.exp(-s))
+        # 1 / (1 + exp(-s)) one step at a time in one buffer.  Below s = -709,
+        # exp(-s) is inf and 1 / (1 + inf) the exact 0.0.
+        with np.errstate(over="ignore"):
+            h = np.negative(s, out=out)
+            np.exp(h, out=h)
+        h += 1.0
+        return np.divide(1.0, h, out=h)
     if activation == "relu":
-        return np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     if activation == "identity":
-        return s
+        if out is None:
+            return s
+        np.copyto(out, s)
+        return out
     raise ValueError(f"unknown activation {activation!r}")
 
 
 def activation_grad(h: np.ndarray, activation: str) -> np.ndarray:
-    """Derivative of the activation at its output h: h (1 - h), [h > 0] or 1."""
+    """Derivative of the activation at its output h, as a new array: h (1 - h), [h > 0] or 1."""
     if activation == "sigmoid":
-        return h * (1.0 - h)
+        g = 1.0 - h
+        g *= h
+        return g
     if activation == "relu":
         return (h > 0).astype(np.float64)
     if activation == "identity":
@@ -169,9 +186,10 @@ def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
 
 
 def propagate_grad(blocks, g_q: np.ndarray, tm: TransformMatrix) -> np.ndarray:
-    """dL/dX, (T, N, F), from the conjugated ḡ_Q̂ of ``propagate``: Re(m_kept^T Â^T ḡ_Q)."""
+    """dL/dX, (T, N, F), from the conjugated ḡ_Q̂ of ``propagate``: Re(m_kept^T Â^T ḡ_Q),
+    copied out as a C-contiguous array so that no complex product outlives the call."""
     k, n, f = g_q.shape
-    return m_transform(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real
+    return np.ascontiguousarray(m_transform(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real)
 
 
 def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activation: str):
@@ -183,9 +201,11 @@ def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activatio
     others ``propagate`` and ``transform_weight``.  Every transform is one
     GEMM on a (K, N * F) view; the pre-activation is the real part of the
     inverse GEMM on the K kept slices (``tm.m_inv_kept``), kept as a
-    C-contiguous float64 array.  H is (T, N, F_out), T = ``tm.size``.
+    C-contiguous float64 array, and the activation overwrites it in place:
+    H is that array, (T, N, F_out), T = ``tm.size``.  The product Q̂ Ŵ and
+    a complex inverse live only while the pre-activation is formed.
     Returns H and the time-major cache (Q̂, Ŵ, H) that ``layer_backward``
-    needs.
+    needs; the cache holds ``qh`` and ``wh`` themselves, not copies.
     """
     k, n, f_in = qh.shape
     if k != tm.kept or wh.shape[:2] != (k, f_in):
@@ -196,7 +216,7 @@ def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activatio
     s = np.ascontiguousarray(m_transform(tm.m_inv_kept, np.matmul(qh, wh)).real)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
-    h = apply_activation(s, activation)
+    h = apply_activation(s, activation, out=s)
     return h, {"q": qh, "wh": wh, "h": h}
 
 
@@ -209,9 +229,21 @@ def layer_backward(g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation
     transposes: ḡ_P = m_inv_kept^T g_S, ḡ_Q = ḡ_P Ŵ^T and ḡ_Ŵ = Q̂^T ḡ_P.
     ``propagate_grad`` and ``weight_grad`` take them on to dL/dX and dL/dW.
     Conjugation only flips signs, which is exact.
+
+    The cache is read, never changed, so it can be run again.  A caller that
+    hands over its last reference to the cache (``compute_gradients`` pops
+    it from its list) frees H as soon as the activation's derivative is
+    formed and Q̂ as soon as ḡ_Ŵ is; g_S, the derivative times ``g_h``, lives
+    only until ḡ_P is formed.
     """
-    q, wh = cache["q"], cache["wh"]
+    q, wh, h = cache["q"], cache["wh"], cache["h"]
+    del cache  # the dict was the caller's last hold on H and Q̂, if it let go
     t = len(g_h)
-    g_s = g_h * activation_grad(cache["h"][:t], activation)
+    g_s = activation_grad(h[:t], activation)
+    del h
+    g_s *= g_h
     g_p = m_transform(tm.m_inv_kept[:t].T, g_s)
-    return np.matmul(g_p, wh.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), g_p)
+    del g_s
+    g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
+    del q
+    return np.matmul(g_p, wh.transpose(0, 2, 1)), g_wh

@@ -228,8 +228,17 @@ def forward_model(params: dict, aux: ModelAux):
     layers on ``propagate`` and ``transform_weight``.  The Haar branch's
     layers output its transform's slot count.  The representation is the
     sum of the branch outputs, each cropped to the model's T slots and
-    scaled by 1 / len(aux.tms), in that order; a single branch is returned
-    as it is, without a copy.  Each branch's cache is (Û, Ŵ, layer caches).
+    scaled by 1 / len(aux.tms), in that order, built in one array: the
+    first branch's scaled output, then ``h += `` each next one's.  A single
+    branch is returned as it is, without a copy, so it shares its memory
+    with its last layer's cached H.  Each branch's cache is (Û, Ŵ, layer
+    caches).
+
+    What lives when, in (T, N, F)-sized arrays: Z until the call returns;
+    each layer's cache (Q̂, Ŵ, H), which the backward pass reads; and the
+    one representation array.  Every other such array (Q̂ Ŵ, a complex
+    inverse, a scaled branch output) is freed when the statement that made
+    it is done.
     """
     config, (t_n, n) = aux.config, aux.a_hat.shape
     _check_fit(params, _param_shapes(config, n, t_n // n), "parameters do not fit the model")
@@ -248,8 +257,12 @@ def forward_model(params: dict, aux: ModelAux):
             x, cache = layer_forward(propagate(aux.blocks[kind], x, tm), wh, tm, config.activation)
             caches.append(cache)
         branch_caches[kind] = (u_hat, w_hat, caches)
-        x = x[:n_slots] if len(aux.tms) == 1 else (1.0 / len(aux.tms)) * x[:n_slots]
-        h = x if h is None else h + x
+        if len(aux.tms) == 1:
+            h = x[:n_slots]
+        elif h is None:
+            h = (1.0 / len(aux.tms)) * x[:n_slots]
+        else:
+            h += (1.0 / len(aux.tms)) * x[:n_slots]
     return h, branch_caches
 
 
@@ -267,6 +280,15 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
     ḡ_Û = Σ_g ḡ_W̃ ⊙ Ŵ.  The branches' Re(M[:, :T]^T ḡ_Ẑ) and
     Re(M[:, :T]^T ḡ_Û) are summed into one g_Z and g_U, and g_E = Â^T g_Z
     is the pass's one backward sparse product on ``a_hat``.
+
+    The pass holds each (T, N, F)-sized array only while it is read.  h goes
+    once ``head_backward`` has read it; g_h is scaled by 1 / len(aux.tms) in
+    place, once for every branch.  The caches are this call's own: each
+    layer's is popped as the backward reaches it, so ``layer_backward``
+    frees its H and Q̂ on the way, and a branch holds nothing once its
+    backward is done.  g_Z is summed in place, with the DFT branch's real
+    part copied out once into a contiguous array.  So at any time the pass
+    holds the caches not yet read, g_h, g_Z and one layer's temporaries.
     """
     t_idx, i_idx, j_idx, y = batch
     h, branch_caches = forward_model(params, aux)
@@ -279,20 +301,32 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
 
     parts = {}
     g_h, parts["r"] = head_backward(h, r, 2.0 * (y_hat - y), t_idx, i_idx, j_idx)
+    del h
+    if len(aux.tms) > 1:
+        g_h *= 1.0 / len(aux.tms)
     g_z = g_u = None
-    for kind, (u_hat, w_hat, caches) in branch_caches.items():
-        tm = aux.tms[kind]
-        g_x = (1.0 / len(aux.tms)) * g_h
+    for kind, tm in aux.tms.items():
+        u_hat, w_hat, caches = branch_caches.pop(kind)
+        g_x = g_h
         for layer in reversed(range(1, len(caches))):
-            g_q, g_wh = layer_backward(g_x, caches[layer], tm, config.activation)
+            g_q, g_wh = layer_backward(g_x, caches.pop(), tm, config.activation)
+            del g_x
             parts[f"w:{kind}:{layer}"] = weight_grad(g_wh, tm)
             g_x = propagate_grad(aux.blocks[kind], g_q, tm)
-        g_zh, g_wt = layer_backward(g_x, caches[0], tm, config.activation)
+            del g_q
+        g_zh, g_wt = layer_backward(g_x, caches.pop(), tm, config.activation)
+        del g_x
         parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, tm)
         m_t = tm.m_kept[:, :t_n].T
         g_z_b = m_transform(m_t, g_zh).real
+        del g_zh
         g_u_b = (m_t @ np.sum(g_wt * w_hat, axis=2)).real
-        g_z, g_u = (g_z_b, g_u_b) if g_z is None else (g_z + g_z_b, g_u + g_u_b)
+        if g_z is None:
+            g_z, g_u = np.ascontiguousarray(g_z_b), g_u_b
+        else:
+            g_z += g_z_b
+            g_u += g_u_b
+        del g_z_b
     parts.update(e=aux.a_hat.T @ g_z.reshape(-1, e.shape[1]), u=g_u)
     g = np.concatenate([parts[key].ravel() for key in params])
 

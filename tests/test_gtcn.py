@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from tubalgcn.gtcn import (
+    ACTIVATIONS,
+    activation_grad,
     apply_activation,
     layer_backward,
     layer_forward,
@@ -76,6 +78,35 @@ class TestActivation:
             out = apply_activation(s, "sigmoid")
         assert out[0] == 0.0 and out[2] == 0.5 and out[4] == 1.0
         np.testing.assert_array_equal(out[1:4], 1.0 / (1.0 + np.exp(-s[1:4])))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_into_a_buffer_gives_the_out_of_place_bits(self, activation):
+        # The layer writes H over its own pre-activation.  Out of place, into
+        # another buffer or in place, the bits are those of the textbook
+        # form, saturated sigmoid (s <= -709) and signed zeros included.
+        rng = np.random.default_rng(0)
+        s = np.concatenate([[-1e308, -1000.0, -745.2, -709.8, -709.0, -0.0, 0.0, 1000.0], rng.normal(scale=8.0, size=64)])
+        with np.errstate(over="ignore"):
+            expected = {"sigmoid": 1.0 / (1.0 + np.exp(-s)), "relu": np.maximum(s, 0.0), "identity": s.copy()}[activation]
+        buf, s_in = np.full_like(s, np.nan), s.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out_of_place = apply_activation(s, activation)
+            into_buffer = apply_activation(s, activation, out=buf)
+            in_place = apply_activation(s_in, activation, out=s_in)
+        assert into_buffer is buf and in_place is s_in
+        for got in (out_of_place, into_buffer, in_place):
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_derivative_is_a_new_array_with_the_textbook_bits(self, activation):
+        # layer_backward multiplies the gradient into the derivative's array.
+        h = apply_activation(np.random.default_rng(1).normal(scale=3.0, size=(4, 5, 3)), activation)
+        kept = h.copy()
+        expected = {"sigmoid": h * (1.0 - h), "relu": (h > 0).astype(np.float64), "identity": np.ones_like(h)}[activation]
+        got = activation_grad(h, activation)
+        assert not np.shares_memory(got, h)
+        assert got.tobytes() == expected.tobytes() and h.tobytes() == kept.tobytes()
 
 
 def preprocess(raw, mode):

@@ -56,6 +56,15 @@ def node_major(h):
     return h.transpose(1, 2, 0)
 
 
+def linked_pairs_dataset(n, t, edges):
+    """N nodes, T slots and ``edges`` random node pairs linked in every slot, split with seed 0."""
+    rng = np.random.default_rng(0)
+    i, j = np.divmod(rng.choice(n * n, size=edges, replace=False), n)
+    slots = np.tile(np.arange(1, t + 1), edges)
+    y = rng.uniform(0.05, 1.0, size=edges * t)
+    return split_dataset(DynamicGraphDataset(n, t, slots, np.repeat(i, t), np.repeat(j, t), y), seed=0)
+
+
 def small_dataset(seed=0, n=6, t=4):
     return split_dataset(
         generate_synthetic(SynthSpec(n=n, t=t, density=0.8, noise=0.05, seed=seed)), seed=seed
@@ -507,17 +516,14 @@ class TestMemory:
             assert h.dtype == np.float64 and h.flags.c_contiguous
             assert not np.iscomplexobj(h.base)
 
-    def test_aux_and_epoch_allocate_no_dense_adjacency(self):
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_aux_and_epoch_allocate_no_dense_adjacency(self, n_layers):
         # N = 2000, T = 8, 0.1 % of node pairs linked in every slot.  The
         # embedding is small so that the N x F x T activations stay far
         # below the bound and only an N x N x T allocation could break it.
-        n, t, edges = 2000, 8, 4000
-        rng = np.random.default_rng(0)
-        i, j = np.divmod(rng.choice(n * n, size=edges, replace=False), n)
-        slots = np.tile(np.arange(1, t + 1), edges)
-        y = rng.uniform(0.05, 1.0, size=edges * t)
-        ds = split_dataset(DynamicGraphDataset(n, t, slots, np.repeat(i, t), np.repeat(j, t), y), seed=0)
-        cfg = TrainConfig(embedding_dim=4, transform="ensemble")
+        n, t = 2000, 8
+        ds = linked_pairs_dataset(n, t, edges=4000)
+        cfg = TrainConfig(embedding_dim=4, transform="ensemble", n_layers=n_layers)
         params = init_params(ds, cfg)
         batch = ds.subset_arrays(ds.train_idx)
         tracemalloc.start()
@@ -529,6 +535,74 @@ class TestMemory:
             tracemalloc.stop()
         dense_bytes = n * n * t * np.dtype(np.float64).itemsize
         assert peak < dense_bytes / 10, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("transform,n_layers,bound", [("dct", 1, 4.5), ("ensemble", 1, 10.0), ("ensemble", 2, 18.0)])
+    def test_gradient_pass_peak_in_activation_copies(self, transform, n_layers, bound):
+        # At N = 2000, T = 16, F = 20 the (T, N, F) activations, not Â, set
+        # a pass's peak.  The pass holds each such array only while it is
+        # read; it peaks at 4.2, 9.6 and 15.8 copies of one.
+        n, t, f = 2000, 16, 20
+        ds = linked_pairs_dataset(n, t, edges=4000)
+        cfg = TrainConfig(embedding_dim=f, transform=transform, n_layers=n_layers)
+        params = init_params(ds, cfg)
+        batch = ds.subset_arrays(ds.train_idx)
+        aux = build_aux(ds, cfg)
+        tracemalloc.start()
+        try:
+            compute_gradients(params, aux, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copies = peak / (t * n * f * np.dtype(np.float64).itemsize)
+        assert copies <= bound, f"peak {copies:.2f} copies of one (T, N, F) array"
+
+
+class TestPassPurity:
+    # compute_gradients drops its caches and temporaries as it goes and
+    # writes into the arrays it made; it must never write into one it did
+    # not make.  T = 5 runs the Haar branch padded to 8 slots and the DFT
+    # branch with one self-conjugate slice.
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+    def test_repeats_bit_for_bit_and_leaves_its_inputs(self, transform, activation, n_layers):
+        ds = small_dataset(seed=5, n=7, t=5)
+        cfg = TrainConfig(embedding_dim=3, transform=transform, activation=activation, n_layers=n_layers, seed=5)
+        aux = build_aux(ds, cfg)
+        params = init_params(ds, cfg)
+        batch = ds.subset_arrays(ds.train_idx)
+        blocks = [b.data for b in aux.blocks.values() if b is not None]
+        inputs = [*params.values(), *batch, aux.a_hat.data, *blocks]
+        saved = [a.copy() for a in inputs]
+        first, second = compute_gradients(params, aux, batch), compute_gradients(params, aux, batch)
+        assert first[0] == second[0]
+        assert list(first[1]) == list(second[1]) == list(params)
+        for a, b in zip([*first[1].values(), *first[2:]], [*second[1].values(), *second[2:]]):
+            assert a.tobytes() == b.tobytes()
+        for before, after in zip(saved, inputs):
+            assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+    def test_forward_caches_outlive_the_layer_backward(self, transform, activation, n_layers):
+        # grad_check reads forward_model's caches["h"]; layer_backward reads
+        # a cache and never drops or overwrites what it holds.
+        ds = small_dataset(seed=5, n=7, t=5)
+        cfg = TrainConfig(embedding_dim=3, transform=transform, activation=activation, n_layers=n_layers, seed=5)
+        aux = build_aux(ds, cfg)
+        _, branch_caches = forward_model(init_params(ds, cfg), aux)
+        saved = {kind: [{k: a.copy() for k, a in c.items()} for c in caches] for kind, (_, _, caches) in branch_caches.items()}
+        for kind, (_, _, caches) in branch_caches.items():
+            for cache in caches:
+                layer_backward(np.ones_like(cache["h"]), cache, aux.tms[kind], activation)
+        assert list(branch_caches) == list(cfg.branch_kinds())
+        for kind, (_, _, caches) in branch_caches.items():
+            assert len(caches) == n_layers
+            for cache, before in zip(caches, saved[kind]):
+                assert list(cache) == ["q", "wh", "h"]
+                for key, a in before.items():
+                    assert cache[key].tobytes() == a.tobytes()
 
 
 def zero_state(n):
