@@ -6,6 +6,7 @@ import numpy as np
 
 __all__ = [
     "head_scores",
+    "link_rows",
     "predict",
     "head_backward",
     "loss",
@@ -25,35 +26,41 @@ def head_scores(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (r.reshape(2, f) @ h.reshape(t * n, f).T).reshape(2, t, n)
 
 
-def predict(scores: np.ndarray, t_idx, i_idx, j_idx) -> np.ndarray:
-    """y_hat = [h_i^t || h_j^t] . r for every link (t one-based), gathered
-    from the ``head_scores`` of h and r: two scalars per link."""
-    _, t, n = scores.shape
+def link_rows(t_idx, i_idx, j_idx, n_slots: int, n_nodes: int) -> np.ndarray:
+    """The (2, L) slot-major rows (t - 1) * N + i and (t - 1) * N + j of
+    the L links' endpoints (t one-based) in a (T, N) score or
+    representation; IndexError if a link falls outside T slots and N nodes.
+
+    Made once per set of links, where its batch is built, for ``predict``
+    and ``head_backward`` to read every epoch.
+    """
     if len(t_idx) and (
         min(t_idx.min() - 1, i_idx.min(), j_idx.min()) < 0
-        or t_idx.max() > t
-        or max(i_idx.max(), j_idx.max()) >= n
+        or t_idx.max() > n_slots
+        or max(i_idx.max(), j_idx.max()) >= n_nodes
     ):
-        raise IndexError(f"link indices out of range for {t} slots and {n} nodes")
-    s_i, s_j = scores.reshape(2, t * n)
-    return s_i[_rows(t_idx, i_idx, n)] + s_j[_rows(t_idx, j_idx, n)]
+        raise IndexError(f"link indices out of range for {n_slots} slots and {n_nodes} nodes")
+    base = (t_idx - 1) * n_nodes
+    return np.stack([base + i_idx, base + j_idx])
 
 
-def _rows(t_idx, node_idx, n: int) -> np.ndarray:
-    """The slot-major row (t - 1) * N + i of each link endpoint (t one-based)."""
-    return (t_idx - 1) * n + node_idx
+def predict(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """y_hat = [h_i^t || h_j^t] . r for every link, gathered from the
+    ``head_scores`` of h and r at the links' ``link_rows``: two scalars per link."""
+    s_i, s_j = scores.reshape(2, -1)
+    return s_i[rows[0]] + s_j[rows[1]]
 
 
-def head_backward(h: np.ndarray, r: np.ndarray, g_yhat: np.ndarray, t_idx, i_idx, j_idx):
+def head_backward(h: np.ndarray, r: np.ndarray, g_yhat: np.ndarray, rows: np.ndarray):
     """(dL/dh, dL/dr) from dL/dy_hat, the backward pass of ``predict`` on ``head_scores``.
 
     The residual gradient is summed onto each endpoint's (slot, node) row of
-    the time-major (T, N, F) h with one ``bincount`` per endpoint, giving
-    the (T * N, 2) matrix c of (c_i, c_j); then g_h = c [r[:F]; r[F:]] and
-    g_r = h^T c, as a (2, F) array.
+    the time-major (T, N, F) h, at the links' ``link_rows``, with one
+    ``bincount`` per endpoint, giving the (T * N, 2) matrix c of (c_i, c_j);
+    then g_h = c [r[:F]; r[F:]] and g_r = h^T c, as a (2, F) array.
     """
     t, n, f = h.shape
-    c = np.stack([np.bincount(_rows(t_idx, k, n), weights=g_yhat, minlength=t * n) for k in (i_idx, j_idx)], axis=1)
+    c = np.stack([np.bincount(k, weights=g_yhat, minlength=t * n) for k in rows], axis=1)
     return (c @ r.reshape(2, f)).reshape(h.shape), (h.reshape(-1, f).T @ c).T
 
 

@@ -34,9 +34,11 @@ def m_transform(m, x) -> np.ndarray:
 
     One GEMM, ``M @ x`` on the (T, -1) reshape of x, which copies nothing
     when x is C-contiguous; the result is the C-contiguous (K, ...) array.
-    A complex matrix applied to a real tensor runs as one real GEMM with
-    ``[Re M; Im M]`` stacked, instead of a complex GEMM on a complex copy
-    of the tensor.
+    A complex matrix applied to a real tensor runs as two real GEMMs, by
+    ``Re M`` and ``Im M``, instead of a complex GEMM on a complex copy of
+    the tensor; each fills one real buffer in turn, which is copied into the
+    complex result, so that no more than the result and one real part are
+    held at once.
     """
     m, x = _as_float(m), _as_float(x)
     if m.ndim != 2 or x.ndim == 0 or m.shape[1] != len(x):
@@ -44,10 +46,11 @@ def m_transform(m, x) -> np.ndarray:
     (k, t), rest = m.shape, x.shape[1:]
     xt = x.reshape(t, math.prod(rest))
     if np.iscomplexobj(m) and not np.iscomplexobj(x):
-        parts = np.concatenate([m.real, m.imag]) @ xt
         out = np.empty((k, xt.shape[1]), dtype=np.complex128)
-        out.real = parts[:k]
-        out.imag = parts[k:]
+        part = np.empty(out.shape)
+        # Re M and Im M are strided views; the GEMM wants contiguous copies.
+        out.real = np.matmul(np.ascontiguousarray(m.real), xt, out=part)
+        out.imag = np.matmul(np.ascontiguousarray(m.imag), xt, out=part)
     else:
         out = m @ xt
     return out.reshape(k, *rest)

@@ -37,12 +37,12 @@ from .gtcn import (
     preprocess_adjacency,
     propagate,
     propagate_grad,
+    time_product,
     transform_weight,
     transformed_blocks,
     weight_grad,
 )
-from .head_loss import head_backward, head_scores, loss, mae, params_l2_norm, predict, rmse
-from .tensor3 import m_transform
+from .head_loss import head_backward, head_scores, link_rows, loss, mae, params_l2_norm, predict, rmse
 from .transforms import TRANSFORM_KINDS, build_transform, next_power_of_two
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "AdamState",
     "init_params",
     "build_aux",
+    "link_batch",
     "forward_model",
     "compute_gradients",
     "adam_step",
@@ -214,6 +215,14 @@ def build_aux(ds: DynamicGraphDataset, config: TrainConfig) -> ModelAux:
     return ModelAux(config, a_hat, {tm.kind: tm for tm in tms}, {tm.kind: b for tm, b in zip(tms, blocks)})
 
 
+def link_batch(ds: DynamicGraphDataset, idx: np.ndarray):
+    """The batch (rows, y) of the links ``idx`` of ``ds``: their endpoints'
+    ``head_loss.link_rows``, bounds-checked here, once per set of links, and
+    their weights."""
+    t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
+    return link_rows(t_idx, i_idx, j_idx, ds.n_slots, ds.n_nodes), y
+
+
 def forward_model(params: dict, aux: ModelAux):
     """Time-major (T, N, F) representation tensor plus per-branch caches.
 
@@ -248,9 +257,9 @@ def forward_model(params: dict, aux: ModelAux):
     branch_caches = {}
     for kind, tm in aux.tms.items():
         m = tm.m_kept[:, :n_slots]
-        u_hat = m @ (1.0 + u)
+        u_hat = time_product(tm, m, 1.0 + u, np.matmul)
         w_hat = transform_weight(params[f"w:{kind}:0"], tm)
-        x, cache = layer_forward(m_transform(m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
+        x, cache = layer_forward(time_product(tm, m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
         caches = [cache]
         for layer in range(1, config.n_layers):
             wh = transform_weight(params[f"w:{kind}:{layer}"], tm)
@@ -269,11 +278,11 @@ def forward_model(params: dict, aux: ModelAux):
 def compute_gradients(params: dict, aux: ModelAux, batch):
     """Loss and exact analytic gradients of ``aux``'s model over the training batch.
 
-    ``batch`` is the tuple (t_idx, i_idx, j_idx, y) of aligned arrays with
-    one-based time indices.  Returns (loss_value, gradients, scores, y_hat):
-    the gradients are views into one vector, keyed and laid out in the order
-    of ``params``; scores the ``head_scores`` of the representation tensor
-    h; y_hat the batch predictions.
+    ``batch`` is the pair (rows, y) of ``link_batch``.  Returns (loss_value,
+    gradients, scores, y_hat): the gradients are views into one vector,
+    keyed and laid out in the order of ``params``; scores the
+    ``head_scores`` of the representation tensor h; y_hat the batch
+    predictions.
 
     The head's backward pass is ``head_backward``.  Each branch's first
     layer gives the conjugated ḡ_Ẑ and ḡ_W̃; then ḡ_Ŵ = Û ⊙ ḡ_W̃ and
@@ -290,17 +299,17 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
     part copied out once into a contiguous array.  So at any time the pass
     holds the caches not yet read, g_h, g_Z and one layer's temporaries.
     """
-    t_idx, i_idx, j_idx, y = batch
+    rows, y = batch
     h, branch_caches = forward_model(params, aux)
     config, e, r = aux.config, params["e"], params["r"]
     t_n = len(h)
     scores = head_scores(h, r)
-    y_hat = predict(scores, t_idx, i_idx, j_idx)
+    y_hat = predict(scores, rows)
     norm = params_l2_norm(params.values())
     total = loss(y, y_hat, norm, config.kappa)
 
     parts = {}
-    g_h, parts["r"] = head_backward(h, r, 2.0 * (y_hat - y), t_idx, i_idx, j_idx)
+    g_h, parts["r"] = head_backward(h, r, 2.0 * (y_hat - y), rows)
     del h
     if len(aux.tms) > 1:
         g_h *= 1.0 / len(aux.tms)
@@ -318,9 +327,9 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
         del g_x
         parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, tm)
         m_t = tm.m_kept[:, :t_n].T
-        g_z_b = m_transform(m_t, g_zh).real
+        g_z_b = time_product(tm, m_t, g_zh).real
         del g_zh
-        g_u_b = (m_t @ np.sum(g_wt * w_hat, axis=2)).real
+        g_u_b = time_product(tm, m_t, np.sum(g_wt * w_hat, axis=2), np.matmul).real
         if g_z is None:
             g_z, g_u = np.ascontiguousarray(g_z_b), g_u_b
         else:
@@ -350,11 +359,19 @@ class AdamState:
 
 def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """Standard Adam with bias correction; returns the updated parameter
-    vector as a new array, leaving ``theta`` as it was."""
+    vector as a new array, leaving ``theta`` as it was.
+
+    The moments are updated in place, m <- b1 m + (1 - b1) g and
+    v <- b2 v + (1 - b2) g², each product formed as in that expression.
+    """
     state.step += 1
     t = state.step
-    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g**2
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * g
+    g2 = np.square(g)
+    g2 *= 1 - ADAM_BETA2
+    state.v *= ADAM_BETA2
+    state.v += g2
     m_hat = state.m / (1 - ADAM_BETA1**t)
     v_hat = state.v / (1 - ADAM_BETA2**t)
     return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -426,8 +443,8 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
     _keep_freed_heap()
     params = init_params(ds, config)
     theta, shapes = _vector(params), {key: a.shape for key, a in params.items()}
-    train_batch = ds.subset_arrays(ds.train_idx)
-    val_t, val_i, val_j, val_y = ds.subset_arrays(ds.val_idx)
+    train_batch = link_batch(ds, ds.train_idx)
+    val_rows, val_y = link_batch(ds, ds.val_idx)
 
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     stopper = EarlyStopping(config.patience)
@@ -438,8 +455,8 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"training diverged at epoch {epoch} (loss={loss_value})")
         # Train and validation error at the current parameters (pre-update).
-        train_mae = mae(train_batch[3], train_pred)
-        val_mae = mae(val_y, predict(scores, val_t, val_i, val_j))
+        train_mae = mae(train_batch[1], train_pred)
+        val_mae = mae(val_y, predict(scores, val_rows))
         history.append({"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae})
         if val_mae <= stopper.best:
             best, best_scores = params, scores  # adam_step returns a new vector, so no copy is needed
@@ -454,8 +471,8 @@ def _split_metrics(scores: np.ndarray, ds: DynamicGraphDataset) -> dict:
     """MAE/RMSE for every split, gathered from one ``head_scores`` array."""
     out = {}
     for name, idx in (("train", ds.train_idx), ("val", ds.val_idx), ("test", ds.test_idx)):
-        t_idx, i_idx, j_idx, y = ds.subset_arrays(idx)
-        pred = predict(scores, t_idx, i_idx, j_idx)
+        rows, y = link_batch(ds, idx)
+        pred = predict(scores, rows)
         out[f"{name}_mae"] = mae(y, pred)
         out[f"{name}_rmse"] = rmse(y, pred)
     return out
@@ -485,14 +502,14 @@ def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     aux = build_aux(ds, config)
     params = init_params(ds, config)
-    t_idx, i_idx, j_idx, y = batch = ds.subset_arrays(ds.train_idx[:GRAD_CHECK_LINKS])
+    rows, y = batch = link_batch(ds, ds.train_idx[:GRAD_CHECK_LINKS])
 
     _, grads, _, _ = compute_gradients(params, aux, batch)
 
     def probe():
         """The loss's data term and parameter norm, and which ReLU units are active."""
         h, branch_caches = forward_model(params, aux)
-        y_hat = predict(head_scores(h, params["r"]), t_idx, i_idx, j_idx)
+        y_hat = predict(head_scores(h, params["r"]), rows)
         terms = np.array([loss(y, y_hat), params_l2_norm(params.values())])
         if config.activation != "relu":
             return terms, None

@@ -40,6 +40,10 @@ class TransformMatrix:
     leading K columns of M_inv with each column that has a conjugate partner
     doubled, so that Re(m_inv_kept @ m_kept @ x) = x for real x.  For a real M,
     K = T and the pair is ``m``/``m_inv`` itself.
+
+    ``is_identity`` is set for the ``identity`` kind, whose M must be I: every
+    product along time with a square slice of it is then the operand itself,
+    and ``gtcn.time_product`` runs no GEMM for it.
     """
 
     kind: str
@@ -47,6 +51,7 @@ class TransformMatrix:
     m_inv: np.ndarray = field(init=False, repr=False)
     m_kept: np.ndarray = field(init=False, repr=False)
     m_inv_kept: np.ndarray = field(init=False, repr=False)
+    is_identity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m.ndim != 2 or self.m.shape[0] != self.m.shape[1]:
@@ -57,6 +62,9 @@ class TransformMatrix:
         err = np.max(np.abs(self.m @ self.m_inv - np.eye(t)))
         if err > INVERSE_TOL:
             raise ValueError(f"M @ M^H deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e}): M is not unitary")
+        object.__setattr__(self, "is_identity", self.kind == "identity")
+        if self.is_identity and not np.array_equal(self.m, np.eye(t)):
+            raise ValueError(f"the identity transform's matrix is not I: {self.m!r}")
         kept = t // 2 + 1 if self.is_complex else t
         k = np.arange(kept)
         paired = (k > 0) & (2 * k < t) & self.is_complex

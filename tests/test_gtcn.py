@@ -15,11 +15,12 @@ from tubalgcn.gtcn import (
     preprocess_adjacency,
     propagate,
     propagate_grad,
+    time_product,
     transform_weight,
     transformed_blocks,
     weight_grad,
 )
-from tubalgcn.tensor3 import DimensionMismatchError
+from tubalgcn.tensor3 import DimensionMismatchError, m_transform
 from tubalgcn.transforms import build_transform, next_power_of_two
 
 from oracle import dense_a_hat, message_passing_oracle, slot_stack, unstack
@@ -107,6 +108,32 @@ class TestActivation:
         got = activation_grad(h, activation)
         assert not np.shares_memory(got, h)
         assert got.tobytes() == expected.tobytes() and h.tobytes() == kept.tobytes()
+
+
+class TestTimeProduct:
+    @pytest.mark.parametrize("t", [1, 3, 16])
+    def test_identity_gives_the_gemm_bits_in_a_new_contiguous_array(self, t):
+        # I x makes each -0.0 +0.0.  Every square slice or transpose of the
+        # identity's matrices is I; a weight reaches the product as a
+        # transposed view, which the result must not alias.
+        rng = np.random.default_rng(t)
+        tm = build_transform("identity", t)
+        x = rng.normal(size=(t, 5, 4))
+        x[0, 1, 2] = -0.0
+        x[..., 3] = -0.0
+        w = np.ascontiguousarray(x.transpose(1, 2, 0))
+        for operand in (x, w.transpose(2, 0, 1), x.reshape(t, -1)):
+            for m in (tm.m_kept, tm.m_kept.T, tm.m_inv_kept, tm.m_inv_kept[:t].T):
+                out = time_product(tm, m, operand)
+                assert out.tobytes() == m_transform(np.eye(t), operand).tobytes()
+                assert out.flags.c_contiguous and not np.shares_memory(out, operand)
+        v = x[:, 0, :]
+        assert time_product(tm, tm.m_kept, v, np.matmul).tobytes() == (np.eye(t) @ v).tobytes()
+
+    def test_identity_slice_that_pads_runs_the_product(self):
+        tm = build_transform("identity", 4)
+        x = np.random.default_rng(0).normal(size=(3, 2, 2))
+        np.testing.assert_array_equal(time_product(tm, tm.m_kept[:, :3], x), m_transform(np.eye(4)[:, :3], x))
 
 
 def preprocess(raw, mode):

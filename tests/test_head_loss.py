@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubalgcn.head_loss import head_scores, loss, mae, params_l2_norm, predict, rmse
+from tubalgcn.head_loss import head_scores, link_rows, loss, mae, params_l2_norm, predict, rmse
 
 
 def time_major(h):
@@ -12,7 +12,8 @@ def time_major(h):
 def predict_one(h, t, i, j, r):
     """The head's estimate for the single link (t, i, j), t one-based, on an (N, F, T) h."""
     scores = head_scores(time_major(h), np.asarray(r, dtype=np.float64))
-    return float(predict(scores, np.array([t]), np.array([i]), np.array([j]))[0])
+    rows = link_rows(np.array([t]), np.array([i]), np.array([j]), h.shape[2], h.shape[0])
+    return float(predict(scores, rows)[0])
 
 
 class TestEstimateWeight:
@@ -49,7 +50,7 @@ class TestEstimateWeight:
         i = np.array([0, 2, 4])
         j = np.array([1, 1, 0])
         scores = head_scores(time_major(h), r)
-        batch = predict(scores, t, i, j)
+        batch = predict(scores, link_rows(t, i, j, 4, 5))
         for k in range(3):
             assert abs(batch[k] - predict_one(h, t[k], i[k], j[k], r)) <= 1e-12
         # The slot-major score rows hold the same (node, slot) rows as indexing (N, F, T).
@@ -59,12 +60,9 @@ class TestEstimateWeight:
 
     def test_out_of_range_rejected(self):
         h = np.zeros((2, 2, 2))
-        with pytest.raises(IndexError):
-            predict_one(h, 3, 0, 1, np.zeros(4))
-        with pytest.raises(IndexError):
-            predict_one(h, 0, 0, 1, np.zeros(4))
-        with pytest.raises(IndexError):
-            predict_one(h, 1, 0, 2, np.zeros(4))
+        for link in [(3, 0, 1), (0, 0, 1), (1, 0, 2), (1, -1, 0)]:
+            with pytest.raises(IndexError, match="^link indices out of range for 2 slots and 2 nodes$"):
+                predict_one(h, *link, np.zeros(4))
         with pytest.raises(ValueError, match="head length"):
             predict_one(h, 1, 0, 1, np.zeros(3))
 

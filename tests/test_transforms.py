@@ -104,6 +104,21 @@ class TestIdentity:
         tm = build_identity(5)
         np.testing.assert_array_equal(tm.m, tm.m_inv)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_only_the_identity_kind_is_flagged(self, kind):
+        assert build_transform(kind, 4).is_identity == (kind == "identity")
+
+    def test_i_of_another_kind_is_not_flagged(self):
+        # It runs the general path, the reference the identity's skip is tested against.
+        assert not TransformMatrix("explicit", np.eye(4)).is_identity
+
+    def test_identity_kind_must_be_i(self):
+        # A unitary M that is not I cannot pass as the identity, whose products are skipped.
+        with pytest.raises(ValueError, match="identity transform's matrix is not I"):
+            TransformMatrix("identity", build_dct(4).m)
+        with pytest.raises(ValueError, match="identity transform's matrix is not I"):
+            TransformMatrix("identity", np.eye(3)[[1, 0, 2]])
+
 
 class TestInvariants:
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
