@@ -44,15 +44,9 @@ def _fmt(x) -> str:
 
 def _write_report(path, pairs, tables=()):
     """Key/value lines plus optional CSV tables, all deterministic."""
-    lines = []
-    for key, value in pairs:
-        lines.append(f"{key} = {_fmt(value)}")
+    lines = [f"{key} = {_fmt(value)}" for key, value in pairs]
     for title, header, rows in tables:
-        lines.append("")
-        lines.append(f"# {title}")
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines += ["", f"# {title}", ",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -128,9 +122,9 @@ def cmd_train(args) -> int:
     _require_file_path(args.checkpoint)
     open(args.report, "w", encoding="utf-8").close()
     started = time.perf_counter()
-    params, history, metrics = train(ds, config)
+    model, history, metrics = train(ds, config)
     train_s = time.perf_counter() - started
-    save_checkpoint(args.checkpoint, params, config, extra={"data": str(args.data), "data_sha256": ds.digest()})
+    save_checkpoint(args.checkpoint, model, extra={"data": str(args.data)})
     pairs = [("command", "train"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += [("epochs_run", len(history))]
@@ -153,25 +147,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_distinct(args, (("report", "data"), ("report", "checkpoint")))
-    params, config, extra = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
-    sizes = (("nodes", params["e"].shape[0], ds.n_nodes), ("time slots", params["u"].shape[0], ds.n_slots))
-    for what, trained, have in sizes:
-        if trained != have:
-            raise ValueError(
-                f"checkpoint {args.checkpoint} was trained on {trained} {what}, dataset has {have} ({args.data})"
-            )
-    # Re-splitting other rows with the checkpoint's split seed would score
-    # training rows as test rows.  Checkpoints without a digest predate it.
-    digest = extra.get("data_sha256")
-    if digest is not None and digest != ds.digest():
-        raise ValueError(
-            f"checkpoint {args.checkpoint} was not trained on the rows of {args.data} "
-            "in their file order (dataset SHA-256 differs)"
-        )
-    metrics = evaluate(params, _split(ds, config.split_seed, args.data), config)
+    try:
+        metrics = evaluate(model, ds)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {args.checkpoint}, data {args.data}: {exc}") from exc
     pairs = [("command", "eval"), ("data", args.data)]
-    pairs += sorted(asdict(config).items())
+    pairs += sorted(asdict(model.config).items())
     pairs += sorted(metrics.items())
     _write_report(args.report, pairs)
     print(f"test MAE {metrics['test_mae']:.5f} RMSE {metrics['test_rmse']:.5f}")
@@ -180,16 +163,11 @@ def cmd_eval(args) -> int:
 
 def cmd_transform_matrix(args) -> int:
     tm = build_transform(args.kind, args.size)
-    if tm.is_complex:
-        real_path = f"{args.out}_real.csv"
-        imag_path = f"{args.out}_imag.csv"
-        np.savetxt(real_path, tm.m.real, delimiter=",")
-        np.savetxt(imag_path, tm.m.imag, delimiter=",")
-        print(f"wrote {real_path} and {imag_path}")
-    else:
-        path = f"{args.out}.csv"
-        np.savetxt(path, tm.m, delimiter=",")
-        print(f"wrote {path}")
+    parts = {"_real": tm.m.real, "_imag": tm.m.imag} if tm.is_complex else {"": tm.m}
+    paths = {f"{args.out}{suffix}.csv": m for suffix, m in parts.items()}
+    for path, m in paths.items():
+        np.savetxt(path, m, delimiter=",")
+    print("wrote " + " and ".join(paths))
     return 0
 
 
@@ -224,24 +202,13 @@ def cmd_ablation(args) -> int:
     # Fail on an unwritable report path before the first training.
     open(args.out, "w", encoding="utf-8").close()
     rows = []
-    means = {}
     for scheme, runs in configs.items():
         metrics = [train(splits[config.split_seed], config)[2] for config in runs]
-        maes = [m["test_mae"] for m in metrics]
-        rmses = [m["test_rmse"] for m in metrics]
-        means[scheme] = float(np.mean(maes))
-        rows.append(
-            [
-                scheme,
-                float(np.mean(maes)),
-                float(np.std(maes)),
-                float(np.mean(rmses)),
-                float(np.std(rmses)),
-            ]
-        )
+        maes, rmses = [m["test_mae"] for m in metrics], [m["test_rmse"] for m in metrics]
+        rows.append([scheme, float(np.mean(maes)), float(np.std(maes)), float(np.mean(rmses)), float(np.std(rmses))])
+    identity = rows[TRANSFORM_CHOICES.index("identity")][1]
     for row in rows:
-        improvement = (means["identity"] - row[1]) / means["identity"]
-        row.append(float(improvement))
+        row.append(float((identity - row[1]) / identity))
     pairs = [("command", "ablation"), ("data", args.data), ("seeds", args.seeds)]
     _write_report(
         args.out,

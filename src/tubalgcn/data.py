@@ -51,11 +51,11 @@ class _BadObservation(ValueError):
 class DynamicGraphDataset:
     """A dynamic graph as aligned observation columns plus splits.
 
-    Observation k is the link ``i[k] -> j[k]`` at one-based slot ``t[k]``
-    with weight ``y[k]``.  Construction checks every row: slot and node ids
-    in range, a finite nonnegative weight, and no repeated (t, i, j) key.
-    Split datasets share the columns of the dataset they came from.
-    """
+    Observation k is the link ``i[k] -> j[k]`` at one-based slot ``t[k]`` with
+    weight ``y[k]``.  Construction checks every row: slot and node ids in range,
+    a finite nonnegative weight, and no repeated (t, i, j) key.  Split datasets
+    share the columns of the dataset they came from; ``split_seed`` is the seed
+    ``split_dataset`` split them with."""
 
     n_nodes: int
     n_slots: int
@@ -66,6 +66,7 @@ class DynamicGraphDataset:
     train_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     val_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     test_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+    split_seed: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.n_nodes < 1 or self.n_slots < 1:
@@ -257,6 +258,7 @@ def split_dataset(ds: DynamicGraphDataset, seed: int = 0) -> DynamicGraphDataset
     out.train_idx = np.sort(perm[:n_train])
     out.val_idx = np.sort(perm[n_train : n_train + n_val])
     out.test_idx = np.sort(perm[n_train + n_val :])
+    out.split_seed = seed
     return out
 
 
@@ -288,11 +290,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n < 2 or self.t < 1:
-            raise ValueError("need n >= 2 nodes and t >= 1 slots")
+            raise ValueError(f"need n >= 2 nodes and t >= 1 slots, got n={self.n}, t={self.t}")
         if not (0.0 < self.density <= 1.0):
-            raise ValueError("density must lie in (0, 1]")
+            raise ValueError(f"density must lie in (0, 1], got {self.density}")
         if self.pattern not in PATTERNS:
-            raise ValueError(f"pattern must be one of {PATTERNS}")
+            raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise!r}")
 

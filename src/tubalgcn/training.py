@@ -22,13 +22,14 @@ import json
 import math
 import numbers
 import os
+import re
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import sparse
 
-from .data import DynamicGraphDataset, build_adjacency
+from .data import DynamicGraphDataset, build_adjacency, split_dataset
 from .gtcn import (
     ACTIVATIONS,
     ADJACENCY_MODES,
@@ -47,6 +48,7 @@ from .transforms import TRANSFORM_KINDS, build_transform, next_power_of_two
 
 __all__ = [
     "TrainConfig",
+    "TrainedModel",
     "ModelAux",
     "EarlyStopping",
     "AdamState",
@@ -120,6 +122,16 @@ class TrainConfig:
         if self.transform == "ensemble":
             return ("dft", "dct", "haar")
         return (self.transform,)
+
+
+@dataclass(frozen=True)
+class TrainedModel:
+    """The config, parameter dict and ``digest()`` of the dataset trained on
+    (None in checkpoints that predate it) that ``train`` and ``load_checkpoint`` return."""
+
+    config: TrainConfig
+    params: dict
+    data_sha256: str | None
 
 
 @dataclass(frozen=True)
@@ -431,14 +443,17 @@ def _keep_freed_heap():
 def train(ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
-    Builds the aux from ``(ds, config)``.  Returns (params, history,
-    metrics): the parameter dict of the best validation epoch; the history,
-    a list of dicts with epoch, train_loss, train_mae, val_mae; and the
-    split metrics ``evaluate`` gives at those parameters, gathered from the
-    head scores that epoch's gradient pass already computed.  Each Adam step
-    replaces the one vector the parameters view.  With the aux built, it
-    raises glibc's heap trim and mmap thresholds; see ``_keep_freed_heap``.
+    ``ds`` must be split with ``config.split_seed``, as ``evaluate`` splits
+    it again.  Returns (model, history, metrics): the ``TrainedModel`` of the
+    best validation epoch; the history, a list of dicts with epoch,
+    train_loss, train_mae, val_mae; and the split metrics ``evaluate`` gives
+    for the model, gathered from the head scores that epoch's gradient pass
+    already computed.  Each Adam step replaces the one vector the parameters
+    view.  With the aux built, it raises glibc's heap trim and mmap
+    thresholds; see ``_keep_freed_heap``.
     """
+    if ds.has_splits and ds.split_seed != config.split_seed:
+        raise ValueError(f"dataset was split with seed {ds.split_seed}, but config.split_seed is {config.split_seed}")
     aux = build_aux(ds, config)
     _keep_freed_heap()
     params = init_params(ds, config)
@@ -464,7 +479,7 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
             break
         theta = adam_step(theta, _vector(grads), state, config.learning_rate)
         params = _views(theta, shapes)
-    return best, history, _split_metrics(best_scores, ds)
+    return TrainedModel(config, best, ds.digest()), history, _split_metrics(best_scores, ds)
 
 
 def _split_metrics(scores: np.ndarray, ds: DynamicGraphDataset) -> dict:
@@ -478,9 +493,19 @@ def _split_metrics(scores: np.ndarray, ds: DynamicGraphDataset) -> dict:
     return out
 
 
-def evaluate(params: dict, ds: DynamicGraphDataset, config: TrainConfig):
-    """MAE/RMSE for every split at the given parameters, on the aux built from ``(ds, config)``."""
-    h, _ = forward_model(params, build_aux(ds, config))
+def evaluate(model: TrainedModel, ds: DynamicGraphDataset):
+    """MAE/RMSE for every split of ``ds``, split again with ``model.config.split_seed``.
+
+    A dataset of another size, or of another digest when the model has one, raises
+    ValueError: its rows, re-split, would score training rows as test rows."""
+    params = model.params
+    for what, trained, have in (("nodes", len(params["e"]), ds.n_nodes), ("time slots", len(params["u"]), ds.n_slots)):
+        if trained != have:
+            raise ValueError(f"model was trained on {trained} {what}, dataset has {have}")
+    if model.data_sha256 is not None and model.data_sha256 != ds.digest():
+        raise ValueError("model was not trained on the rows of this dataset in their order (dataset SHA-256 differs)")
+    ds = split_dataset(ds, model.config.split_seed)
+    h, _ = forward_model(params, build_aux(ds, model.config))
     return _split_metrics(head_scores(h, params["r"]), ds)
 
 
@@ -547,24 +572,27 @@ def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     return {"per_group": report, "max_relative_error": max_err, "passed": max_err <= 1e-4, "kinks_skipped": skipped}
 
 
-def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
-    """Binary dump of all parameter arrays plus the config echo, at exactly ``path``.
+def save_checkpoint(path, model: TrainedModel, extra=None):
+    """Binary dump of the model's arrays, config and digest plus ``extra``, at exactly ``path``.
 
     The file is opened here because ``np.savez`` appends ``.npz`` to a path
     name that lacks it.  It is written under a temporary name in the same
     directory and then renamed over ``path``, so a save that fails leaves no
     half-written file and any earlier file at ``path`` intact.
     """
+    if "data_sha256" in (extra or {}):
+        raise ValueError("extra may not carry data_sha256; the model's own is saved")
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
-        "param_keys": sorted(params.keys()),
-        "extra": extra or {},
+        "config": asdict(model.config),
+        "param_keys": sorted(model.params.keys()),
+        "extra": {**(extra or {}), "data_sha256": model.data_sha256},
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **params)
+            record = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+            np.savez(fh, __meta__=record, **model.params)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -573,10 +601,11 @@ def save_checkpoint(path, params: dict, config: TrainConfig, extra=None):
 
 
 def load_checkpoint(path):
-    """Returns (parameter dict, TrainConfig, extra metadata).
+    """Returns (TrainedModel, extra metadata other than the digest).
 
-    A file that ``save_checkpoint`` did not write, or whose arrays do not
-    match its config or are not finite floats, raises ValueError naming it.  Configs written while
+    A file that ``save_checkpoint`` did not write, whose arrays do not match its config or are
+    not finite floats, or whose ``data_sha256`` is neither null nor 64 lowercase hex digits,
+    raises ValueError naming it; a null or missing one loads as None.  Configs written while
     the squared-norm regularizer was an option carry ``squared_reg: false``;
     that field is dropped, and ``squared_reg: true`` is rejected.
     """
@@ -623,4 +652,7 @@ def load_checkpoint(path):
     bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
     if bad:
         raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")
-    return {k: named[k] for k in shapes}, config, extra
+    digest = extra.pop("data_sha256", None)
+    if digest is not None and not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ValueError(f"{path}: checkpoint data_sha256 {digest!r} is not 64 lowercase hex digits")
+    return TrainedModel(config, {k: named[k] for k in shapes}, digest), extra

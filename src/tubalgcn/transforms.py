@@ -103,7 +103,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _check_size(t: int) -> None:
     if t < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1, got {t}")
 
 
 def build_identity(t: int) -> TransformMatrix:
@@ -137,7 +137,7 @@ def build_haar(t: int) -> TransformMatrix:
     +1 on the first half of window i and -1 on its second half, over sqrt(w).
     """
     if t < 1 or t & (t - 1):
-        raise ValueError("size must be a power of two")
+        raise ValueError(f"haar size must be a power of two, got {t}")
     m = np.zeros((t, t))
     m[0] = 1.0 / np.sqrt(t)
     for j in range(int(t).bit_length() - 1):

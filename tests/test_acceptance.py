@@ -113,7 +113,7 @@ class TestAcceptance:
             seen.add((t, i, j))
             rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
         ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
-        cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
+        cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3, split_seed=3)
         _, hist, _ = train(ds, cfg)
         ok = min(h["train_mae"] for h in hist) <= 0.01
         ok &= (time.perf_counter() - started) < 60.0
@@ -134,9 +134,9 @@ class TestAcceptance:
         ds = split_dataset(
             generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=7)), seed=7
         )
-        cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
+        cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7, split_seed=7)
         model, hist, _ = train(ds, cfg)
-        metrics = evaluate(model, ds, cfg)
+        metrics = evaluate(model, ds)
         ok &= abs(metrics["val_mae"] - min(h["val_mae"] for h in hist)) <= 1e-12
         _report(6, "early stop at tenth consecutive rise, best epoch returned", ok)
 

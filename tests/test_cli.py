@@ -9,7 +9,7 @@ import pytest
 
 from tubalgcn.cli import _config_from_args, build_parser, main
 from tubalgcn.data import SynthSpec, generate_synthetic, parse_dataset, split_dataset
-from tubalgcn.training import TrainConfig, init_params, load_checkpoint, save_checkpoint
+from tubalgcn.training import TrainConfig, TrainedModel, init_params, load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,8 +57,10 @@ class TestGenSynth:
     @pytest.mark.parametrize(
         "flags,message",
         [(["--nodes", "1", "--slots", "4"], "--nodes must be >= 2, got 1"),
-         (["--nodes", "4", "--slots", "0"], "--slots must be >= 1, got 0")],
-        ids=["nodes", "slots"],
+         (["--nodes", "4", "--slots", "0"], "--slots must be >= 1, got 0"),
+         (["--nodes", "4", "--slots", "2", "--density", "1.5"], "density must lie in (0, 1], got 1.5"),
+         (["--nodes", "4", "--slots", "2", "--density", "0"], "density must lie in (0, 1], got 0.0")],
+        ids=["nodes", "slots", "density_above_one", "zero_density"],
     )
     def test_bad_size_names_its_flag(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.tsv"
@@ -101,6 +103,11 @@ class TestTrainEval:
         _, r1 = self._train(dataset_file, tmp_path / "a", transform="dft")
         _, r2 = self._train(dataset_file, tmp_path / "b", transform="dft")
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_byte_identical_checkpoints(self, dataset_file, tmp_path):
+        c1, _ = self._train(dataset_file, tmp_path / "a")
+        c2, _ = self._train(dataset_file, tmp_path / "b")
+        assert c1.read_bytes() == c2.read_bytes()
 
     def test_haar_pads_odd_slot_count(self, tmp_path):
         data = tmp_path / "d.tsv"
@@ -167,7 +174,7 @@ class TestTrainEval:
                    "--report", str(tmp_path / "e.txt")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: checkpoint {ckpt} was trained on 16 nodes, dataset has 9 ({other})\n"
+        assert err == f"error: checkpoint {ckpt}, data {other}: model was trained on 16 nodes, dataset has 9\n"
 
     @pytest.mark.parametrize(
         "flag,value,field",
@@ -222,8 +229,8 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(other), "--report", str(report)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: checkpoint {ckpt} was not trained on the rows of {other} "
-            "in their file order (dataset SHA-256 differs)\n"
+            f"error: checkpoint {ckpt}, data {other}: model was not trained on the rows of this dataset "
+            "in their order (dataset SHA-256 differs)\n"
         )
         assert not report.exists()
 
@@ -428,11 +435,13 @@ class TestTrainEval:
         ds = parse_dataset(two_row_file)
         config = TrainConfig(embedding_dim=2, transform="dct")
         ckpt = two_row_file.parent / "m.npz"
-        save_checkpoint(ckpt, init_params(ds, config), config, extra={"data_sha256": ds.digest()})
+        save_checkpoint(ckpt, TrainedModel(config, init_params(ds, config), ds.digest()))
         report = two_row_file.parent / "e.txt"
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(two_row_file), "--report", str(report)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {two_row_file}: need at least 5 observations to split, got 2\n"
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt}, data {two_row_file}: need at least 5 observations to split, got 2\n"
+        )
         assert not report.exists()
 
     def test_large_learning_rate_raises_no_warning(self, tmp_path, capsys):
@@ -484,7 +493,7 @@ class TestTrainEval:
                      "--max-epochs", "2", "--patience", "1", "--activation", "relu",
                      "--adjacency", "raw_self_loops", "--layers", "2",
                      "--checkpoint", str(ckpt), "--report", str(tmp_path / "r.txt")]) == 0
-        config = load_checkpoint(ckpt)[1]
+        config = load_checkpoint(ckpt)[0].config
         default = TrainConfig()
         same = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) == getattr(default, f.name)]
         assert not same, f"TrainConfig fields no train flag sets: {same}"
@@ -574,7 +583,7 @@ class TestGradCheckCommand:
         "flags,message",
         [
             (["--nodes", "2", "--slots", "1"], "--nodes 2 --slots 1: need at least 5 observations to split, got 1"),
-            (["--nodes", "1"], "--nodes 1 --slots 4: need n >= 2 nodes and t >= 1 slots"),
+            (["--nodes", "1"], "--nodes 1 --slots 4: need n >= 2 nodes and t >= 1 slots, got n=1, t=4"),
             (["--features", "0"], "--features must be >= 1, got 0"),
             (["--features", "-2"], "--features must be >= 1, got -2"),
         ],

@@ -373,6 +373,20 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="density"):
             SynthSpec(n=5, t=3, density=0.0)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(n=1, t=3), "need n >= 2 nodes and t >= 1 slots, got n=1, t=3"),
+            (dict(n=5, t=0), "need n >= 2 nodes and t >= 1 slots, got n=5, t=0"),
+            (dict(n=5, t=3, density=1.5), "density must lie in (0, 1], got 1.5"),
+            (dict(n=5, t=3, pattern="x"), "pattern must be one of ('periodic', 'trend', 'mixed'), got 'x'"),
+        ],
+        ids=["nodes", "slots", "density", "pattern"],
+    )
+    def test_bad_spec_names_the_value(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(**fields)
+
     def test_round_trip_through_file(self, tmp_path):
         ds = generate_synthetic(SynthSpec(n=12, t=5, density=0.3, noise=0.02, seed=3))
         p = tmp_path / "d.tsv"

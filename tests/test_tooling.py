@@ -13,8 +13,8 @@ function fails here instead.
 Two more checks keep the package's surface honest: every top-level
 function and class in ``src/tubalgcn`` is reachable from the program, not
 only from tests, and the package exports exactly its modules' ``__all__``
-names.  A last one keeps the README's command lines in step with the
-command-line parser.
+names.  The last ones keep the README's command lines in step with the
+command-line parser and run its Python examples.
 """
 
 import ast
@@ -218,3 +218,17 @@ def test_every_readme_command_line_parses():
         except SystemExit:
             bad.append(line)
     assert bad == []
+
+
+def readme_python_blocks() -> list:
+    """The body of every ```python block in README.md."""
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S | re.M)
+
+
+def test_every_readme_python_block_runs(tmp_path, monkeypatch):
+    # In an empty directory, for the files the blocks write.
+    blocks = readme_python_blocks()
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for k, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {k}", "exec"), {})

@@ -35,6 +35,7 @@ from tubalgcn.training import (
     AdamState,
     EarlyStopping,
     TrainConfig,
+    TrainedModel,
     adam_step,
     build_aux,
     compute_gradients,
@@ -164,7 +165,7 @@ class TestModelAux:
             else:
                 compute_gradients(params, aux, link_batch(ds, ds.train_idx))
 
-    @pytest.mark.parametrize("entry", ["train", "evaluate", "build_aux"])
+    @pytest.mark.parametrize("entry", ["train", "build_aux"])
     def test_unsplit_dataset_is_refused_by_name(self, entry, monkeypatch):
         # A refused train leaves the process's heap settings as they were.
         monkeypatch.setattr(training, "_keep_freed_heap", lambda: pytest.fail("heap settings changed"))
@@ -172,7 +173,6 @@ class TestModelAux:
         cfg = TrainConfig(embedding_dim=3, max_epochs=2)
         calls = {
             "train": lambda: train(ds, cfg),
-            "evaluate": lambda: evaluate(init_params(ds, cfg), ds, cfg),
             "build_aux": lambda: build_aux(ds, cfg),
         }
         message = "dataset has no train/val/test splits; call split_dataset first"
@@ -724,32 +724,36 @@ class TestTrain:
             seen.add((t, i, j))
             rows.append((t, i, j, float(rng.uniform(0.05, 1.0))))
         ds = split_dataset(DynamicGraphDataset(8, 4, *zip(*rows)), seed=3)
-        cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3)
+        cfg = TrainConfig(transform="ensemble", max_epochs=2000, patience=2000, seed=3, split_seed=3)
         _, hist, _ = train(ds, cfg)
         assert min(h["train_mae"] for h in hist) <= 0.01
 
     def test_returns_best_validation_epoch(self):
         ds = small_dataset(seed=7, n=10)
-        cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7)
-        params, hist, _ = train(ds, cfg)
-        metrics = evaluate(params, ds, cfg)
+        cfg = TrainConfig(embedding_dim=4, transform="dct", max_epochs=60, patience=5, seed=7, split_seed=7)
+        model, hist, _ = train(ds, cfg)
+        metrics = evaluate(model, ds)
         best_val = min(h["val_mae"] for h in hist)
         assert abs(metrics["val_mae"] - best_val) <= 1e-12
 
     @pytest.mark.parametrize(
         "transform,n_layers,t", [(kind, 1, 4) for kind in TRANSFORM_CHOICES] + [("haar", 2, 5)]
     )
-    def test_metrics_equal_evaluate(self, transform, n_layers, t):
+    def test_metrics_equal_evaluate(self, tmp_path, transform, n_layers, t):
         # train reads its metrics from the best epoch's representation tensor,
         # which later epochs must leave alone; at T = 5 the padded Haar branch
-        # holds it as a view of the padded layer output.
+        # holds it as a view of the padded layer output.  The model saved and
+        # loaded again scores the same.
         ds = small_dataset(seed=11, n=10, t=t)
         cfg = TrainConfig(
-            embedding_dim=4, transform=transform, n_layers=n_layers, max_epochs=60, patience=3, seed=11
+            embedding_dim=4, transform=transform, n_layers=n_layers, max_epochs=60, patience=3, seed=11, split_seed=11
         )
-        params, hist, metrics = train(ds, cfg)
+        model, hist, metrics = train(ds, cfg)
         assert hist[-1]["val_mae"] > min(h["val_mae"] for h in hist)  # the best epoch is not the last
-        assert metrics == evaluate(params, ds, cfg)
+        assert metrics == evaluate(model, ds)
+        save_checkpoint(tmp_path / "m.npz", model)
+        restored, _ = load_checkpoint(tmp_path / "m.npz")
+        assert metrics == evaluate(restored, ds)
 
     def test_scores_each_representation_once(self, monkeypatch):
         # The loss, the train and validation MAE and the best epoch's split
@@ -765,52 +769,98 @@ class TestTrain:
 
         monkeypatch.setattr(tubalgcn.training, "head_scores", counting)
         ds = small_dataset(seed=8, n=10)
-        cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=3, patience=3, seed=8)
-        params, hist, _ = train(ds, cfg)
+        cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=3, patience=3, seed=8, split_seed=8)
+        model, hist, _ = train(ds, cfg)
         assert len(hist) == 3 and len(calls) == 3
-        evaluate(params, ds, cfg)
+        evaluate(model, ds)
         assert len(calls) == 4
 
     def test_deterministic_history(self):
         ds = small_dataset(seed=8, n=10)
-        cfg = TrainConfig(embedding_dim=4, transform="dft", max_epochs=30, patience=30, seed=8)
+        cfg = TrainConfig(embedding_dim=4, transform="dft", max_epochs=30, patience=30, seed=8, split_seed=8)
         _, h1, _ = train(ds, cfg)
         _, h2, _ = train(ds, cfg)
         assert h1 == h2
 
     def test_loss_decreases_initially(self):
         ds = small_dataset(seed=9, n=12)
-        cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=6, patience=6, seed=9)
+        cfg = TrainConfig(embedding_dim=4, transform="ensemble", max_epochs=6, patience=6, seed=9, split_seed=9)
         _, hist, _ = train(ds, cfg)
         losses = [h["train_loss"] for h in hist]
         assert losses[-1] < losses[0]
 
 
+class TestTrainedModel:
+    # A score means something only for the config and split the model was
+    # trained with; evaluate reads both from the model.
+    @staticmethod
+    def trained():
+        """An unsplit graph, a dct config with split seed 4, and its trained model and metrics."""
+        ds = generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=4))
+        cfg = TrainConfig(embedding_dim=3, transform="dct", max_epochs=20, seed=4, split_seed=4)
+        model, _, metrics = train(split_dataset(ds, seed=4), cfg)
+        return ds, cfg, model, metrics
+
+    def test_evaluate_takes_no_config_and_the_model_is_frozen(self):
+        ds, cfg, model, _ = self.trained()
+        for other in (replace(cfg, activation="relu"), replace(cfg, adjacency_mode="raw_self_loops")):
+            with pytest.raises(TypeError):
+                evaluate(model, ds, other)
+            with pytest.raises(AttributeError):
+                model.config = other
+
+    def test_evaluate_splits_with_the_model_split_seed(self):
+        # The split a dataset carries is ignored, so no other split is scored.
+        ds, _, model, metrics = self.trained()
+        assert evaluate(model, ds) == evaluate(model, split_dataset(ds, seed=7)) == metrics
+
+    def test_train_refuses_a_dataset_split_with_another_seed(self, monkeypatch):
+        monkeypatch.setattr(training, "_keep_freed_heap", lambda: pytest.fail("heap settings changed"))
+        ds = split_dataset(generate_synthetic(SynthSpec(n=10, t=4, density=0.8, seed=4)), seed=7)
+        with pytest.raises(ValueError, match="^dataset was split with seed 7, but config.split_seed is 0$"):
+            train(ds, TrainConfig(embedding_dim=3, max_epochs=2))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda ds: generate_synthetic(SynthSpec(n=9, t=4, density=0.8, seed=4)), "trained on 10 nodes"),
+            (lambda ds: replace(ds, y=ds.y[::-1]), "not trained on the rows of this dataset"),
+        ],
+        ids=["nodes", "rows"],
+    )
+    def test_evaluate_refuses_other_data(self, edit, message):
+        ds, _, model, _ = self.trained()
+        with pytest.raises(ValueError, match=f"^model was {message}"):
+            evaluate(model, edit(ds))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(seed=10, n=8)
-        cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10)
-        params, _, _ = train(ds, cfg)
+        cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10, split_seed=10)
+        model, _, _ = train(ds, cfg)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, params, cfg, extra={"note": "x"})
-        restored, cfg2, extra = load_checkpoint(path)
-        assert cfg2 == cfg
+        save_checkpoint(path, model, extra={"note": "x"})
+        restored, extra = load_checkpoint(path)
+        assert restored.config == cfg
         assert extra == {"note": "x"}
-        assert list(restored) == list(params)
-        for key, arr in params.items():
-            np.testing.assert_array_equal(arr, restored[key])
+        assert restored.data_sha256 == model.data_sha256 == ds.digest()
+        assert list(restored.params) == list(model.params)
+        for key, arr in model.params.items():
+            np.testing.assert_array_equal(arr, restored.params[key])
 
     def test_numpy_scalar_config_round_trips_as_builtins(self, tmp_path):
         # numpy scalars pass the type checks; the config stores them as the
         # builtins of its defaults, so the checkpoint's JSON record can hold them.
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(
-            embedding_dim=np.int64(3), learning_rate=np.float32(0.01), max_epochs=np.int32(2), seed=np.int64(3)
+            embedding_dim=np.int64(3), learning_rate=np.float32(0.01), max_epochs=np.int32(2), seed=np.int64(3),
+            split_seed=np.int64(10),
         )
-        params, _, _ = train(ds, cfg)
+        model, _, _ = train(ds, cfg)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, params, cfg)
-        _, restored, _ = load_checkpoint(path)
+        save_checkpoint(path, model)
+        restored = load_checkpoint(path)[0].config
         assert restored == cfg
         assert [type(v) for v in vars(restored).values()] == [type(f.default) for f in fields(TrainConfig)]
 
@@ -818,7 +868,7 @@ class TestCheckpoint:
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, init_params(ds, cfg), cfg)
+        save_checkpoint(path, TrainedModel(cfg, init_params(ds, cfg), None))
         before = path.read_bytes()
 
         def failing_savez(fh, **arrays):
@@ -827,9 +877,30 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", failing_savez)
         with pytest.raises(OSError, match="No space left"):
-            save_checkpoint(path, init_params(ds, TrainConfig(embedding_dim=3, transform="dct", seed=11)), cfg)
+            save_checkpoint(path, TrainedModel(cfg, init_params(ds, replace(cfg, seed=11)), None))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]  # no temporary file left behind
+
+    @pytest.mark.parametrize("digest", [5, "ab" * 31, "AB" * 32, "g" * 64, ["ab" * 32]])
+    def test_bad_digest_in_checkpoint_fails_by_name(self, tmp_path, digest):
+        path = self.checkpoint_with_config(tmp_path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["extra"]["data_sha256"] = digest
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        message = f"{path}: checkpoint data_sha256 {digest!r} is not 64 lowercase hex digits"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    def test_save_refuses_a_digest_in_extra(self, tmp_path):
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
+        path = tmp_path / "m.npz"
+        with pytest.raises(ValueError, match="^extra may not carry data_sha256; the model's own is saved$"):
+            save_checkpoint(path, TrainedModel(cfg, init_params(ds, cfg), ds.digest()), {"data_sha256": ds.digest()})
+        assert not path.exists()
 
     @staticmethod
     def checkpoint_with_config(tmp_path, **fields):
@@ -837,7 +908,7 @@ class TestCheckpoint:
         ds = small_dataset(seed=10, n=8)
         cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, init_params(ds, cfg), cfg)
+        save_checkpoint(path, TrainedModel(cfg, init_params(ds, cfg), None))
         with np.load(path) as z:
             arrays = dict(z)
         meta = json.loads(bytes(arrays["__meta__"]).decode())

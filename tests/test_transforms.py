@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from reference_transforms import haar_matrix
@@ -160,6 +162,15 @@ class TestInvariants:
             TransformMatrix("identity", 2.0 * np.eye(2))
         with pytest.raises(ValueError, match="square"):
             TransformMatrix("identity", np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "kind,t,message",
+        [("haar", 3, "haar size must be a power of two, got 3"), ("haar", 0, "haar size must be a power of two, got 0")]
+        + [(kind, 0, "size must be >= 1, got 0") for kind in ALL_KINDS if kind != "haar"],
+    )
+    def test_bad_size_names_the_value(self, kind, t, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_transform(kind, t)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown transform"):
