@@ -22,7 +22,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset, serialize_dataset, split_dataset
+from .data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset, serialize_dataset
 from .training import (
     FIELD_CHOICES,
     TRANSFORM_CHOICES,
@@ -71,9 +71,6 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def cmd_gen_synth(args) -> int:
-    for flag, value, least in (("--nodes", args.nodes, 2), ("--slots", args.slots, 1)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
     spec = SynthSpec(
         n=args.nodes,
         t=args.slots,
@@ -90,11 +87,15 @@ def cmd_gen_synth(args) -> int:
 
 def _require_file_path(path) -> None:
     """Raise the OSError that writing a file at ``path`` would raise, when
-    ``path`` is a directory or its parent directory is missing; creates nothing."""
+    ``path`` is a directory, its parent directory is missing, or ``os.access``
+    finds that parent or an existing file there not writable; creates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    if not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def _require_distinct(args, pairs) -> None:
@@ -104,25 +105,19 @@ def _require_distinct(args, pairs) -> None:
             raise ValueError(f"--{out} and --{other} name the same file ({getattr(args, out)})")
 
 
-def _split(ds, seed: int, path):
-    """``split_dataset`` of the dataset read from ``path``, naming that file when it fails."""
-    try:
-        return split_dataset(ds, seed=seed)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_train(args) -> int:
     _require_distinct(args, (("report", "data"), ("checkpoint", "data"), ("checkpoint", "report")))
     config = _config_from_args(args)
-    ds = _split(parse_dataset(args.data), config.split_seed, args.data)
-    # Fail on an unwritable checkpoint or report path before the first epoch.
-    # The checkpoint is only checked: an earlier file there stays until the
-    # new one replaces it.
-    _require_file_path(args.checkpoint)
-    open(args.report, "w", encoding="utf-8").close()
+    ds = parse_dataset(args.data)
+    # Fail on an unwritable checkpoint or report path before the first epoch;
+    # neither is written until training has succeeded.
+    for path in (args.checkpoint, args.report):
+        _require_file_path(path)
     started = time.perf_counter()
-    model, history, metrics = train(ds, config)
+    try:
+        model, history, metrics = train(ds, config)
+    except ValueError as exc:  # the split of too few observations
+        raise ValueError(f"{args.data}: {exc}") from exc
     train_s = time.perf_counter() - started
     save_checkpoint(args.checkpoint, model, extra={"data": str(args.data)})
     pairs = [("command", "train"), ("data", args.data)]
@@ -178,7 +173,7 @@ def cmd_grad_check(args) -> int:
     # What fails after the config is about the synthetic graph that --nodes and --slots size.
     try:
         spec = SynthSpec(n=args.nodes, t=args.slots, density=0.9, noise=0.05, seed=config.seed)
-        report = grad_check(split_dataset(generate_synthetic(spec), seed=config.seed), config)
+        report = grad_check(generate_synthetic(spec), replace(config, split_seed=config.seed))
     except ValueError as exc:
         raise ValueError(f"--nodes {args.nodes} --slots {args.slots}: {exc}") from exc
     for key in sorted(report["per_group"]):
@@ -193,17 +188,14 @@ def cmd_ablation(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     base = _config_from_args(args)
-    configs = {
-        scheme: [replace(base, transform=scheme, seed=seed, split_seed=seed) for seed in range(args.seeds)]
-        for scheme in TRANSFORM_CHOICES
-    }
-    ds_base = parse_dataset(args.data)
-    splits = [_split(ds_base, seed, args.data) for seed in range(args.seeds)]
-    # Fail on an unwritable report path before the first training.
-    open(args.out, "w", encoding="utf-8").close()
+    ds = parse_dataset(args.data)
+    _require_file_path(args.out)  # before the first training; written once all have succeeded
     rows = []
-    for scheme, runs in configs.items():
-        metrics = [train(splits[config.split_seed], config)[2] for config in runs]
+    for scheme in TRANSFORM_CHOICES:
+        try:
+            metrics = [train(ds, replace(base, transform=scheme, seed=s, split_seed=s))[2] for s in range(args.seeds)]
+        except ValueError as exc:  # the split of too few observations
+            raise ValueError(f"{args.data}: {exc}") from exc
         maes, rmses = [m["test_mae"] for m in metrics], [m["test_rmse"] for m in metrics]
         rows.append([scheme, float(np.mean(maes)), float(np.std(maes)), float(np.mean(rmses)), float(np.std(rmses))])
     identity = rows[TRANSFORM_CHOICES.index("identity")][1]

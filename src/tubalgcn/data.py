@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,25 @@ SPLIT_RATIOS = (0.6, 0.2, 0.2)
 _ROW = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("y", np.float64)])
 
 
+def _require_ints(owner, *names):
+    """Raise ValueError naming the first of ``owner``'s ``names`` whose value is not an int (a bool is not)."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be int, got {value!r}")
+
+
+def _whole_numbers(name: str, column) -> np.ndarray:
+    """``column`` as contiguous int64; ValueError naming ``name`` and the first value that is not a whole number."""
+    c = np.asarray(column)
+    if c.dtype.kind not in "iu":
+        f = c.astype(np.float64)
+        bad = ~np.isfinite(f) | (f != np.trunc(f))
+        if bad.any():
+            raise ValueError(f"column {name} must hold whole numbers, got {c.ravel()[np.argmax(bad)].item()!r}")
+    return np.ascontiguousarray(c, dtype=np.int64)
+
+
 class _BadObservation(ValueError):
     """An observation breaks a dataset rule; ``row`` is its index."""
 
@@ -54,8 +74,7 @@ class DynamicGraphDataset:
     Observation k is the link ``i[k] -> j[k]`` at one-based slot ``t[k]`` with
     weight ``y[k]``.  Construction checks every row: slot and node ids in range,
     a finite nonnegative weight, and no repeated (t, i, j) key.  Split datasets
-    share the columns of the dataset they came from; ``split_seed`` is the seed
-    ``split_dataset`` split them with."""
+    share the columns of the dataset they came from."""
 
     n_nodes: int
     n_slots: int
@@ -66,12 +85,12 @@ class DynamicGraphDataset:
     train_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     val_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     test_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    split_seed: int | None = field(default=None, init=False)
 
     def __post_init__(self):
+        _require_ints(self, "n_nodes", "n_slots")
         if self.n_nodes < 1 or self.n_slots < 1:
             raise ValueError("dataset needs at least one node and one time slot")
-        self.t, self.i, self.j = (np.ascontiguousarray(c, dtype=np.int64) for c in (self.t, self.i, self.j))
+        self.t, self.i, self.j = (_whole_numbers(name, getattr(self, name)) for name in "tij")
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         if not (self.t.ndim == 1 and self.t.shape == self.i.shape == self.j.shape == self.y.shape):
             raise ValueError("observation columns t, i, j, y must be 1-d and of equal length")
@@ -258,7 +277,6 @@ def split_dataset(ds: DynamicGraphDataset, seed: int = 0) -> DynamicGraphDataset
     out.train_idx = np.sort(perm[:n_train])
     out.val_idx = np.sort(perm[n_train : n_train + n_val])
     out.test_idx = np.sort(perm[n_train + n_val :])
-    out.split_seed = seed
     return out
 
 
@@ -289,6 +307,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "n", "t", "seed")
         if self.n < 2 or self.t < 1:
             raise ValueError(f"need n >= 2 nodes and t >= 1 slots, got n={self.n}, t={self.t}")
         if not (0.0 < self.density <= 1.0):

@@ -443,17 +443,16 @@ def _keep_freed_heap():
 def train(ds: DynamicGraphDataset, config: TrainConfig):
     """Full-batch Adam training with early stopping on validation MAE.
 
-    ``ds`` must be split with ``config.split_seed``, as ``evaluate`` splits
-    it again.  Returns (model, history, metrics): the ``TrainedModel`` of the
-    best validation epoch; the history, a list of dicts with epoch,
-    train_loss, train_mae, val_mae; and the split metrics ``evaluate`` gives
-    for the model, gathered from the head scores that epoch's gradient pass
-    already computed.  Each Adam step replaces the one vector the parameters
+    ``ds`` is split with ``config.split_seed``, as ``evaluate`` splits it;
+    any split it carries is ignored.  Returns (model, history, metrics): the
+    ``TrainedModel`` of the best validation epoch; the history, a list of
+    dicts with epoch, train_loss, train_mae, val_mae; and the split metrics
+    ``evaluate`` gives for the model, gathered from the head scores that
+    epoch's gradient pass already computed.  Each Adam step replaces the one vector the parameters
     view.  With the aux built, it raises glibc's heap trim and mmap
     thresholds; see ``_keep_freed_heap``.
     """
-    if ds.has_splits and ds.split_seed != config.split_seed:
-        raise ValueError(f"dataset was split with seed {ds.split_seed}, but config.split_seed is {config.split_seed}")
+    ds = split_dataset(ds, config.split_seed)
     aux = build_aux(ds, config)
     _keep_freed_heap()
     params = init_params(ds, config)
@@ -510,8 +509,9 @@ def evaluate(model: TrainedModel, ds: DynamicGraphDataset):
 
 
 def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
-    """Compare the analytic gradients of ``config``'s model on the split
-    ``ds`` against finite differences.
+    """Compare the analytic gradients of ``config``'s model on ``ds`` against
+    finite differences; ``ds`` is split with ``config.split_seed``, as ``train``
+    splits it.
 
     The parameters are ``init_params(ds, config)``, the batch the first
     ``GRAD_CHECK_LINKS`` training links, and the coordinates probed are drawn
@@ -525,6 +525,7 @@ def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     are active is not compared, and ``kinks_skipped`` counts those.
     """
     rng = np.random.default_rng(config.seed)
+    ds = split_dataset(ds, config.split_seed)
     aux = build_aux(ds, config)
     params = init_params(ds, config)
     rows, y = batch = link_batch(ds, ds.train_idx[:GRAD_CHECK_LINKS])

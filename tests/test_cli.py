@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tubalgcn.cli import _config_from_args, build_parser, main
-from tubalgcn.data import SynthSpec, generate_synthetic, parse_dataset, split_dataset
+from tubalgcn.data import SynthSpec, generate_synthetic, parse_dataset
 from tubalgcn.training import TrainConfig, TrainedModel, init_params, load_checkpoint, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -56,8 +56,8 @@ class TestGenSynth:
 
     @pytest.mark.parametrize(
         "flags,message",
-        [(["--nodes", "1", "--slots", "4"], "--nodes must be >= 2, got 1"),
-         (["--nodes", "4", "--slots", "0"], "--slots must be >= 1, got 0"),
+        [(["--nodes", "1", "--slots", "4"], "need n >= 2 nodes and t >= 1 slots, got n=1, t=4"),
+         (["--nodes", "4", "--slots", "0"], "need n >= 2 nodes and t >= 1 slots, got n=4, t=0"),
          (["--nodes", "4", "--slots", "2", "--density", "1.5"], "density must lie in (0, 1], got 1.5"),
          (["--nodes", "4", "--slots", "2", "--density", "0"], "density must lie in (0, 1], got 0.0")],
         ids=["nodes", "slots", "density_above_one", "zero_density"],
@@ -423,6 +423,49 @@ class TestTrainEval:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err, err
         assert list(tmp_path.iterdir()) == []  # neither a checkpoint nor a report
 
+    @pytest.mark.parametrize(
+        "argv",
+        ["train --data {dir}/d.tsv --checkpoint {dir}/m.npz --report {dir}/r.txt",
+         "ablation --data {dir}/d.tsv --seeds 2 --out {dir}/abl.txt"],
+        ids=["train", "ablation"],
+    )
+    def test_failed_training_writes_nothing(self, dataset_file, tmp_path, capsys, monkeypatch, argv):
+        import tubalgcn.cli
+
+        def diverging(*args):
+            raise FloatingPointError("training diverged at epoch 1 (loss=nan)")
+
+        monkeypatch.setattr(tubalgcn.cli, "train", diverging)
+        (tmp_path / "d.tsv").write_bytes(dataset_file.read_bytes())
+        assert main(argv.format(dir=tmp_path).split()) == 1
+        assert capsys.readouterr().err == "error: training diverged at epoch 1 (loss=nan)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+
+    def test_unwritable_report_directory_fails_before_training(self, dataset_file, tmp_path, capsys, monkeypatch):
+        # Mode bits do not stop a process running as root, so os.access refuses the directory.
+        import os
+
+        import tubalgcn.cli
+
+        def no_training(*args):
+            raise AssertionError("trained before the report path was checked")
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real_access = os.access
+
+        def access(path, *args, **kwargs):
+            return Path(path) != locked and real_access(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+        monkeypatch.setattr(tubalgcn.cli, "train", no_training)
+        report = locked / "r.txt"
+        rc = main(["train", "--data", str(dataset_file), "--checkpoint", str(tmp_path / "m.npz"),
+                   "--report", str(report)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{report}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["locked"] and list(locked.iterdir()) == []
+
     def test_too_few_observations_name_the_file_and_write_nothing(self, two_row_file, capsys):
         out = two_row_file.parent
         rc = main(["train", "--data", str(two_row_file), "--checkpoint", str(out / "m.npz"),
@@ -562,12 +605,13 @@ class TestConfigFlags:
 
         monkeypatch.setattr(tubalgcn.cli, "grad_check", recording)
         assert main(["grad-check"]) == 0
-        [(ds, config)] = calls
-        assert config == TrainConfig(embedding_dim=3, transform="dft")
-        expected = split_dataset(generate_synthetic(SynthSpec(n=5, t=4, density=0.9, noise=0.05, seed=0)), seed=0)
-        assert (ds.n_nodes, ds.n_slots, ds.digest()) == (5, 4, expected.digest())
-        for split in ("train_idx", "val_idx", "test_idx"):
-            np.testing.assert_array_equal(getattr(ds, split), getattr(expected, split))
+        assert main(["grad-check", "--seed", "3"]) == 0
+        # The unsplit graph of --seed, which grad_check splits with the same seed.
+        for (ds, config), seed in zip(calls, (0, 3)):
+            assert config == TrainConfig(embedding_dim=3, transform="dft", seed=seed, split_seed=seed)
+            expected = generate_synthetic(SynthSpec(n=5, t=4, density=0.9, noise=0.05, seed=seed))
+            assert (ds.n_nodes, ds.n_slots, ds.digest(), ds.has_splits) == (5, 4, expected.digest(), False)
+        assert len(calls) == 2
 
 
 class TestGradCheckCommand:

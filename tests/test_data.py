@@ -276,6 +276,27 @@ class TestColumns:
         with pytest.raises(ValueError, match=r"observation 2: duplicate entry"):
             DynamicGraphDataset(2, 2, [1, 2, 1], [0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.7])
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((2, 3, [1.7, 2.0], [0, 1], [1, 0], [0.5, 0.5]), "column t must hold whole numbers, got 1.7"),
+            ((2, 3, [1, 2], [0.9, 1], [1, 0], [0.5, 0.5]), "column i must hold whole numbers, got 0.9"),
+            ((2, 3, [1, 2], [0, 1], [1, np.nan], [0.5, 0.5]), "column j must hold whole numbers, got nan"),
+            ((3.5, 3, [1], [0], [1], [0.5]), "n_nodes must be int, got 3.5"),
+            ((2, 3.0, [1], [0], [1], [0.5]), "n_slots must be int, got 3.0"),
+        ],
+        ids=["t", "i", "j", "n_nodes", "n_slots"],
+    )
+    def test_non_integer_ids_and_sizes_are_rejected_by_name(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DynamicGraphDataset(*args)
+
+    def test_whole_float_and_empty_columns_are_accepted(self):
+        ds = DynamicGraphDataset(np.int64(2), 3, [1.0, 3.0], [0.0, 1.0], np.array([1, 0], dtype=np.int32), [0.5, 0.5])
+        assert rows(ds) == [(1, 0, 1, 0.5), (3, 1, 0, 0.5)]
+        assert ds.t.dtype == ds.i.dtype == ds.j.dtype == np.int64
+        assert len(DynamicGraphDataset(2, 2, [], [], [], []).t) == 0
+
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             DynamicGraphDataset(2, 1, [1, 1], [0, 1], [1, 0], [0.5])
@@ -380,8 +401,12 @@ class TestGenerateSynthetic:
             (dict(n=5, t=0), "need n >= 2 nodes and t >= 1 slots, got n=5, t=0"),
             (dict(n=5, t=3, density=1.5), "density must lie in (0, 1], got 1.5"),
             (dict(n=5, t=3, pattern="x"), "pattern must be one of ('periodic', 'trend', 'mixed'), got 'x'"),
+            (dict(n=4.5, t=3), "n must be int, got 4.5"),
+            (dict(n=5, t=3.0), "t must be int, got 3.0"),
+            (dict(n=5, t=True), "t must be int, got True"),
+            (dict(n=5, t=3, seed=0.5), "seed must be int, got 0.5"),
         ],
-        ids=["nodes", "slots", "density", "pattern"],
+        ids=["nodes", "slots", "density", "pattern", "float_nodes", "float_slots", "bool_slots", "float_seed"],
     )
     def test_bad_spec_names_the_value(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

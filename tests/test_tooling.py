@@ -13,7 +13,8 @@ function fails here instead.
 Two more checks keep the package's surface honest: every top-level
 function and class in ``src/tubalgcn`` is reachable from the program, not
 only from tests, and the package exports exactly its modules' ``__all__``
-names.  The last ones keep the README's command lines in step with the
+names.  Only ``training`` splits a dataset, so the split rule lives in one
+module.  The last ones keep the README's command lines in step with the
 command-line parser and run its Python examples.
 """
 
@@ -197,6 +198,18 @@ def test_the_package_exports_every_module_public_name():
         if getattr(tubalgcn, name, None) is not getattr(sys.modules[f"tubalgcn.{module}"], name)
     ]
     assert missing == []
+
+
+def test_only_training_calls_split_dataset():
+    # train, evaluate and grad_check split what they are given with the
+    # config's split seed; no other module makes a split of its own.
+    callers = [
+        path.name
+        for path in sorted((ROOT / "src" / "tubalgcn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "split_dataset" in referenced_names(node.func)
+    ]
+    assert callers and set(callers) == {"training.py"}
 
 
 def readme_command_lines() -> list:

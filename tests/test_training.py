@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubalgcn import training
 from tubalgcn.data import (
     DynamicGraphDataset,
     SynthSpec,
@@ -76,8 +75,8 @@ def small_dataset(seed=0, n=6, t=4):
 def synth_grad_check(seed, t=4, **config):
     """``grad_check`` at F = 3 on the graph ``tubalgcn grad-check --seed <seed>
     --slots <t>`` checks: 5 nodes at density 0.9, split with the same seed."""
-    ds = split_dataset(generate_synthetic(SynthSpec(n=5, t=t, density=0.9, noise=0.05, seed=seed)), seed=seed)
-    return grad_check(ds, TrainConfig(embedding_dim=3, seed=seed, **config))
+    ds = generate_synthetic(SynthSpec(n=5, t=t, density=0.9, noise=0.05, seed=seed))
+    return grad_check(ds, TrainConfig(embedding_dim=3, seed=seed, split_seed=seed, **config))
 
 
 BAD_HYPERPARAMETERS = [
@@ -165,19 +164,11 @@ class TestModelAux:
             else:
                 compute_gradients(params, aux, link_batch(ds, ds.train_idx))
 
-    @pytest.mark.parametrize("entry", ["train", "build_aux"])
-    def test_unsplit_dataset_is_refused_by_name(self, entry, monkeypatch):
-        # A refused train leaves the process's heap settings as they were.
-        monkeypatch.setattr(training, "_keep_freed_heap", lambda: pytest.fail("heap settings changed"))
+    def test_unsplit_dataset_is_refused_by_name(self):
         ds = generate_synthetic(SynthSpec(n=5, t=2, density=1.0, seed=0))
-        cfg = TrainConfig(embedding_dim=3, max_epochs=2)
-        calls = {
-            "train": lambda: train(ds, cfg),
-            "build_aux": lambda: build_aux(ds, cfg),
-        }
         message = "dataset has no train/val/test splits; call split_dataset first"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            calls[entry]()
+            build_aux(ds, TrainConfig(embedding_dim=3, max_epochs=2))
 
 
 class TestGradients:
@@ -435,7 +426,7 @@ class TestForwardMatchesOracle:
             np.concatenate([base.y[keep], [0.7], np.zeros(t)]),
         )
         ds.train_idx = np.arange(len(ds.t))
-        cfg = TrainConfig(embedding_dim=3, transform="ensemble", n_layers=2, adjacency_mode=mode, seed=2)
+        cfg = TrainConfig(embedding_dim=3, transform="ensemble", n_layers=2, adjacency_mode=mode, seed=2, split_seed=3)
         aux = build_aux(ds, cfg)
         a = aux.a_hat
         assert np.all(a.data != 0)
@@ -448,6 +439,8 @@ class TestForwardMatchesOracle:
         assert np.max(np.abs(h - oracle_representation(ds, params, cfg))) <= 1e-9
         _, grads, _, _ = compute_gradients(params, aux, link_batch(ds, ds.train_idx))
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
+        # grad_check splits again; split seed 3 keeps the self-loop and the zero pair in train.
+        assert set(range(len(ds.t) - 1 - t, len(ds.t))) <= set(split_dataset(ds, cfg.split_seed).train_idx)
         assert grad_check(ds, cfg)["passed"]
 
 
@@ -495,7 +488,7 @@ class TestEveryConfiguration:
         ds = small_dataset(seed=seed, n=n, t=t)
         cfg = TrainConfig(
             embedding_dim=f, transform=transform, activation=activation, n_layers=n_layers, adjacency_mode=mode,
-            kappa=kappa, seed=seed,
+            kappa=kappa, seed=seed, split_seed=seed,
         )
         rep = grad_check(ds, cfg)
         assert rep["passed"], rep
@@ -798,7 +791,7 @@ class TestTrainedModel:
         """An unsplit graph, a dct config with split seed 4, and its trained model and metrics."""
         ds = generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=4))
         cfg = TrainConfig(embedding_dim=3, transform="dct", max_epochs=20, seed=4, split_seed=4)
-        model, _, metrics = train(split_dataset(ds, seed=4), cfg)
+        model, _, metrics = train(ds, cfg)
         return ds, cfg, model, metrics
 
     def test_evaluate_takes_no_config_and_the_model_is_frozen(self):
@@ -814,11 +807,20 @@ class TestTrainedModel:
         ds, _, model, metrics = self.trained()
         assert evaluate(model, ds) == evaluate(model, split_dataset(ds, seed=7)) == metrics
 
-    def test_train_refuses_a_dataset_split_with_another_seed(self, monkeypatch):
-        monkeypatch.setattr(training, "_keep_freed_heap", lambda: pytest.fail("heap settings changed"))
-        ds = split_dataset(generate_synthetic(SynthSpec(n=10, t=4, density=0.8, seed=4)), seed=7)
-        with pytest.raises(ValueError, match="^dataset was split with seed 7, but config.split_seed is 0$"):
-            train(ds, TrainConfig(embedding_dim=3, max_epochs=2))
+    @pytest.mark.parametrize("transform", ["dct", "ensemble"])
+    def test_train_and_grad_check_split_with_the_config_split_seed(self, transform):
+        # As evaluate does, whatever split the dataset carries.
+        ds = generate_synthetic(SynthSpec(n=10, t=4, density=0.8, noise=0.05, seed=4))
+        cfg = TrainConfig(embedding_dim=3, transform=transform, max_epochs=20, seed=4, split_seed=4)
+        model, history, metrics = train(ds, cfg)
+        report = grad_check(ds, cfg)
+        for split in (split_dataset(ds, seed=4), split_dataset(ds, seed=7)):
+            other, other_history, other_metrics = train(split, cfg)
+            assert (other_history, other_metrics) == (history, metrics)
+            assert list(other.params) == list(model.params)
+            for key, arr in model.params.items():
+                np.testing.assert_array_equal(other.params[key], arr)
+            assert grad_check(split, cfg) == report
 
     @pytest.mark.parametrize(
         "edit,message",
