@@ -119,7 +119,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:  # the split of too few observations
         raise ValueError(f"{args.data}: {exc}") from exc
     train_s = time.perf_counter() - started
-    save_checkpoint(args.checkpoint, model, extra={"data": str(args.data)})
+    save_checkpoint(args.checkpoint, model)
     pairs = [("command", "train"), ("data", args.data)]
     pairs += sorted(asdict(config).items())
     pairs += [("epochs_run", len(history))]
@@ -142,7 +142,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_distinct(args, (("report", "data"), ("report", "checkpoint")))
-    model, _ = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
     ds = parse_dataset(args.data)
     try:
         metrics = evaluate(model, ds)

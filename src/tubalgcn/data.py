@@ -39,20 +39,35 @@ SPLIT_RATIOS = (0.6, 0.2, 0.2)
 _ROW = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("y", np.float64)])
 
 
-def _require_ints(owner, *names):
-    """Raise ValueError naming the first of ``owner``'s ``names`` whose value is not an int (a bool is not)."""
+# The values a record field of type int, float or str takes; bool never.
+_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _require_type(owner, kind: type, *names):
+    """Raise ValueError naming the first of ``owner``'s ``names`` whose value is not a ``kind`` (int, float or str)."""
     for name in names:
         value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be int, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def _real_numbers(name: str, column, what: str = "numbers") -> np.ndarray:
+    """``column`` as an int, unsigned or float array; ValueError naming ``name``
+    and its first value that is not a real number (a bool is not) otherwise."""
+    c = np.asarray(column)
+    if c.dtype.kind in "iuf":
+        return c
+    for value in np.asarray(column, dtype=object).ravel().tolist():  # as given, not cast to one dtype
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"column {name} must hold {what}, got {value!r}")
+    return c.astype(np.float64)
 
 
 def _whole_numbers(name: str, column) -> np.ndarray:
     """``column`` as contiguous int64; ValueError naming ``name`` and the first value that is not a whole number."""
-    c = np.asarray(column)
-    if c.dtype.kind not in "iu":
-        f = c.astype(np.float64)
-        bad = ~np.isfinite(f) | (f != np.trunc(f))
+    c = _real_numbers(name, column, "whole numbers")
+    if c.dtype.kind == "f":
+        bad = ~np.isfinite(c) | (c != np.trunc(c))
         if bad.any():
             raise ValueError(f"column {name} must hold whole numbers, got {c.ravel()[np.argmax(bad)].item()!r}")
     return np.ascontiguousarray(c, dtype=np.int64)
@@ -73,8 +88,10 @@ class DynamicGraphDataset:
 
     Observation k is the link ``i[k] -> j[k]`` at one-based slot ``t[k]`` with
     weight ``y[k]``.  Construction checks every row: slot and node ids in range,
-    a finite nonnegative weight, and no repeated (t, i, j) key.  Split datasets
-    share the columns of the dataset they came from."""
+    a finite nonnegative weight, and no repeated (t, i, j) key.  The split
+    index arrays are not constructor arguments: a dataset is built unsplit,
+    and its splits come only from ``split_dataset``, whose result shares the
+    columns of the dataset it came from."""
 
     n_nodes: int
     n_slots: int
@@ -82,16 +99,16 @@ class DynamicGraphDataset:
     i: np.ndarray
     j: np.ndarray
     y: np.ndarray
-    train_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    val_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    test_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+    train_idx: np.ndarray = field(init=False, default_factory=lambda: np.array([], dtype=int))
+    val_idx: np.ndarray = field(init=False, default_factory=lambda: np.array([], dtype=int))
+    test_idx: np.ndarray = field(init=False, default_factory=lambda: np.array([], dtype=int))
 
     def __post_init__(self):
-        _require_ints(self, "n_nodes", "n_slots")
+        _require_type(self, int, "n_nodes", "n_slots")
         if self.n_nodes < 1 or self.n_slots < 1:
             raise ValueError("dataset needs at least one node and one time slot")
         self.t, self.i, self.j = (_whole_numbers(name, getattr(self, name)) for name in "tij")
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
+        self.y = np.ascontiguousarray(_real_numbers("y", self.y), dtype=np.float64)
         if not (self.t.ndim == 1 and self.t.shape == self.i.shape == self.j.shape == self.y.shape):
             raise ValueError("observation columns t, i, j, y must be 1-d and of equal length")
         self._check_rows()
@@ -307,7 +324,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, "n", "t", "seed")
+        _require_type(self, int, "n", "t", "seed")
+        _require_type(self, float, "density", "noise")
         if self.n < 2 or self.t < 1:
             raise ValueError(f"need n >= 2 nodes and t >= 1 slots, got n={self.n}, t={self.t}")
         if not (0.0 < self.density <= 1.0):

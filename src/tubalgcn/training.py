@@ -20,7 +20,6 @@ import contextlib
 import ctypes
 import json
 import math
-import numbers
 import os
 import re
 import zipfile
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy import sparse
 
-from .data import DynamicGraphDataset, build_adjacency, split_dataset
+from .data import DynamicGraphDataset, _require_type, build_adjacency, split_dataset
 from .gtcn import (
     ACTIVATIONS,
     ADJACENCY_MODES,
@@ -79,10 +78,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 GRAD_CHECK_LINKS = 12
 FD_STEP = 1e-4
 
-# The values a TrainConfig field takes, by the type of its default; bool never.
-_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     embedding_dim: int = 20
@@ -99,11 +94,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type(f.default)]):
-                raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+            _require_type(self, type(f.default), f.name)
             # A numpy scalar passes the check; store the builtin, which JSON can write.
-            object.__setattr__(self, f.name, type(f.default)(value))
+            object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
         for name in ("max_epochs", "patience", "embedding_dim", "n_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
@@ -393,7 +386,7 @@ class EarlyStopping:
     """Stop after `patience` consecutive epochs of rising validation error.
 
     Rises are counted against the previous epoch's value; the best value
-    and its epoch are tracked for checkpoint selection.
+    and its epoch, the later one on a tie, name the parameters ``train`` keeps.
     """
 
     def __init__(self, patience: int):
@@ -407,7 +400,7 @@ class EarlyStopping:
 
     def update(self, value: float, epoch: int) -> bool:
         """Record one epoch's validation error; True means stop now."""
-        if value < self.best:
+        if value <= self.best:
             self.best = value
             self.best_epoch = epoch
         if self.prev is not None and value > self.prev:
@@ -472,9 +465,10 @@ def train(ds: DynamicGraphDataset, config: TrainConfig):
         train_mae = mae(train_batch[1], train_pred)
         val_mae = mae(val_y, predict(scores, val_rows))
         history.append({"epoch": epoch, "train_loss": loss_value, "train_mae": train_mae, "val_mae": val_mae})
-        if val_mae <= stopper.best:
+        stop = stopper.update(val_mae, epoch)
+        if stopper.best_epoch == epoch:
             best, best_scores = params, scores  # adam_step returns a new vector, so no copy is needed
-        if stopper.update(val_mae, epoch):
+        if stop:
             break
         theta = adam_step(theta, _vector(grads), state, config.learning_rate)
         params = _views(theta, shapes)
@@ -573,21 +567,19 @@ def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
     return {"per_group": report, "max_relative_error": max_err, "passed": max_err <= 1e-4, "kinks_skipped": skipped}
 
 
-def save_checkpoint(path, model: TrainedModel, extra=None):
-    """Binary dump of the model's arrays, config and digest plus ``extra``, at exactly ``path``.
+def save_checkpoint(path, model: TrainedModel):
+    """Binary dump of the model's arrays, config and digest (``extra``'s ``data_sha256``) at exactly ``path``.
 
     The file is opened here because ``np.savez`` appends ``.npz`` to a path
     name that lacks it.  It is written under a temporary name in the same
     directory and then renamed over ``path``, so a save that fails leaves no
     half-written file and any earlier file at ``path`` intact.
     """
-    if "data_sha256" in (extra or {}):
-        raise ValueError("extra may not carry data_sha256; the model's own is saved")
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "param_keys": sorted(model.params.keys()),
-        "extra": {**(extra or {}), "data_sha256": model.data_sha256},
+        "extra": {"data_sha256": model.data_sha256},
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -601,14 +593,15 @@ def save_checkpoint(path, model: TrainedModel, extra=None):
         raise
 
 
-def load_checkpoint(path):
-    """Returns (TrainedModel, extra metadata other than the digest).
+def load_checkpoint(path) -> TrainedModel:
+    """The ``TrainedModel`` that ``save_checkpoint`` wrote at ``path``.
 
     A file that ``save_checkpoint`` did not write, whose arrays do not match its config or are
     not finite floats, or whose ``data_sha256`` is neither null nor 64 lowercase hex digits,
     raises ValueError naming it; a null or missing one loads as None.  Configs written while
     the squared-norm regularizer was an option carry ``squared_reg: false``;
-    that field is dropped, and ``squared_reg: true`` is rejected.
+    that field is dropped, and ``squared_reg: true`` is rejected.  Other ``extra`` keys than
+    ``data_sha256``, such as the ``data`` path of older files, are ignored.
     """
     foreign = f"{path}: not a tubalgcn checkpoint"
     try:
@@ -623,7 +616,7 @@ def load_checkpoint(path):
         try:
             meta = json.loads(bytes(z["__meta__"]).decode())
             version, keys, fields = meta["version"], set(meta["param_keys"]), dict(meta["config"])
-            extra = {**meta.get("extra", {})}
+            digest = {**meta.get("extra", {})}.get("data_sha256")
         except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, a missing field, a non-mapping
             raise ValueError(f"{foreign} (unreadable __meta__ record: {type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:
@@ -653,7 +646,6 @@ def load_checkpoint(path):
     bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
     if bad:
         raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")
-    digest = extra.pop("data_sha256", None)
     if digest is not None and not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
         raise ValueError(f"{path}: checkpoint data_sha256 {digest!r} is not 64 lowercase hex digits")
-    return TrainedModel(config, {k: named[k] for k in shapes}, digest), extra
+    return TrainedModel(config, {k: named[k] for k in shapes}, digest)

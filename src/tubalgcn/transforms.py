@@ -1,4 +1,4 @@
-"""Builders for the T x T temporal transform matrices.
+"""The T x T temporal transform matrices, all made by ``build_transform``.
 
 Four kinds: identity (no temporal mixing), the unitary DFT, the
 orthonormal DCT-II, and the orthonormal Haar wavelet matrix.  All four are
@@ -16,10 +16,6 @@ import numpy as np
 __all__ = [
     "TRANSFORM_KINDS",
     "TransformMatrix",
-    "build_identity",
-    "build_dft",
-    "build_dct",
-    "build_haar",
     "build_transform",
     "next_power_of_two",
 ]
@@ -101,59 +97,40 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_size(t: int) -> None:
+def build_transform(kind: str, t: int) -> TransformMatrix:
+    """The T x T transform of ``kind``; the one builder of every kind.
+
+    - identity: I.
+    - dft: the normalized DFT, entry (u, v) = exp(-2i*pi*u*v/T) / sqrt(T).
+    - dct: the orthonormal DCT-II, entry (u, v) = alpha(u) * cos(pi*u*(v+1/2)/T),
+      with alpha(0) = sqrt(1/T) and alpha(u) = sqrt(2/T) for u > 0.
+    - haar: the orthonormal Haar matrix; T must be a power of two.  Row 0 is
+      the constant row 1/sqrt(T).  Then, level by level, the window width w
+      runs T, T/2, ..., 2: of the level's n = T/w rows, row n + i is +1 on the
+      first half of window i and -1 on its second half, over sqrt(w).
+    """
+    if kind not in TRANSFORM_KINDS:
+        raise ValueError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
+    if kind == "haar" and (t < 1 or t & (t - 1)):
+        raise ValueError(f"haar size must be a power of two, got {t}")
     if t < 1:
         raise ValueError(f"size must be >= 1, got {t}")
-
-
-def build_identity(t: int) -> TransformMatrix:
-    _check_size(t)
-    return TransformMatrix("identity", np.eye(t))
-
-
-def build_dft(t: int) -> TransformMatrix:
-    """Normalized DFT: entry (u, v) = exp(-2i*pi*u*v/T) / sqrt(T)."""
-    _check_size(t)
     u = np.arange(t)
-    return TransformMatrix("dft", np.exp(-2j * np.pi * np.outer(u, u) / t) / np.sqrt(t))
-
-
-def build_dct(t: int) -> TransformMatrix:
-    """Orthonormal DCT-II: entry (u, v) = alpha(u) * cos(pi*u*(v+1/2)/T)."""
-    _check_size(t)
-    u = np.arange(t)[:, None]
-    m = np.cos(np.pi * u * (u.T + 0.5) / t)
-    alpha = np.full(t, np.sqrt(2.0 / t))
-    alpha[0] = np.sqrt(1.0 / t)
-    m *= alpha[:, None]
-    return TransformMatrix("dct", m)
-
-
-def build_haar(t: int) -> TransformMatrix:
-    """Orthonormal Haar matrix; requires T to be a power of two.
-
-    Row 0 is the constant row 1/sqrt(T).  Then, level by level, the window
-    width w runs T, T/2, ..., 2: of the level's n = T/w rows, row n + i is
-    +1 on the first half of window i and -1 on its second half, over sqrt(w).
-    """
-    if t < 1 or t & (t - 1):
-        raise ValueError(f"haar size must be a power of two, got {t}")
-    m = np.zeros((t, t))
-    m[0] = 1.0 / np.sqrt(t)
-    for j in range(int(t).bit_length() - 1):
-        n, w = 1 << j, t >> j
-        # Rows n .. 2n-1 as n windows each; filling zeros, not np.kron, keeps the zeros +0.0.
-        m[n : 2 * n].reshape(n, n, w)[range(n), range(n)] = np.repeat([1.0, -1.0], w // 2) / np.sqrt(w)
-    return TransformMatrix("haar", m)
-
-
-_BUILDERS = dict(zip(TRANSFORM_KINDS, (build_identity, build_dft, build_dct, build_haar)))
-
-
-def build_transform(kind: str, t: int) -> TransformMatrix:
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
-    return _BUILDERS[kind](t)
+    if kind == "identity":
+        m = np.eye(t)
+    elif kind == "dft":
+        m = np.exp(-2j * np.pi * np.outer(u, u) / t) / np.sqrt(t)
+    elif kind == "dct":
+        m = np.cos(np.pi * u[:, None] * (u + 0.5) / t)
+        m *= np.where(u == 0, np.sqrt(1.0 / t), np.sqrt(2.0 / t))[:, None]
+    else:
+        m = np.zeros((t, t))
+        m[0] = 1.0 / np.sqrt(t)
+        for j in range(int(t).bit_length() - 1):
+            n, w = 1 << j, t >> j
+            # Rows n .. 2n-1 as n windows each; filling zeros, not np.kron, keeps the zeros +0.0.
+            m[n : 2 * n].reshape(n, n, w)[range(n), range(n)] = np.repeat([1.0, -1.0], w // 2) / np.sqrt(w)
+    return TransformMatrix(kind, m)
 
 
 def next_power_of_two(t: int) -> int:

@@ -1,7 +1,7 @@
 """The Haar matrix as an earlier release built it: the mother wavelet
 sampled at the points k/T, level by level and shift by shift, each row then
-normalized.  ``build_haar`` writes each level's rows directly; the
-transform tests compare the two bit for bit."""
+normalized.  ``build_transform("haar", t)`` writes each level's rows
+directly; the transform tests compare the two bit for bit."""
 
 import numpy as np
 

@@ -109,6 +109,13 @@ class TestTrainEval:
         c2, _ = self._train(dataset_file, tmp_path / "b")
         assert c1.read_bytes() == c2.read_bytes()
 
+    def test_checkpoint_does_not_depend_on_how_data_is_spelled(self, dataset_file, tmp_path):
+        # The checkpoint records the dataset's digest, not the --data path.
+        d = dataset_file.parent
+        c1, _ = self._train(d / dataset_file.name, tmp_path / "a")
+        c2, _ = self._train(d / ".." / d.name / dataset_file.name, tmp_path / "b")
+        assert c1.read_bytes() == c2.read_bytes()
+
     def test_haar_pads_odd_slot_count(self, tmp_path):
         data = tmp_path / "d.tsv"
         assert main(["gen-synth", "--nodes", "10", "--slots", "7", "--density", "0.6",
@@ -536,7 +543,7 @@ class TestTrainEval:
                      "--max-epochs", "2", "--patience", "1", "--activation", "relu",
                      "--adjacency", "raw_self_loops", "--layers", "2",
                      "--checkpoint", str(ckpt), "--report", str(tmp_path / "r.txt")]) == 0
-        config = load_checkpoint(ckpt)[0].config
+        config = load_checkpoint(ckpt).config
         default = TrainConfig()
         same = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) == getattr(default, f.name)]
         assert not same, f"TrainConfig fields no train flag sets: {same}"

@@ -284,8 +284,12 @@ class TestColumns:
             ((2, 3, [1, 2], [0, 1], [1, np.nan], [0.5, 0.5]), "column j must hold whole numbers, got nan"),
             ((3.5, 3, [1], [0], [1], [0.5]), "n_nodes must be int, got 3.5"),
             ((2, 3.0, [1], [0], [1], [0.5]), "n_slots must be int, got 3.0"),
+            ((2, 2, ["a"], [0], [1], [0.5]), "column t must hold whole numbers, got 'a'"),
+            ((2, 2, [1], [0], [True], [0.5]), "column j must hold whole numbers, got True"),
+            ((2, 2, [1, 2], [0, 1], [1, 0], [0.5, "x"]), "column y must hold numbers, got 'x'"),
+            ((2, 2, [1], [0], [1], [None]), "column y must hold numbers, got None"),
         ],
-        ids=["t", "i", "j", "n_nodes", "n_slots"],
+        ids=["t", "i", "j", "n_nodes", "n_slots", "string_t", "bool_j", "string_y", "none_y"],
     )
     def test_non_integer_ids_and_sizes_are_rejected_by_name(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -312,6 +316,12 @@ class TestColumns:
         ds = generate_synthetic(SynthSpec(n=6, t=3, density=0.5, seed=4))
         split = split_dataset(ds, seed=0)
         assert split.y is ds.y and not ds.has_splits
+
+    @pytest.mark.parametrize("name", ["train_idx", "val_idx", "test_idx"])
+    def test_constructor_refuses_split_indices(self, name):
+        # Splits come only from split_dataset, so no index is left unchecked.
+        with pytest.raises(TypeError, match=name):
+            DynamicGraphDataset(3, 2, [1], [0], [1], [0.5], **{name: np.array([0, 99])})
 
 
 class TestSplit:
@@ -405,8 +415,13 @@ class TestGenerateSynthetic:
             (dict(n=5, t=3.0), "t must be int, got 3.0"),
             (dict(n=5, t=True), "t must be int, got True"),
             (dict(n=5, t=3, seed=0.5), "seed must be int, got 0.5"),
+            (dict(n=4, t=3, density="0.5"), "density must be float, got '0.5'"),
+            (dict(n=4, t=3, noise=None), "noise must be float, got None"),
         ],
-        ids=["nodes", "slots", "density", "pattern", "float_nodes", "float_slots", "bool_slots", "float_seed"],
+        ids=[
+            "nodes", "slots", "density", "pattern", "float_nodes", "float_slots", "bool_slots", "float_seed",
+            "string_density", "none_noise",
+        ],
     )
     def test_bad_spec_names_the_value(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tubalgcn.gtcn import layer_forward
 from tubalgcn.tensor3 import DimensionMismatchError, m_transform
-from tubalgcn.transforms import build_dft, build_haar, build_identity, build_transform
+from tubalgcn.transforms import build_transform
 
 
 def mode_n_loop(x, u, n):
@@ -80,7 +80,7 @@ class TestMTransform:
         # runs as a real GEMM and must agree with the complex one.
         rng = np.random.default_rng(t)
         x = rng.normal(size=(3, 2, t)).transpose(2, 0, 1)
-        m = build_dft(t).m_kept
+        m = build_transform("dft", t).m_kept
         expected = np.tensordot(m, x.astype(np.complex128), axes=([1], [0]))
         out = m_transform(m, x)
         assert out.shape == (t // 2 + 1, 3, 2) and out.dtype == np.complex128
@@ -96,7 +96,7 @@ class TestMTransform:
 
     def test_kept_matrix_column_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            m_transform(build_dft(6).m_kept, np.zeros((5, 2, 2)))
+            m_transform(build_transform("dft", 6).m_kept, np.zeros((5, 2, 2)))
 
 
 class TestInverseTransform:
@@ -111,7 +111,7 @@ class TestInverseTransform:
     def test_haar_round_trip_t8(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2, 8)).transpose(2, 0, 1)
-        tm = build_haar(8)
+        tm = build_transform("haar", 8)
         back = m_transform(tm.m_inv, m_transform(tm.m, x))
         assert np.max(np.abs(back - x)) <= 1e-10
 
@@ -130,26 +130,26 @@ class TestMProduct:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
-        tm = build_identity(4)
+        tm = build_transform("identity", 4)
         np.testing.assert_array_equal(chain_product(x, y, tm), np.matmul(x, y))
 
     def test_identity_m_matches_slice_loop(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
-        np.testing.assert_allclose(chain_product(x, y, build_identity(4)), facewise_loop(x, y), atol=1e-12)
+        np.testing.assert_allclose(chain_product(x, y, build_transform("identity", 4)), facewise_loop(x, y), atol=1e-12)
 
     def test_dft_tube_example(self):
         x = np.array([1.0, 2.0]).reshape(2, 1, 1)
         y = np.array([3.0, 4.0]).reshape(2, 1, 1)
-        out = chain_product(x, y, build_dft(2))
+        out = chain_product(x, y, build_transform("dft", 2))
         np.testing.assert_allclose(out[:, 0, 0], np.array([11.0, 10.0]) / np.sqrt(2), atol=1e-12)
 
     def test_haar_matches_composition(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
-        tm = build_haar(4)
+        tm = build_transform("haar", 4)
         expected = m_transform(
             tm.m_inv, np.matmul(m_transform(tm.m, x), m_transform(tm.m, y))
         )
@@ -160,7 +160,7 @@ class TestMProduct:
         x1 = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
         x2 = rng.normal(size=(2, 3, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(3, 2, 4)).transpose(2, 0, 1)
-        tm = build_dft(4)
+        tm = build_transform("dft", 4)
         a, b = 0.7, -1.3
         lhs = chain_product(a * x1 + b * x2, y, tm)
         rhs = a * chain_product(x1, y, tm) + b * chain_product(x2, y, tm)
@@ -171,7 +171,7 @@ class TestMProduct:
         # The normalized DFT turns tube products into circular
         # convolution scaled by 1/sqrt(T).
         rng = np.random.default_rng(t)
-        tm = build_dft(t)
+        tm = build_transform("dft", t)
         for _ in range(50):
             u = rng.normal(size=t)
             v = rng.normal(size=t)
@@ -238,7 +238,7 @@ class TestMProduct:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
         y = rng.normal(size=(2, 2, 4)).transpose(2, 0, 1)
-        out = chain_product(x, y, build_dft(4))
+        out = chain_product(x, y, build_transform("dft", 4))
         assert not np.iscomplexobj(out)
 
     def test_all_kinds_match_naive_oracle(self):

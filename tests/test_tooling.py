@@ -15,11 +15,13 @@ function and class in ``src/tubalgcn`` is reachable from the program, not
 only from tests, and the package exports exactly its modules' ``__all__``
 names.  Only ``training`` splits a dataset, so the split rule lives in one
 module.  The last ones keep the README's command lines in step with the
-command-line parser and run its Python examples.
+command-line parser, run its Python examples and hold the calls it writes
+out to the signatures of the functions it names.
 """
 
 import ast
 import importlib
+import inspect
 import re
 import shlex
 import sys
@@ -168,7 +170,7 @@ def referenced_names(node) -> set:
 
 def test_every_function_and_class_is_reachable_from_the_program():
     # Roots: cli.main, every module-level statement of the package other than
-    # a def, a class, an import or __all__ (such as transforms._BUILDERS), and
+    # a def, a class, an import or __all__ (such as training.FIELD_CHOICES), and
     # every name perfbench mentions.  A def or class reaches the names its
     # body mentions.  Names are matched across modules, so a name defined
     # twice is reached when either is; tests are not roots.
@@ -245,3 +247,35 @@ def test_every_readme_python_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for k, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {k}", "exec"), {})
+
+
+def readme_calls() -> list:
+    """Every ``name(a, b, ...)`` in an inline code span of README.md whose
+    arguments are all bare identifiers, as (name, [a, b, ...])."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S | re.M)
+    calls = []
+    for span in re.findall(r"`([^`]+)`", text):
+        for name, args in re.findall(r"([A-Za-z_][\w.]*)\(([^()]*)\)", span):
+            args = [a.strip() for a in args.split(",")]
+            if all(a.isidentifier() for a in args):
+                calls.append((name, args))
+    return calls
+
+
+def test_readme_signatures_match_the_code():
+    # A call of an exported callable names its leading parameters, in order,
+    # and every parameter that has no default.
+    exported = {name for module in PACKAGE_MODULES for name in importlib.import_module(f"tubalgcn.{module}").__all__}
+    checked, bad = 0, []
+    for name, args in readme_calls():
+        last = name.rsplit(".", 1)[-1]
+        if last not in exported or not callable(getattr(tubalgcn, last)):
+            continue
+        checked += 1
+        signature = inspect.signature(getattr(tubalgcn, last))
+        params = list(signature.parameters.values())
+        required = {p.name for p in params if p.default is p.empty}
+        if args != [p.name for p in params[: len(args)]] or not required <= set(args):
+            bad.append(f"{name}({', '.join(args)}) vs {last}{signature}")
+    assert checked >= 10
+    assert bad == []

@@ -703,6 +703,13 @@ class TestEarlyStopping:
         stopper = EarlyStopping(patience=2)
         assert not any(stopper.update(0.5, e) for e in range(1, 50))
 
+    def test_a_tie_makes_the_later_epoch_the_best(self):
+        # train keeps the parameters of the latest epoch at the best value; the stopper names that epoch.
+        stopper = EarlyStopping(patience=5)
+        for epoch, v in enumerate([0.5, 0.4, 0.4, 0.45], start=1):
+            stopper.update(v, epoch)
+        assert (stopper.best, stopper.best_epoch) == (0.4, 3)
+
 
 class TestTrain:
     def test_overfits_tiny_dataset(self):
@@ -745,7 +752,7 @@ class TestTrain:
         assert hist[-1]["val_mae"] > min(h["val_mae"] for h in hist)  # the best epoch is not the last
         assert metrics == evaluate(model, ds)
         save_checkpoint(tmp_path / "m.npz", model)
-        restored, _ = load_checkpoint(tmp_path / "m.npz")
+        restored = load_checkpoint(tmp_path / "m.npz")
         assert metrics == evaluate(restored, ds)
 
     def test_scores_each_representation_once(self, monkeypatch):
@@ -837,15 +844,17 @@ class TestTrainedModel:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)
+    def test_round_trip(self, tmp_path, transform):
+        # Loading returns the TrainedModel that was saved: config, digest and every array.
         ds = small_dataset(seed=10, n=8)
-        cfg = TrainConfig(embedding_dim=3, transform="ensemble", max_epochs=5, patience=5, seed=10, split_seed=10)
+        cfg = TrainConfig(embedding_dim=3, transform=transform, max_epochs=5, patience=5, seed=10, split_seed=10)
         model, _, _ = train(ds, cfg)
         path = tmp_path / "m.npz"
-        save_checkpoint(path, model, extra={"note": "x"})
-        restored, extra = load_checkpoint(path)
+        save_checkpoint(path, model)
+        restored = load_checkpoint(path)
+        assert isinstance(restored, TrainedModel)
         assert restored.config == cfg
-        assert extra == {"note": "x"}
         assert restored.data_sha256 == model.data_sha256 == ds.digest()
         assert list(restored.params) == list(model.params)
         for key, arr in model.params.items():
@@ -862,7 +871,7 @@ class TestCheckpoint:
         model, _, _ = train(ds, cfg)
         path = tmp_path / "m.npz"
         save_checkpoint(path, model)
-        restored = load_checkpoint(path)[0].config
+        restored = load_checkpoint(path).config
         assert restored == cfg
         assert [type(v) for v in vars(restored).values()] == [type(f.default) for f in fields(TrainConfig)]
 
@@ -895,14 +904,6 @@ class TestCheckpoint:
         message = f"{path}: checkpoint data_sha256 {digest!r} is not 64 lowercase hex digits"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
-
-    def test_save_refuses_a_digest_in_extra(self, tmp_path):
-        ds = small_dataset(seed=10, n=8)
-        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
-        path = tmp_path / "m.npz"
-        with pytest.raises(ValueError, match="^extra may not carry data_sha256; the model's own is saved$"):
-            save_checkpoint(path, TrainedModel(cfg, init_params(ds, cfg), ds.digest()), {"data_sha256": ds.digest()})
-        assert not path.exists()
 
     @staticmethod
     def checkpoint_with_config(tmp_path, **fields):

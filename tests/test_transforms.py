@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from reference_transforms import haar_matrix
 
-from tubalgcn.transforms import (
-    TransformMatrix,
-    build_dct,
-    build_dft,
-    build_haar,
-    build_identity,
-    build_transform,
-    next_power_of_two,
-)
+from tubalgcn.transforms import TransformMatrix, build_transform, next_power_of_two
 
 ALL_KINDS = ["identity", "dft", "dct", "haar"]
 
@@ -22,48 +14,48 @@ KINDS_AND_SIZES = [(kind, t) for kind in ALL_KINDS for t in range(1, 10) if kind
 
 class TestDft:
     def test_t1(self):
-        np.testing.assert_array_equal(build_dft(1).m, [[1.0]])
+        np.testing.assert_array_equal(build_transform("dft", 1).m, [[1.0]])
 
     def test_t2(self):
         expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        np.testing.assert_allclose(build_dft(2).m, expected, atol=1e-12)
+        np.testing.assert_allclose(build_transform("dft", 2).m, expected, atol=1e-12)
 
     def test_t4_row1(self):
-        row = build_dft(4).m[1]
+        row = build_transform("dft", 4).m[1]
         np.testing.assert_allclose(row, 0.5 * np.array([1, -1j, -1, 1j]), atol=1e-12)
 
     def test_unitary(self):
-        m = build_dft(8).m
+        m = build_transform("dft", 8).m
         assert np.max(np.abs(m @ m.conj().T - np.eye(8))) <= 1e-12
 
     def test_inverse_is_conjugate_transpose(self):
-        tm = build_dft(5)
+        tm = build_transform("dft", 5)
         np.testing.assert_allclose(tm.m_inv, tm.m.conj().T, atol=1e-15)
 
 
 class TestDct:
     def test_t1(self):
-        np.testing.assert_array_equal(build_dct(1).m, [[1.0]])
+        np.testing.assert_array_equal(build_transform("dct", 1).m, [[1.0]])
 
     def test_t2(self):
         expected = np.array([[0.70711, 0.70711], [0.70711, -0.70711]])
-        np.testing.assert_allclose(build_dct(2).m, expected, atol=1e-5)
+        np.testing.assert_allclose(build_transform("dct", 2).m, expected, atol=1e-5)
 
     def test_t4_row0_constant(self):
-        np.testing.assert_allclose(build_dct(4).m[0], [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(build_transform("dct", 4).m[0], [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_orthogonal(self):
-        m = build_dct(7).m
+        m = build_transform("dct", 7).m
         assert np.max(np.abs(m @ m.T - np.eye(7))) <= 1e-12
 
 
 class TestHaar:
     def test_t1(self):
-        np.testing.assert_array_equal(build_haar(1).m, [[1.0]])
+        np.testing.assert_array_equal(build_transform("haar", 1).m, [[1.0]])
 
     def test_t2(self):
         expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        np.testing.assert_allclose(build_haar(2).m, expected, atol=1e-12)
+        np.testing.assert_allclose(build_transform("haar", 2).m, expected, atol=1e-12)
 
     def test_t4_rows(self):
         s = 1 / np.sqrt(2)
@@ -75,35 +67,35 @@ class TestHaar:
                 [0.0, 0.0, s, -s],
             ]
         )
-        np.testing.assert_allclose(build_haar(4).m, expected, atol=1e-12)
+        np.testing.assert_allclose(build_transform("haar", 4).m, expected, atol=1e-12)
 
     def test_non_power_of_two_rejected(self):
         for t in [3, 5, 6, 7, 12]:
             with pytest.raises(ValueError, match="power of two"):
-                build_haar(t)
+                build_transform("haar", t)
 
     def test_orthogonal(self):
-        m = build_haar(16).m
+        m = build_transform("haar", 16).m
         assert np.max(np.abs(m @ m.T - np.eye(16))) <= 1e-12
 
     @pytest.mark.parametrize("t", [1 << j for j in range(9)])
     def test_rows_equal_the_sampled_mother_wavelet(self, t):
         # Bit for bit, signs of zeros included.
-        assert build_haar(t).m.tobytes() == haar_matrix(t).tobytes()
+        assert build_transform("haar", t).m.tobytes() == haar_matrix(t).tobytes()
 
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
     def test_detail_rows_sum_to_zero(self, t):
-        m = build_haar(t).m
+        m = build_transform("haar", t).m
         sums = np.abs(m[1:].sum(axis=1))
         assert np.max(sums) <= 1e-15
 
 
 class TestIdentity:
     def test_t3(self):
-        np.testing.assert_array_equal(build_identity(3).m, np.eye(3))
+        np.testing.assert_array_equal(build_transform("identity", 3).m, np.eye(3))
 
     def test_self_inverse(self):
-        tm = build_identity(5)
+        tm = build_transform("identity", 5)
         np.testing.assert_array_equal(tm.m, tm.m_inv)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -117,7 +109,7 @@ class TestIdentity:
     def test_identity_kind_must_be_i(self):
         # A unitary M that is not I cannot pass as the identity, whose products are skipped.
         with pytest.raises(ValueError, match="identity transform's matrix is not I"):
-            TransformMatrix("identity", build_dct(4).m)
+            TransformMatrix("identity", build_transform("dct", 4).m)
         with pytest.raises(ValueError, match="identity transform's matrix is not I"):
             TransformMatrix("identity", np.eye(3)[[1, 0, 2]])
 
@@ -131,8 +123,8 @@ class TestInvariants:
 
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
     def test_dct_and_dft_share_constant_row(self, t):
-        dft_row = build_dft(t).m[0]
-        dct_row = build_dct(t).m[0]
+        dft_row = build_transform("dft", t).m[0]
+        dct_row = build_transform("dct", t).m[0]
         np.testing.assert_allclose(np.abs(dft_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
         np.testing.assert_allclose(np.abs(dct_row), np.full(t, 1 / np.sqrt(t)), atol=1e-12)
 
@@ -177,7 +169,7 @@ class TestInvariants:
             build_transform("fourier", 4)
 
     def test_matrices_are_readonly(self):
-        tm = build_dct(4)
+        tm = build_transform("dct", 4)
         with pytest.raises(ValueError):
             tm.m[0, 0] = 99.0
 
