@@ -18,7 +18,8 @@ import errno
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -51,35 +52,33 @@ def _write_report(path, pairs, tables=()):
         fh.write("\n".join(lines) + "\n")
 
 
-# Config flags named otherwise than their TrainConfig field; the rest are --<field-name>.
-_FLAG_NAMES = {"learning_rate": "--lr", "adjacency_mode": "--adjacency", "n_layers": "--layers"}
+# Record fields whose flag is not --<field-name>, and the choices of the fields that have a fixed set.
+_FLAG_NAMES = {"learning_rate": "--lr", "adjacency_mode": "--adjacency", "n_layers": "--layers",
+               "n": "--nodes", "t": "--slots"}
+_CHOICES = {**FIELD_CHOICES, "pattern": PATTERNS}
 
 
-def _add_config_flags(p, names=None):
-    """A flag for each TrainConfig field in ``names`` (every field if None),
-    taking the field's default, its default's type and its choices."""
-    for f in fields(TrainConfig):
+def _add_config_flags(p, record, names=None):
+    """A flag for each field of ``record`` (``TrainConfig`` or ``SynthSpec``)
+    in ``names`` (every field if None), taking the field's type, default and
+    choices; a field without a default is a required flag."""
+    hints = get_type_hints(record)
+    for f in fields(record):
         if names is None or f.name in names:
             flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default, choices=FIELD_CHOICES.get(f.name))
+            required = f.default is MISSING
+            p.add_argument(flag, dest=f.name, type=hints[f.name], required=required,
+                           default=None if required else f.default, choices=_CHOICES.get(f.name))
 
 
-def _config_from_args(args) -> TrainConfig:
-    """The TrainConfig of the config fields ``args`` holds, defaults for the rest."""
-    names = {f.name for f in fields(TrainConfig)}
-    return TrainConfig(**{k: v for k, v in vars(args).items() if k in names})
+def _config_from_args(args, record):
+    """The ``record`` of the fields ``args`` holds, its defaults for the rest."""
+    names = {f.name for f in fields(record)}
+    return record(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SynthSpec(
-        n=args.nodes,
-        t=args.slots,
-        density=args.density,
-        pattern=args.pattern,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(_config_from_args(args, SynthSpec))
     serialize_dataset(ds, args.out)
     print(f"wrote {len(ds.t)} observations to {args.out}")
     return 0
@@ -107,7 +106,7 @@ def _require_distinct(args, pairs) -> None:
 
 def cmd_train(args) -> int:
     _require_distinct(args, (("report", "data"), ("checkpoint", "data"), ("checkpoint", "report")))
-    config = _config_from_args(args)
+    config = _config_from_args(args, TrainConfig)
     ds = parse_dataset(args.data)
     # Fail on an unwritable checkpoint or report path before the first epoch;
     # neither is written until training has succeeded.
@@ -124,14 +123,7 @@ def cmd_train(args) -> int:
     pairs += sorted(asdict(config).items())
     pairs += [("epochs_run", len(history))]
     pairs += sorted(metrics.items())
-    history_rows = [
-        (h["epoch"], h["train_loss"], h["train_mae"], h["val_mae"]) for h in history
-    ]
-    _write_report(
-        args.report,
-        pairs,
-        tables=[("history", ("epoch", "train_loss", "train_mae", "val_mae"), history_rows)],
-    )
+    _write_report(args.report, pairs, tables=[("history", tuple(history[0]), [tuple(h.values()) for h in history])])
     ms_per_epoch = 1000.0 * train_s / len(history)
     print(
         f"trained {len(history)} epochs in {train_s:.2f}s ({ms_per_epoch:.1f} ms/epoch); "
@@ -169,7 +161,7 @@ def cmd_transform_matrix(args) -> int:
 def cmd_grad_check(args) -> int:
     if args.embedding_dim < 1:
         raise ValueError(f"--features must be >= 1, got {args.embedding_dim}")
-    config = _config_from_args(args)
+    config = _config_from_args(args, TrainConfig)
     # What fails after the config is about the synthetic graph that --nodes and --slots size.
     try:
         spec = SynthSpec(n=args.nodes, t=args.slots, density=0.9, noise=0.05, seed=config.seed)
@@ -187,7 +179,7 @@ def cmd_ablation(args) -> int:
     _require_distinct(args, (("out", "data"),))
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    base = _config_from_args(args)
+    base = _config_from_args(args, TrainConfig)
     ds = parse_dataset(args.data)
     _require_file_path(args.out)  # before the first training; written once all have succeeded
     rows = []
@@ -227,18 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic dynamic-graph dataset")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--slots", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.1)
-    p.add_argument("--pattern", choices=PATTERNS, default="mixed")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthSpec)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + report")
     p.add_argument("--data", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--checkpoint", default="model.npz")
     p.add_argument("--report", default="report.txt")
     p.set_defaults(func=cmd_train)
@@ -260,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=5)
     p.add_argument("--features", dest="embedding_dim", metavar="FEATURES", type=int, default=3)
     p.add_argument("--slots", type=int, default=4)
-    _add_config_flags(p, ("seed", "n_layers", "activation", "adjacency_mode"))
+    _add_config_flags(p, TrainConfig, ("seed", "n_layers", "activation", "adjacency_mode"))
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("ablation", help="train all schemes across seeds, emit a table")
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", type=int, default=5)
-    _add_config_flags(p, ("embedding_dim", "learning_rate", "kappa", "max_epochs", "patience"))
+    _add_config_flags(p, TrainConfig, ("embedding_dim", "learning_rate", "kappa", "max_epochs", "patience"))
     p.add_argument("--out", default="ablation.txt")
     p.set_defaults(func=cmd_ablation)
 

@@ -14,7 +14,8 @@ and cache time-major, as (T, N, F) arrays, the layout of ``tensor3``, so
 that every transform is one ``m_transform`` GEMM on a (T, N * F) view.
 Only the (F_in, F_out, T) weights and the (nnz_tubes, T) tube values are
 transposed on their way in and out of a transform.  Every product along
-time goes through ``time_product``, which runs none on the identity branch.
+time here goes through ``time_product``, which runs none on the identity
+branch; training's two small (T, F) products, Û and g_U, are plain ``np.matmul``.
 
 Â has one format, the (T * N, N) CSR slot stack: row s * N + i is row i
 of slot s, the slot-major order of the time-major activations.
@@ -119,11 +120,9 @@ def preprocess_adjacency(raw: sparse.csr_array, mode: str = "sym_normalized") ->
     return a
 
 
-def time_product(tm: TransformMatrix, m: np.ndarray, x, product=None) -> np.ndarray:
+def time_product(tm: TransformMatrix, m: np.ndarray, x) -> np.ndarray:
     """``m_transform(m, x)``, the product along time of ``m``, one of
-    ``tm``'s matrices or a slice or transpose of it, and a time-major x; or
-    ``product(m, x)``, for the small (T, F) operands that training
-    multiplies with ``np.matmul``.
+    ``tm``'s matrices or a slice or transpose of it, and a time-major x.
 
     On the identity every square slice of M is I, and I x is x with each
     -0.0 made +0.0 (the GEMM adds +0.0 terms), so x + 0.0 is returned in
@@ -132,7 +131,7 @@ def time_product(tm: TransformMatrix, m: np.ndarray, x, product=None) -> np.ndar
     """
     if tm.is_identity and m.shape[0] == m.shape[1]:
         return np.add(x, 0.0, order="C")
-    return m_transform(m, x) if product is None else product(m, x)
+    return m_transform(m, x)
 
 
 def transformed_blocks(a_hat: sparse.csr_array, tms: list[TransformMatrix]) -> list[sparse.csr_array]:

@@ -120,11 +120,28 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainedModel:
     """The config, parameter dict and ``digest()`` of the dataset trained on
-    (None in checkpoints that predate it) that ``train`` and ``load_checkpoint`` return."""
+    (None in checkpoints that predate it) that ``train`` and ``load_checkpoint`` return.
+
+    Checked when made (ValueError names what fails): the arrays fit the config at the sizes of ``e``
+    and ``u`` and are finite real floats, the digest is None or 64 lowercase hex digits."""
 
     config: TrainConfig
     params: dict
     data_sha256: str | None
+
+    def __post_init__(self):
+        if not isinstance(self.config, TrainConfig):
+            raise ValueError(f"config must be a TrainConfig, got {self.config!r}")
+        e, u = (np.shape(self.params.get(k)) for k in "eu")
+        shapes = _param_shapes(self.config, e[0] if e else 0, u[0] if u else 0)  # a missing or 0-d one misfits
+        _check_fit(self.params, shapes)
+        bad = sorted(k for k, a in self.params.items() if np.asarray(a).dtype.kind != "f" or not np.all(np.isfinite(a)))
+        if bad:
+            raise ValueError(f"arrays {bad} are not real floating point or hold NaN or inf")
+        sha = self.data_sha256
+        if sha is not None and not (isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)):
+            raise ValueError(f"data_sha256 {sha!r} is not 64 lowercase hex digits")
+        object.__setattr__(self, "params", {k: self.params[k] for k in shapes})  # in _param_shapes order
 
 
 @dataclass(frozen=True)
@@ -164,11 +181,11 @@ def _param_shapes(config: TrainConfig, n_nodes: int, n_slots: int) -> dict:
     return shapes
 
 
-def _check_fit(params: dict, shapes: dict, owner: str):
-    """Raise ValueError, led by ``owner``, naming every key ``params`` lacks, adds or misshapes against ``shapes``."""
+def _check_fit(params: dict, shapes: dict):
+    """Raise ValueError naming every key ``params`` lacks, adds or misshapes against ``shapes``."""
     wrong = sorted(k for k in shapes.keys() | params.keys() if k not in params or np.shape(params[k]) != shapes.get(k))
     if wrong:
-        raise ValueError(f"{owner} (arrays {wrong} are missing or do not fit its config)")
+        raise ValueError(f"parameters do not fit the model (arrays {wrong} are missing or do not fit its config)")
 
 
 def init_params(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
@@ -237,8 +254,8 @@ def forward_model(params: dict, aux: ModelAux):
     only, so the first layer never forms X: slice k of
     (Â x_3 M) X̂ is Ẑ[k] diag(Û[k]), with Z[t] = Â_t E computed once for
     every branch (one sparse product on ``a_hat``), Ẑ = Z x_3 M[:, :T] and
-    Û = M[:, :T] (1 + U), a (K, F) array.  Each branch's first layer then
-    runs ``layer_forward`` on Ẑ and W̃[k] = diag(Û[k]) Ŵ[k]; its later
+    Û = M[:, :T] (1 + U), a (K, F) ``np.matmul``.  Each branch's first
+    layer then runs ``layer_forward`` on Ẑ and W̃[k] = diag(Û[k]) Ŵ[k]; its later
     layers on ``propagate`` and ``transform_weight``.  The Haar branch's
     layers output its transform's slot count.  The representation is the
     sum of the branch outputs, each cropped to the model's T slots and
@@ -255,14 +272,14 @@ def forward_model(params: dict, aux: ModelAux):
     it is done.
     """
     config, (t_n, n) = aux.config, aux.a_hat.shape
-    _check_fit(params, _param_shapes(config, n, t_n // n), "parameters do not fit the model")
+    _check_fit(params, _param_shapes(config, n, t_n // n))
     e, u, n_slots = params["e"], params["u"], t_n // n
     z = (aux.a_hat @ e).reshape(n_slots, *e.shape)
     h = None
     branch_caches = {}
     for kind, tm in aux.tms.items():
         m = tm.m_kept[:, :n_slots]
-        u_hat = time_product(tm, m, 1.0 + u, np.matmul)
+        u_hat = np.matmul(m, 1.0 + u)
         w_hat = transform_weight(params[f"w:{kind}:0"], tm)
         x, cache = layer_forward(time_product(tm, m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
         caches = [cache]
@@ -291,9 +308,9 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
 
     The head's backward pass is ``head_backward``.  Each branch's first
     layer gives the conjugated ḡ_Ẑ and ḡ_W̃; then ḡ_Ŵ = Û ⊙ ḡ_W̃ and
-    ḡ_Û = Σ_g ḡ_W̃ ⊙ Ŵ.  The branches' Re(M[:, :T]^T ḡ_Ẑ) and
-    Re(M[:, :T]^T ḡ_Û) are summed into one g_Z and g_U, and g_E = Â^T g_Z
-    is the pass's one backward sparse product on ``a_hat``.
+    ḡ_Û = Σ_g ḡ_W̃ ⊙ Ŵ.  The branches' Re(M[:, :T]^T ḡ_Ẑ) and the (T, F)
+    ``np.matmul`` Re(M[:, :T]^T ḡ_Û) are summed into one g_Z and g_U, and
+    g_E = Â^T g_Z is the pass's one backward sparse product on ``a_hat``.
 
     The pass holds each (T, N, F)-sized array only while it is read.  h goes
     once ``head_backward`` has read it; g_h is scaled by 1 / len(aux.tms) in
@@ -334,7 +351,7 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
         m_t = tm.m_kept[:, :t_n].T
         g_z_b = time_product(tm, m_t, g_zh).real
         del g_zh
-        g_u_b = time_product(tm, m_t, np.sum(g_wt * w_hat, axis=2), np.matmul).real
+        g_u_b = np.matmul(m_t, np.sum(g_wt * w_hat, axis=2)).real
         if g_z is None:
             g_z, g_u = np.ascontiguousarray(g_z_b), g_u_b
         else:
@@ -570,10 +587,10 @@ def grad_check(ds: DynamicGraphDataset, config: TrainConfig) -> dict:
 def save_checkpoint(path, model: TrainedModel):
     """Binary dump of the model's arrays, config and digest (``extra``'s ``data_sha256``) at exactly ``path``.
 
-    The file is opened here because ``np.savez`` appends ``.npz`` to a path
-    name that lacks it.  It is written under a temporary name in the same
-    directory and then renamed over ``path``, so a save that fails leaves no
-    half-written file and any earlier file at ``path`` intact.
+    The file is opened here because ``np.savez`` appends ``.npz`` to a path name that lacks it.  It is
+    written under a temporary name in the same directory and then renamed over ``path``, so a save that
+    fails leaves no half-written file and any earlier file at ``path`` intact.  A ``TrainedModel`` is
+    checked when made, so ``load_checkpoint`` accepts every file this writes.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -596,9 +613,9 @@ def save_checkpoint(path, model: TrainedModel):
 def load_checkpoint(path) -> TrainedModel:
     """The ``TrainedModel`` that ``save_checkpoint`` wrote at ``path``.
 
-    A file that ``save_checkpoint`` did not write, whose arrays do not match its config or are
-    not finite floats, or whose ``data_sha256`` is neither null nor 64 lowercase hex digits,
-    raises ValueError naming it; a null or missing one loads as None.  Configs written while
+    A file that ``save_checkpoint`` did not write, or whose config or model ``TrainConfig`` or
+    ``TrainedModel`` refuses, raises ValueError naming it; a null or missing ``data_sha256``
+    loads as None.  Configs written while
     the squared-norm regularizer was an option carry ``squared_reg: false``;
     that field is dropped, and ``squared_reg: true`` is rejected.  Other ``extra`` keys than
     ``data_sha256``, such as the ``data`` path of older files, are ignored.
@@ -639,13 +656,6 @@ def load_checkpoint(path) -> TrainedModel:
     except ValueError as exc:  # a field value TrainConfig rejects
         raise ValueError(f"{path}: invalid config in checkpoint ({exc})") from exc
     try:
-        shapes = _param_shapes(config, named["e"].shape[0], named["u"].shape[0])
-    except (KeyError, IndexError) as exc:  # no e or u, or a 0-d one
-        raise ValueError(f"{foreign} (it has no (N, F) array e and (T, F) array u)") from exc
-    _check_fit(named, shapes, foreign)
-    bad = sorted(k for k, a in named.items() if a.dtype.kind != "f" or not np.all(np.isfinite(a)))
-    if bad:
-        raise ValueError(f"{path}: checkpoint arrays {bad} are not real floating point or hold NaN or inf")
-    if digest is not None and not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
-        raise ValueError(f"{path}: checkpoint data_sha256 {digest!r} is not 64 lowercase hex digits")
-    return TrainedModel(config, {k: named[k] for k in shapes}, digest)
+        return TrainedModel(config, named, digest)
+    except ValueError as exc:  # arrays or a digest that TrainedModel rejects
+        raise ValueError(f"{path}: checkpoint {exc}") from exc

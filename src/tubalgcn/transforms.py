@@ -10,6 +10,7 @@ frequency u = 0..T-1 so that row 0 is the constant row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -111,6 +112,9 @@ def build_transform(kind: str, t: int) -> TransformMatrix:
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
+    if isinstance(t, bool) or not isinstance(t, Integral):  # numpy ints are Integral
+        raise ValueError(f"size must be int, got {t!r}")
+    t = int(t)  # a small numpy int would take haar's square roots in float16
     if kind == "haar" and (t < 1 or t & (t - 1)):
         raise ValueError(f"haar size must be a power of two, got {t}")
     if t < 1:

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import re
+import typing
 import warnings
 from pathlib import Path
 
@@ -8,8 +10,15 @@ import numpy as np
 import pytest
 
 from tubalgcn.cli import _config_from_args, build_parser, main
-from tubalgcn.data import SynthSpec, generate_synthetic, parse_dataset
-from tubalgcn.training import TrainConfig, TrainedModel, init_params, load_checkpoint, save_checkpoint
+from tubalgcn.data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset
+from tubalgcn.training import (
+    FIELD_CHOICES,
+    TrainConfig,
+    TrainedModel,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -303,7 +312,12 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file),
                    "--report", str(tmp_path / "e.txt")])
         assert rc == 1
-        assert f"error: {ckpt}: not a tubalgcn checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if kind == "missing_layer":  # TrainedModel names the arrays that fit no model of the config
+            assert err == (f"error: {ckpt}: checkpoint parameters do not fit the model "
+                           "(arrays ['w:dct:1'] are missing or do not fit its config)\n")
+        else:
+            assert f"error: {ckpt}: not a tubalgcn checkpoint" in err
         assert not (tmp_path / "e.txt").exists()
 
     @pytest.mark.parametrize(
@@ -317,7 +331,7 @@ class TestTrainEval:
             ],
             (
                 "w:haar:0", slice(5),
-                "not a tubalgcn checkpoint (arrays ['w:haar:0'] are missing or do not fit its config)",
+                "checkpoint parameters do not fit the model (arrays ['w:haar:0'] are missing or do not fit its config)",
             ),
         ],
     )
@@ -596,10 +610,55 @@ class TestTransformMatrix:
 
 
 class TestConfigFlags:
+    # Flags whose default is deliberately not their field's, by command.
+    DEFAULT_OVERRIDES = {"grad-check": {"transform": "dft", "embedding_dim": 3}}
+
+    def test_every_record_flag_takes_its_fields_type_default_and_choices(self):
+        # A flag whose dest is a field of its command's record (SynthSpec for
+        # gen-synth, TrainConfig for the rest) must not drift from that field.
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {**FIELD_CHOICES, "pattern": PATTERNS}
+        covered = {}
+        for command, parser in subparsers.choices.items():
+            record = SynthSpec if command == "gen-synth" else TrainConfig
+            hints, fields = typing.get_type_hints(record), {f.name: f for f in dataclasses.fields(record)}
+            overrides = self.DEFAULT_OVERRIDES.get(command, {})
+            for action in parser._actions:
+                f = fields.get(action.dest)
+                if f is None:
+                    continue
+                covered.setdefault(command, set()).add(f.name)
+                required = f.default is dataclasses.MISSING
+                # argparse hands a flag without a type over as str.
+                assert (action.type or str) is hints[f.name], (command, f.name)
+                assert action.choices == choices.get(f.name), (command, f.name)
+                assert action.required == required, (command, f.name)
+                default = None if required else f.default
+                assert action.default == overrides.get(f.name, default), (command, f.name)
+        assert covered["gen-synth"] == {f.name for f in dataclasses.fields(SynthSpec)}
+        assert covered["train"] == {f.name for f in dataclasses.fields(TrainConfig)}
+        for command, names in self.DEFAULT_OVERRIDES.items():
+            assert set(names) <= covered[command]
+
+    def test_every_spec_field_has_a_gen_synth_flag(self, tmp_path, monkeypatch):
+        # Every gen-synth flag at a value other than its default must move
+        # every SynthSpec field away from its default.
+        import tubalgcn.cli
+
+        specs = []
+        real = tubalgcn.cli.generate_synthetic
+        monkeypatch.setattr(tubalgcn.cli, "generate_synthetic", lambda spec: specs.append(spec) or real(spec))
+        assert main(["gen-synth", "--nodes", "3", "--slots", "2", "--density", "0.5", "--pattern", "trend",
+                     "--noise", "0.01", "--seed", "4", "--out", str(tmp_path / "g.tsv")]) == 0
+        (spec,) = specs
+        assert spec == SynthSpec(n=3, t=2, density=0.5, pattern="trend", noise=0.01, seed=4)
+        same = [f.name for f in dataclasses.fields(spec) if getattr(spec, f.name) == f.default]
+        assert not same, f"SynthSpec fields no gen-synth flag sets: {same}"
+
     @pytest.mark.parametrize("command", ["train", "ablation"])
     def test_no_flags_parse_to_the_default_config(self, command):
         args = build_parser().parse_args([command, "--data", "x"])
-        assert _config_from_args(args) == TrainConfig()
+        assert _config_from_args(args, TrainConfig) == TrainConfig()
 
     def test_bare_grad_check_passes_the_grad_check_defaults(self, monkeypatch):
         import tubalgcn.cli

@@ -127,8 +127,6 @@ class TestTimeProduct:
                 out = time_product(tm, m, operand)
                 assert out.tobytes() == m_transform(np.eye(t), operand).tobytes()
                 assert out.flags.c_contiguous and not np.shares_memory(out, operand)
-        v = x[:, 0, :]
-        assert time_product(tm, tm.m_kept, v, np.matmul).tobytes() == (np.eye(t) @ v).tobytes()
 
     def test_identity_slice_that_pads_runs_the_product(self):
         tm = build_transform("identity", 4)

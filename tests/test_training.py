@@ -842,6 +842,45 @@ class TestTrainedModel:
         with pytest.raises(ValueError, match=f"^model was {message}"):
             evaluate(model, edit(ds))
 
+    # What load_checkpoint would refuse, the constructor refuses, so
+    # save_checkpoint never writes it and evaluate never scores it.
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("nan_r", "arrays ['r'] are not real floating point or hold NaN or inf"),
+            ("int_r", "arrays ['r'] are not real floating point or hold NaN or inf"),
+            ("short_r", "parameters do not fit the model (arrays ['r'] are missing or do not fit its config)"),
+            ("no_u", "parameters do not fit the model (arrays ['u', 'w:dct:0'] are missing or do not fit its config)"),
+            ("bad_digest", "data_sha256 'abc' is not 64 lowercase hex digits"),
+            ("dict_config", "config must be a TrainConfig, got {'transform': 'dct'}"),
+        ],
+        ids=["nan_r", "int_r", "short_r", "no_u", "bad_digest", "dict_config"],
+    )
+    def test_a_bad_model_is_refused_when_made(self, edit, message):
+        cfg = TrainConfig(embedding_dim=3, transform="dct")
+        params, digest = dict(init_params(small_dataset(n=12), cfg)), None
+        if edit == "nan_r":
+            params["r"] = np.full_like(params["r"], np.nan)
+        elif edit == "int_r":
+            params["r"] = np.ones(6, dtype=np.int64)
+        elif edit == "short_r":
+            params["r"] = params["r"][:4]
+        elif edit == "no_u":
+            del params["u"]
+        elif edit == "bad_digest":
+            digest = "abc"
+        else:
+            cfg = {"transform": "dct"}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainedModel(cfg, params, digest)
+
+    def test_params_are_kept_in_param_shapes_order(self):
+        cfg = TrainConfig(embedding_dim=3, transform="ensemble", n_layers=2)
+        params = init_params(small_dataset(n=12), cfg)
+        model = TrainedModel(cfg, dict(reversed(params.items())), None)
+        assert list(model.params) == list(params)
+        assert all(model.params[k] is a for k, a in params.items())
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("transform", TRANSFORM_CHOICES)

@@ -158,11 +158,20 @@ class TestInvariants:
     @pytest.mark.parametrize(
         "kind,t,message",
         [("haar", 3, "haar size must be a power of two, got 3"), ("haar", 0, "haar size must be a power of two, got 0")]
-        + [(kind, 0, "size must be >= 1, got 0") for kind in ALL_KINDS if kind != "haar"],
+        + [(kind, 0, "size must be >= 1, got 0") for kind in ALL_KINDS if kind != "haar"]
+        + [
+            (kind, t, f"size must be int, got {t!r}")
+            for kind, t in [("dft", 2.5), ("identity", 2.0), ("haar", 4.0), ("dct", True), ("dft", 2.0), ("haar", "4")]
+        ],
     )
     def test_bad_size_names_the_value(self, kind, t, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_transform(kind, t)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("t", [np.int64(4), np.uint8(4)])
+    def test_numpy_int_size_builds_the_int_size(self, kind, t):
+        assert build_transform(kind, t).m.tobytes() == build_transform(kind, 4).m.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown transform"):
