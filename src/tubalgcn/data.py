@@ -346,7 +346,9 @@ def generate_synthetic(spec: SynthSpec) -> DynamicGraphDataset:
     a sinusoid whose per-edge phase is the sum of the endpoint phases
     (periodic), a linear ramp in the source node's direction (trend), or
     a per-source-node choice between the two (mixed).  Weights are
-    clipped into (0, 1].
+    clipped into (0, 1].  The loop over ordered pairs only draws, in
+    (i, j) order: each pair's presence, then a present edge's noise; the
+    series of all edges are then computed at once as (E, T) arrays.
     """
     rng = np.random.default_rng(spec.seed)
     src_level = rng.uniform(0.5, 1.0, size=spec.n)
@@ -355,39 +357,22 @@ def generate_synthetic(spec: SynthSpec) -> DynamicGraphDataset:
     trend_dir = rng.choice([-1.0, 1.0], size=spec.n)
     prefers_periodic = rng.random(size=spec.n) < 0.5
 
-    edges_i, edges_j, weights = [], [], []
-    tt = np.arange(1, spec.t + 1, dtype=np.float64)
-    ramp = (tt - 1) / max(spec.t - 1, 1)
-    cycles = 2.0
+    edges, noise = [], []
     for i in range(spec.n):
         for j in range(spec.n):
-            if i == j:
-                continue
-            if rng.random() >= spec.density:
-                continue
-            base = src_level[i] * dst_level[j]
-            phase = node_phase[i] + node_phase[j]
-            periodic = 0.5 + 0.5 * np.sin(2.0 * np.pi * cycles * ramp + phase)
-            trend = 0.5 + 0.5 * trend_dir[i] * (2.0 * ramp - 1.0)
-            if spec.pattern == "periodic":
-                f = periodic
-            elif spec.pattern == "trend":
-                f = trend
-            else:
-                f = periodic if prefers_periodic[i] else trend
-            w = base * f
-            if spec.noise > 0:
-                w = w + rng.normal(0.0, spec.noise, size=spec.t)
-            edges_i.append(i)
-            edges_j.append(j)
-            weights.append(np.clip(w, WEIGHT_FLOOR, 1.0))
+            if i != j and rng.random() < spec.density:
+                edges.append((i, j))
+                if spec.noise > 0:
+                    noise.append(rng.normal(0.0, spec.noise, size=spec.t))
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    ramp = np.arange(spec.t, dtype=np.float64) / max(spec.t - 1, 1)
+    cycles = 2.0
+    periodic = 0.5 + 0.5 * np.sin(2.0 * np.pi * cycles * ramp + (node_phase[src] + node_phase[dst])[:, None])
+    trend = 0.5 + (0.5 * trend_dir[src])[:, None] * (2.0 * ramp - 1.0)
+    pick = prefers_periodic[src] if spec.pattern == "mixed" else np.full(len(src), spec.pattern == "periodic")
+    w = (src_level[src] * dst_level[dst])[:, None] * np.where(pick[:, None], periodic, trend)
+    if spec.noise > 0:
+        w = w + np.reshape(noise, w.shape)
     # One row per slot of every present edge, ordered by (i, j, t).
-    n_edges = len(edges_i)
-    return DynamicGraphDataset(
-        spec.n,
-        spec.t,
-        np.tile(np.arange(1, spec.t + 1), n_edges),
-        np.repeat(np.array(edges_i, dtype=np.int64), spec.t),
-        np.repeat(np.array(edges_j, dtype=np.int64), spec.t),
-        np.concatenate(weights) if weights else np.zeros(0),
-    )
+    t, i, j = np.tile(np.arange(1, spec.t + 1), len(src)), np.repeat(src, spec.t), np.repeat(dst, spec.t)
+    return DynamicGraphDataset(spec.n, spec.t, t, i, j, np.clip(w, WEIGHT_FLOOR, 1.0).ravel())

@@ -23,7 +23,9 @@ import math
 import os
 import re
 import zipfile
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -122,16 +124,19 @@ class TrainedModel:
     """The config, parameter dict and ``digest()`` of the dataset trained on
     (None in checkpoints that predate it) that ``train`` and ``load_checkpoint`` return.
 
-    Checked when made (ValueError names what fails): the arrays fit the config at the sizes of ``e``
-    and ``u`` and are finite real floats, the digest is None or 64 lowercase hex digits."""
+    Checked when made (ValueError names what fails): the params are a mapping whose arrays fit the config
+    at the sizes of ``e`` and ``u`` and are finite real floats, the digest is None or 64 lowercase hex digits.
+    The model keeps read-only copies of the arrays in a read-only mapping, so it cannot change after its check."""
 
     config: TrainConfig
-    params: dict
+    params: Mapping
     data_sha256: str | None
 
     def __post_init__(self):
         if not isinstance(self.config, TrainConfig):
             raise ValueError(f"config must be a TrainConfig, got {self.config!r}")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must be a mapping of names to arrays, got {type(self.params).__name__}")
         e, u = (np.shape(self.params.get(k)) for k in "eu")
         shapes = _param_shapes(self.config, e[0] if e else 0, u[0] if u else 0)  # a missing or 0-d one misfits
         _check_fit(self.params, shapes)
@@ -141,7 +146,10 @@ class TrainedModel:
         sha = self.data_sha256
         if sha is not None and not (isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)):
             raise ValueError(f"data_sha256 {sha!r} is not 64 lowercase hex digits")
-        object.__setattr__(self, "params", {k: self.params[k] for k in shapes})  # in _param_shapes order
+        kept = {k: np.array(self.params[k]) for k in shapes}  # copies, in _param_shapes order
+        for a in kept.values():
+            a.flags.writeable = False
+        object.__setattr__(self, "params", MappingProxyType(kept))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 import typing
@@ -50,6 +51,15 @@ class TestGenSynth:
 
         ds = parse_dataset(dataset_file)
         assert ds.n_nodes == 16 and ds.n_slots == 4
+
+    def test_criterion_7_graph_is_pinned(self, tmp_path):
+        # README's criterion-7 graph: the acceptance thresholds and every recorded
+        # baseline rest on these bytes, so a change to how the generator draws must keep them.
+        out = tmp_path / "crit7.tsv"
+        assert main(["gen-synth", "--nodes", "200", "--slots", "16", "--density", "0.05", "--pattern", "mixed",
+                     "--noise", "0.02", "--seed", "42", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "b01dd366877f85ec037b90be65ccb1106e71deba1b65448eb7613ce0dff57cc9"
 
     def test_byte_identical_reruns(self, tmp_path):
         flags = ["gen-synth", "--nodes", "8", "--slots", "3", "--density", "0.5", "--seed", "1"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubalgcn.data import (
+    PATTERNS,
     DynamicGraphDataset,
     SynthSpec,
     build_adjacency,
@@ -16,7 +17,14 @@ from tubalgcn.data import (
 )
 
 import reference_parse
+import reference_synth
 from oracle import unstack
+
+
+def same_columns(a, b):
+    """True when the t, i, j and y columns of ``a`` and ``b`` have equal dtypes and bytes."""
+    return all(getattr(a, c).dtype == getattr(b, c).dtype and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+               for c in "tijy")
 
 
 def rows(ds):
@@ -383,6 +391,40 @@ class TestBuildAdjacency:
 
 
 class TestGenerateSynthetic:
+    # generate_synthetic against the per-edge loop in reference_synth, bit for bit.
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SynthSpec(n=200, t=16, density=0.05, noise=0.02, pattern="mixed", seed=42),
+            SynthSpec(n=12, t=5, density=0.6, noise=0.05, seed=5),
+            SynthSpec(n=12, t=4, density=0.5, noise=0.02, seed=5),
+            SynthSpec(n=30, t=5, density=0.3, pattern="trend", seed=3),
+            SynthSpec(n=300, t=7, density=0.1, pattern="periodic"),
+            SynthSpec(n=120, t=5, density=0.3, noise=0.05, pattern="trend"),
+            SynthSpec(n=3, t=4, density=1e-9, seed=1),
+            SynthSpec(n=3, t=4, density=1e-9, noise=0.1, seed=1),
+        ],
+        ids=["crit7", "fixture_report", "fixture_v1", "trend_30", "periodic_300", "trend_noise_120",
+             "no_edges", "no_edges_noise"],
+    )
+    def test_equals_the_reference_loop(self, spec):
+        ds = generate_synthetic(spec)
+        assert same_columns(ds, reference_synth.generate_synthetic(spec))
+        assert (len(ds.y) == 0) == (spec.density < 1e-6)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        t=st.integers(1, 9),
+        density=st.floats(0.01, 1.0),
+        pattern=st.sampled_from(PATTERNS),
+        noise=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_specs_equal_the_reference_loop(self, n, t, density, pattern, noise, seed):
+        spec = SynthSpec(n=n, t=t, density=density, pattern=pattern, noise=noise, seed=seed)
+        assert same_columns(generate_synthetic(spec), reference_synth.generate_synthetic(spec))
+
     def test_full_density_small_case(self):
         ds = generate_synthetic(SynthSpec(n=2, t=2, density=1.0, noise=0.0, pattern="periodic", seed=0))
         # 2 directed edges, observed at both slots.

@@ -853,8 +853,9 @@ class TestTrainedModel:
             ("no_u", "parameters do not fit the model (arrays ['u', 'w:dct:0'] are missing or do not fit its config)"),
             ("bad_digest", "data_sha256 'abc' is not 64 lowercase hex digits"),
             ("dict_config", "config must be a TrainConfig, got {'transform': 'dct'}"),
+            ("list_params", "params must be a mapping of names to arrays, got list"),
         ],
-        ids=["nan_r", "int_r", "short_r", "no_u", "bad_digest", "dict_config"],
+        ids=["nan_r", "int_r", "short_r", "no_u", "bad_digest", "dict_config", "list_params"],
     )
     def test_a_bad_model_is_refused_when_made(self, edit, message):
         cfg = TrainConfig(embedding_dim=3, transform="dct")
@@ -869,6 +870,8 @@ class TestTrainedModel:
             del params["u"]
         elif edit == "bad_digest":
             digest = "abc"
+        elif edit == "list_params":
+            params = list(params.values())
         else:
             cfg = {"transform": "dct"}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -879,7 +882,19 @@ class TestTrainedModel:
         params = init_params(small_dataset(n=12), cfg)
         model = TrainedModel(cfg, dict(reversed(params.items())), None)
         assert list(model.params) == list(params)
-        assert all(model.params[k] is a for k, a in params.items())
+        for k, a in params.items():
+            np.testing.assert_array_equal(model.params[k], a)
+            # The model keeps copies; the caller's arrays keep their flags.
+            assert not np.shares_memory(model.params[k], a) and a.flags.writeable
+
+    def test_a_model_cannot_change_after_its_check(self):
+        # An edit would reach evaluate unchecked, and save_checkpoint would write a file load_checkpoint refuses.
+        ds, _, model, metrics = self.trained()
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["r"][0] = np.nan
+        with pytest.raises(TypeError):
+            model.params["r"] = np.full_like(model.params["r"], np.nan)
+        assert evaluate(model, ds) == metrics
 
 
 class TestCheckpoint:
