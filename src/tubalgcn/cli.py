@@ -264,8 +264,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError, OSError, IndexError) as exc:  # OSError names its path
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, FloatingPointError, OSError, IndexError, MemoryError) as exc:  # OSError names its path
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

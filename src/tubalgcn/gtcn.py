@@ -11,11 +11,10 @@ one product with the untransformed Â shared by every branch (see
 ``training.forward_model``), and later layers from ``propagate`` on a
 branch's transformed blocks.  The layer keeps its activations, gradients
 and cache time-major, as (T, N, F) arrays, the layout of ``tensor3``, so
-that every transform is one ``m_transform`` GEMM on a (T, N * F) view.
-Only the (F_in, F_out, T) weights and the (nnz_tubes, T) tube values are
-transposed on their way in and out of a transform.  Every product along
-time here goes through ``time_product``, which runs none on the identity
-branch; training's two small (T, F) products, Û and g_U, are plain ``np.matmul``.
+that every transform is one ``m_transform`` call on a (T, N * F) view: a GEMM,
+or none on the identity branch, whose M is I.  Only the (F_in, F_out, T) weights
+and the (nnz_tubes, T) tube values are transposed on their way in and out of a
+transform.  Training's two small (T, F) products, Û and g_U, are ``np.matmul``.
 
 Â has one format, the (T * N, N) CSR slot stack: row s * N + i is row i
 of slot s, the slot-major order of the time-major activations.
@@ -33,7 +32,6 @@ __all__ = [
     "ACTIVATIONS",
     "ADJACENCY_MODES",
     "preprocess_adjacency",
-    "time_product",
     "transformed_blocks",
     "transform_weight",
     "weight_grad",
@@ -120,20 +118,6 @@ def preprocess_adjacency(raw: sparse.csr_array, mode: str = "sym_normalized") ->
     return a
 
 
-def time_product(tm: TransformMatrix, m: np.ndarray, x) -> np.ndarray:
-    """``m_transform(m, x)``, the product along time of ``m``, one of
-    ``tm``'s matrices or a slice or transpose of it, and a time-major x.
-
-    On the identity every square slice of M is I, and I x is x with each
-    -0.0 made +0.0 (the GEMM adds +0.0 terms), so x + 0.0 is returned in
-    its place: the same bits, with no GEMM, as a new C-contiguous array,
-    which no later in-place update can write through into x.
-    """
-    if tm.is_identity and m.shape[0] == m.shape[1]:
-        return np.add(x, 0.0, order="C")
-    return m_transform(m, x)
-
-
 def transformed_blocks(a_hat: sparse.csr_array, tms: list[TransformMatrix]) -> list[sparse.csr_array]:
     """The kept slices of Â x_3 M for each M in ``tms``, as one
     block-diagonal CSR matrix per transform.
@@ -163,7 +147,7 @@ def transformed_blocks(a_hat: sparse.csr_array, tms: list[TransformMatrix]) -> l
         k = tm.kept
         block_indptr = np.append((indptr[:-1] + nnz * np.arange(k)[:, None]).ravel(), k * nnz)
         block_cols = (cols + n * np.arange(k)[:, None]).ravel()
-        block_vals = time_product(tm, tm.m_kept[:, :t], vals.T).ravel()
+        block_vals = m_transform(tm.m_kept[:, :t], vals.T).ravel()
         out.append(sparse.csr_array((block_vals, block_cols, block_indptr), shape=(k * n, k * n)))
     return out
 
@@ -175,12 +159,12 @@ def transform_weight(w: np.ndarray, tm: TransformMatrix) -> np.ndarray:
         raise ValueError(f"layer input w must be real, got {w.dtype}")
     if w.ndim != 3 or w.shape[2] != tm.size:
         raise DimensionMismatchError(f"weights {w.shape} do not fit a {tm.size}-slot {tm.kind} transform")
-    return time_product(tm, tm.m_kept, w.transpose(2, 0, 1))
+    return m_transform(tm.m_kept, w.transpose(2, 0, 1))
 
 
 def weight_grad(g_wh: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     """dL/dW, (F_in, F_out, T), from the conjugated transform-domain ḡ_Ŵ: Re(m_kept^T ḡ_Ŵ)."""
-    return time_product(tm, tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
+    return m_transform(tm.m_kept.T, g_wh).real.transpose(1, 2, 0)
 
 
 def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
@@ -198,7 +182,7 @@ def propagate(blocks, x: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     k = tm.kept
     if t > tm.size or blocks.shape != (k * n, k * n):
         raise DimensionMismatchError(f"features {x.shape} and adjacency blocks {blocks.shape} disagree")
-    xh = time_product(tm, tm.m_kept[:, :t], x)
+    xh = m_transform(tm.m_kept[:, :t], x)
     return (blocks @ xh.reshape(k * n, f)).reshape(k, n, f)
 
 
@@ -206,7 +190,7 @@ def propagate_grad(blocks, g_q: np.ndarray, tm: TransformMatrix) -> np.ndarray:
     """dL/dX, (T, N, F), from the conjugated ḡ_Q̂ of ``propagate``: Re(m_kept^T Â^T ḡ_Q),
     copied out as a C-contiguous array so that no complex product outlives the call."""
     k, n, f = g_q.shape
-    return np.ascontiguousarray(time_product(tm, tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real)
+    return np.ascontiguousarray(m_transform(tm.m_kept.T, (blocks.T @ g_q.reshape(k * n, f)).reshape(k, n, f)).real)
 
 
 def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activation: str):
@@ -230,7 +214,7 @@ def layer_forward(qh: np.ndarray, wh: np.ndarray, tm: TransformMatrix, activatio
             f"{tm.kind} layer: transformed features {qh.shape} and weights {wh.shape} disagree"
         )
     # .real of a complex result is a strided view of twice its bytes; copy it out.
-    s = np.ascontiguousarray(time_product(tm, tm.m_inv_kept, np.matmul(qh, wh)).real)
+    s = np.ascontiguousarray(m_transform(tm.m_inv_kept, np.matmul(qh, wh)).real)
     if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"non-finite pre-activation in {tm.kind} branch (stage: convolution chain)")
     h = apply_activation(s, activation, out=s)
@@ -259,7 +243,7 @@ def layer_backward(g_h: np.ndarray, cache: dict, tm: TransformMatrix, activation
     g_s = activation_grad(h[:t], activation)
     del h
     g_s *= g_h
-    g_p = time_product(tm, tm.m_inv_kept[:t].T, g_s)
+    g_p = m_transform(tm.m_inv_kept[:t].T, g_s)
     del g_s
     g_wh = np.matmul(q.transpose(0, 2, 1), g_p)
     del q

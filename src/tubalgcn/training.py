@@ -39,12 +39,12 @@ from .gtcn import (
     preprocess_adjacency,
     propagate,
     propagate_grad,
-    time_product,
     transform_weight,
     transformed_blocks,
     weight_grad,
 )
 from .head_loss import head_backward, head_scores, link_rows, loss, mae, params_l2_norm, predict, rmse
+from .tensor3 import m_transform
 from .transforms import TRANSFORM_KINDS, build_transform, next_power_of_two
 
 __all__ = [
@@ -289,7 +289,7 @@ def forward_model(params: dict, aux: ModelAux):
         m = tm.m_kept[:, :n_slots]
         u_hat = np.matmul(m, 1.0 + u)
         w_hat = transform_weight(params[f"w:{kind}:0"], tm)
-        x, cache = layer_forward(time_product(tm, m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
+        x, cache = layer_forward(m_transform(m, z), u_hat[:, :, None] * w_hat, tm, config.activation)
         caches = [cache]
         for layer in range(1, config.n_layers):
             wh = transform_weight(params[f"w:{kind}:{layer}"], tm)
@@ -357,7 +357,7 @@ def compute_gradients(params: dict, aux: ModelAux, batch):
         del g_x
         parts[f"w:{kind}:0"] = weight_grad(u_hat[:, :, None] * g_wt, tm)
         m_t = tm.m_kept[:, :t_n].T
-        g_z_b = time_product(tm, m_t, g_zh).real
+        g_z_b = m_transform(m_t, g_zh).real
         del g_zh
         g_u_b = np.matmul(m_t, np.sum(g_wt * w_hat, axis=2)).real
         if g_z is None:
@@ -618,14 +618,33 @@ def save_checkpoint(path, model: TrainedModel):
         raise
 
 
+def _load_member(z: np.lib.npyio.NpzFile, key: str):
+    """``z[key]``, after a ValueError if its .npy header declares more data than its member can
+    hold, which ``z[key]`` would allocate: its recorded size, and its stored bytes or 1032 times
+    (deflate's largest ratio) its deflated bytes, each at most the file's size (the zip may lie)."""
+    name = f"{key}.npy" if f"{key}.npy" in z.zip.namelist() else key
+    info = z.zip.getinfo(name)
+    ratio = {zipfile.ZIP_STORED: 1, zipfile.ZIP_DEFLATED: 1032}.get(info.compress_type)
+    if ratio is None:
+        raise ValueError(f"its member is compressed by zip method {info.compress_type}, neither stored nor deflated")
+    with z.zip.open(name) as fh:
+        version = np.lib.format.read_magic(fh)
+        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        shape, _, dtype = read_header(fh)
+        held = min(info.file_size, ratio * min(info.compress_size, os.fstat(z.zip.fp.fileno()).st_size)) - fh.tell()
+    if math.prod(shape) * dtype.itemsize > held and not dtype.hasobject:  # a pickled object array has no fixed size
+        raise ValueError(f"its header declares shape {shape} of {dtype}, more than the {held} bytes it can hold")
+    return z[key]
+
+
 def load_checkpoint(path) -> TrainedModel:
     """The ``TrainedModel`` that ``save_checkpoint`` wrote at ``path``.
 
     A file that ``save_checkpoint`` did not write, or whose config or model ``TrainConfig`` or
-    ``TrainedModel`` refuses, raises ValueError naming it; a null or missing ``data_sha256``
-    loads as None.  Configs written while
-    the squared-norm regularizer was an option carry ``squared_reg: false``;
-    that field is dropped, and ``squared_reg: true`` is rejected.  Other ``extra`` keys than
+    ``TrainedModel`` refuses, or with an array whose header declares more bytes than its member can
+    hold, raises ValueError naming it; a null or missing ``data_sha256`` loads as None.  Configs
+    written while the squared-norm regularizer was an option carry ``squared_reg: false``; that
+    field is dropped, and ``squared_reg: true`` is rejected.  Other ``extra`` keys than
     ``data_sha256``, such as the ``data`` path of older files, are ignored.
     """
     foreign = f"{path}: not a tubalgcn checkpoint"
@@ -639,10 +658,10 @@ def load_checkpoint(path) -> TrainedModel:
         if "__meta__" not in z.files:
             raise ValueError(f"{foreign} (it has no __meta__ record)")
         try:
-            meta = json.loads(bytes(z["__meta__"]).decode())
+            meta = json.loads(bytes(_load_member(z, "__meta__")).decode())
             version, keys, fields = meta["version"], set(meta["param_keys"]), dict(meta["config"])
             digest = {**meta.get("extra", {})}.get("data_sha256")
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, a missing field, a non-mapping
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # bad JSON or UTF-8, a missing field, a non-mapping, a lying zip
             raise ValueError(f"{foreign} (unreadable __meta__ record: {type(exc).__name__}: {exc})") from exc
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -652,8 +671,8 @@ def load_checkpoint(path) -> TrainedModel:
         named = {}
         for k in sorted(keys):
             try:
-                named[k] = z[k]
-            except ValueError as exc:  # an object array, which np.load will not unpickle
+                named[k] = _load_member(z, k)
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # a lying header or zip entry, an object array
                 raise ValueError(f"{foreign} (array {k!r}: {exc})") from exc
     if fields.pop("squared_reg", False) is not False:
         raise ValueError(f"{path}: checkpoint config sets squared_reg, a regularizer this version does not have")

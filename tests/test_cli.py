@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubalgcn import cli
 from tubalgcn.cli import _config_from_args, build_parser, main
 from tubalgcn.data import PATTERNS, SynthSpec, generate_synthetic, parse_dataset
 from tubalgcn.training import (
@@ -612,6 +613,25 @@ class TestTransformMatrix:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "power of two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64"),
+             "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, error, line):
+        # The command raises as numpy does when an allocation fails, so nothing large is allocated.
+        def out_of_memory(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_transform_matrix", out_of_memory)
+        rc = main(["transform-matrix", "--kind", "dct", "--size", "100000", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from tubalgcn.gtcn import (
     preprocess_adjacency,
     propagate,
     propagate_grad,
-    time_product,
     transform_weight,
     transformed_blocks,
     weight_grad,
@@ -110,28 +109,56 @@ class TestActivation:
         assert got.tobytes() == expected.tobytes() and h.tobytes() == kept.tobytes()
 
 
-class TestTimeProduct:
+def gemm_reference(m, x):
+    """``m`` times the (T, -1) reshape of ``x`` by ``np.matmul``, shaped back."""
+    return np.matmul(m, x.reshape(len(x), -1)).reshape(len(m), *x.shape[1:])
+
+
+def operands_with_negative_zeros(t):
+    """A (t, 5, 4) tensor holding -0.0, its transposed-weight view and its (t, 20) reshape."""
+    x = np.random.default_rng(t).normal(size=(t, 5, 4))
+    x[0, 1, 2] = -0.0
+    x[..., 3] = -0.0
+    w = np.ascontiguousarray(x.transpose(1, 2, 0))
+    return x, w.transpose(2, 0, 1), x.reshape(t, -1)
+
+
+class TestMTransformIdentity:
     @pytest.mark.parametrize("t", [1, 3, 16])
     def test_identity_gives_the_gemm_bits_in_a_new_contiguous_array(self, t):
         # I x makes each -0.0 +0.0.  Every square slice or transpose of the
         # identity's matrices is I; a weight reaches the product as a
         # transposed view, which the result must not alias.
-        rng = np.random.default_rng(t)
         tm = build_transform("identity", t)
-        x = rng.normal(size=(t, 5, 4))
-        x[0, 1, 2] = -0.0
-        x[..., 3] = -0.0
-        w = np.ascontiguousarray(x.transpose(1, 2, 0))
-        for operand in (x, w.transpose(2, 0, 1), x.reshape(t, -1)):
-            for m in (tm.m_kept, tm.m_kept.T, tm.m_inv_kept, tm.m_inv_kept[:t].T):
-                out = time_product(tm, m, operand)
-                assert out.tobytes() == m_transform(np.eye(t), operand).tobytes()
+        for operand in operands_with_negative_zeros(t):
+            for m in (tm.m_kept, tm.m_kept.T, tm.m_inv_kept, tm.m_inv_kept[:t].T, np.eye(t)):
+                out = m_transform(m, operand)
+                assert out.tobytes() == gemm_reference(np.eye(t), operand).tobytes()
                 assert out.flags.c_contiguous and not np.shares_memory(out, operand)
 
-    def test_identity_slice_that_pads_runs_the_product(self):
-        tm = build_transform("identity", 4)
-        x = np.random.default_rng(0).normal(size=(3, 2, 2))
-        np.testing.assert_array_equal(time_product(tm, tm.m_kept[:, :3], x), m_transform(np.eye(4)[:, :3], x))
+    @pytest.mark.parametrize("kind", ["dct", "haar"])
+    def test_one_slot_real_transforms_are_i(self, kind):
+        tm = build_transform(kind, 1)
+        np.testing.assert_array_equal(tm.m, [[1.0]])
+        for operand in operands_with_negative_zeros(1):
+            for m in (tm.m_kept, tm.m_inv_kept.T):
+                out = m_transform(m, operand)
+                assert out.tobytes() == gemm_reference(np.eye(1), operand).tobytes()
+                assert out.flags.c_contiguous and not np.shares_memory(out, operand)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.eye(4)[[1, 0, 3, 2]], np.eye(4)[:, :3], build_transform("dft", 1).m_kept],
+        ids=["permutation", "padding-slice", "dft-1"],
+    )
+    def test_other_matrices_run_the_gemm(self, m):
+        # A real permutation, a non-square slice of I and the DFT's complex
+        # [[1+0j]] are not I: each runs the product, whose result the skip
+        # could not give (reordered slots, four slots from three, complex).
+        x = np.random.default_rng(0).normal(size=(m.shape[1], 2, 2))
+        out = m_transform(m, x)
+        assert out.dtype == np.result_type(m, x) and out.shape == (len(m), 2, 2)
+        np.testing.assert_array_equal(out, gemm_reference(m, x))
 
 
 def preprocess(raw, mode):

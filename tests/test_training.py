@@ -1,6 +1,9 @@
+import io
 import json
 import re
+import struct
 import tracemalloc
+import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -47,7 +50,7 @@ from tubalgcn.training import (
     save_checkpoint,
     train,
 )
-from tubalgcn.transforms import TransformMatrix, build_transform, next_power_of_two
+from tubalgcn.transforms import build_transform, next_power_of_two
 
 from oracle import dense_a_hat, dense_adjacency, message_passing_oracle
 
@@ -603,26 +606,39 @@ class TestPassPurity:
 
 
 class TestIdentityBranch:
-    # The identity branch runs no product along time.  The general path, run
-    # with an explicit I not flagged as the identity, must give the same
-    # bits; the -0.0 planted in E, U and W checks signed zeros, which I x
-    # turns into +0.0.
+    # m_transform runs no product along time on the identity branch.  The
+    # same pass with m_transform replaced by a plain GEMM, in gtcn and in
+    # training, must give the same bits.  The -0.0 planted in E, U and W
+    # reaches the W product as a signed zero, which I x turns into +0.0;
+    # test_gtcn's m_transform tests pin that in each skipped product's bytes.
     @pytest.mark.parametrize("t", [3, 5, 6, 16])
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("n_layers", [1, 2])
-    def test_matches_the_general_path_with_an_explicit_i(self, n_layers, activation, t):
+    def test_matches_the_gemm_on_i(self, n_layers, activation, t, monkeypatch):
+        import tubalgcn.gtcn
+        import tubalgcn.training
+
         ds = small_dataset(seed=t, n=7, t=t)
         cfg = TrainConfig(embedding_dim=3, transform="identity", activation=activation, n_layers=n_layers, seed=t)
         aux = build_aux(ds, cfg)
-        eye = TransformMatrix("explicit", np.eye(t))
-        (blocks,) = transformed_blocks(aux.a_hat, [eye]) if n_layers > 1 else (None,)
-        if blocks is not None:
-            assert blocks.data.tobytes() == aux.blocks["identity"].data.tobytes()
-        general = replace(aux, tms={"identity": eye}, blocks={"identity": blocks})
         params = init_params(ds, cfg)
         params["e"][0, 1] = params["u"][1, 2] = params["w:identity:0"][0, 0, 0] = -0.0
         batch = link_batch(ds, ds.train_idx)
-        skipped, full = compute_gradients(params, aux, batch), compute_gradients(params, general, batch)
+        skipped = compute_gradients(params, aux, batch)
+        gemms = []
+
+        def gemm(m, x):
+            gemms.append(m.shape)
+            return np.matmul(m, x.reshape(len(x), -1)).reshape(len(m), *x.shape[1:])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tubalgcn.gtcn, "m_transform", gemm)
+            patch.setattr(tubalgcn.training, "m_transform", gemm)
+            (blocks,) = transformed_blocks(aux.a_hat, [aux.tms["identity"]]) if n_layers > 1 else (None,)
+            full = compute_gradients(params, replace(aux, blocks={"identity": blocks}), batch)
+        assert gemms and all(shape == (t, t) for shape in gemms)
+        if blocks is not None:
+            assert blocks.data.tobytes() == aux.blocks["identity"].data.tobytes()
         assert skipped[0] == full[0]
         assert list(skipped[1]) == list(full[1])
         for a, b in zip([*skipped[1].values(), *skipped[2:]], [*full[1].values(), *full[2:]]):
@@ -913,6 +929,60 @@ class TestCheckpoint:
         assert list(restored.params) == list(model.params)
         for key, arr in model.params.items():
             np.testing.assert_array_equal(arr, restored.params[key])
+
+    @staticmethod
+    def rewritten(tmp_path, key, shape, compression=zipfile.ZIP_STORED):
+        """A saved checkpoint rewritten with ``compression``, member ``key``'s header declaring ``shape``."""
+        ds = small_dataset(seed=10, n=8)
+        cfg = TrainConfig(embedding_dim=3, transform="dct", seed=10)
+        good, path = tmp_path / "good.npz", tmp_path / "m.npz"
+        save_checkpoint(good, TrainedModel(cfg, init_params(ds, cfg), None))
+        with np.load(good) as z, zipfile.ZipFile(path, "w", compression) as out:
+            for k in z.files:
+                buf = io.BytesIO()
+                if k == key:
+                    header = {"descr": np.lib.format.dtype_to_descr(z[k].dtype), "fortran_order": False}
+                    np.lib.format.write_array_header_1_0(buf, {**header, "shape": shape})
+                    buf.write(z[k].tobytes())
+                else:
+                    np.save(buf, z[k])
+                out.writestr(f"{k}.npy", buf.getvalue())
+        return path
+
+    @pytest.mark.parametrize("key", ["e", "__meta__"])
+    def test_array_header_that_declares_more_than_the_file_holds_is_refused_by_name(self, tmp_path, key):
+        # A 2 KB file whose member header declares over 256 TiB, more than a
+        # 48-bit address space holds: np.load would try to allocate it.
+        path = self.rewritten(tmp_path, key, (10**14, 3))
+        assert path.stat().st_size < 4096
+        declared = rf"its header declares shape \(100000000000000, 3\) of \w+, more than the \d+ bytes it can hold"
+        where = rf"array '{key}': " if key == "e" else r"unreadable __meta__ record: ValueError: "
+        message = rf"^{re.escape(str(path))}: not a tubalgcn checkpoint \({where}{declared}\)$"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_zip_directory_that_overstates_a_member_is_bounded_by_the_file(self, tmp_path):
+        # e.npy's header declares 24 MB, and the zip's central directory
+        # records its compressed and full sizes as 4 GiB to match: the bound
+        # is the file's own size, so nothing is allocated or read past it.
+        path = self.rewritten(tmp_path, "e", (10**6, 3))
+        data = bytearray(path.read_bytes())
+        entry = next(
+            i for i in range(len(data)) if data.startswith(b"PK\x01\x02", i) and data[i + 46 : i + 51] == b"e.npy"
+        )
+        struct.pack_into("<II", data, entry + 20, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(bytes(data))
+        declared = r"array 'e': its header declares shape \(1000000, 3\) of float64, more than the (\d+) bytes it can hold"
+        with pytest.raises(ValueError, match=declared) as refused:
+            load_checkpoint(path)
+        assert int(re.search(declared, str(refused.value))[1]) < len(data)
+
+    def test_member_compressed_by_another_method_is_refused_by_name(self, tmp_path):
+        # A bzip2 or LZMA member can expand without a fixed bound, so the
+        # size its header declares cannot be checked before np.load allocates it.
+        path = self.rewritten(tmp_path, "e", (4, 3), zipfile.ZIP_BZIP2)
+        with pytest.raises(ValueError, match=r"unreadable __meta__ record: ValueError: .* zip method 12, neither stored nor deflated"):
+            load_checkpoint(path)
 
     def test_numpy_scalar_config_round_trips_as_builtins(self, tmp_path):
         # numpy scalars pass the type checks; the config stores them as the
