@@ -91,8 +91,8 @@ def preprocess_adjacency(raw: sparse.csr_array, mode: str = "sym_normalized") ->
     """Â from the raw (T * N, N) CSR slot stack of ``data.build_adjacency``.
 
     raw_self_loops: A_t + I per slot.  sym_normalized: D^-1/2 (A_t + I) D^-1/2
-    with D the diagonal of row sums of A_t + I.  ``raw`` must be real and
-    nonnegative and is left as it is; the result is a new stack of the same
+    with D the diagonal of row sums of A_t + I.  ``raw`` must be real, finite
+    and nonnegative and is left as it is; the result is a new stack of the same
     layout, row s * N + i holding row i of slot s, with no stored zeros.
     """
     if mode not in ADJACENCY_MODES:
@@ -100,8 +100,8 @@ def preprocess_adjacency(raw: sparse.csr_array, mode: str = "sym_normalized") ->
     t_n, n = raw.shape
     if n < 1 or t_n < n or t_n % n:
         raise DimensionMismatchError(f"adjacency must be a (T * N, N) slot stack, got shape {raw.shape}")
-    if np.iscomplexobj(raw.data) or np.any(raw.data < 0):
-        raise ValueError("adjacency weights must be real and nonnegative")
+    if np.iscomplexobj(raw.data) or not np.all(np.isfinite(raw.data) & (raw.data >= 0)):
+        raise ValueError("adjacency weights must be real, finite and nonnegative")
     eye = sparse.csr_array((np.ones(t_n), np.tile(np.arange(n), t_n // n), np.arange(t_n + 1)), shape=raw.shape)
     # The sum stores no entry that adds up to zero, such as a pair observed
     # only with weight 0; eliminate_zeros below drops a weight that the

@@ -72,27 +72,34 @@ def params_l2_norm(param_arrays) -> float:
     return float(np.sqrt(total))
 
 
+def _residual(y, y_hat) -> np.ndarray:
+    """y - y_hat in float64; ValueError unless the two have one shape."""
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    if y.shape != y_hat.shape:
+        raise ValueError(f"y has shape {y.shape} but y_hat has shape {y_hat.shape}")
+    return y - y_hat
+
+
 def loss(y, y_hat, norm: float = 0.0, kappa: float = 0.0) -> float:
     """Sum of squared residuals over the training entries plus kappa * norm.
 
     ``norm`` is the plain (not squared) L2 norm of the flattened parameter
     vector, as ``params_l2_norm`` gives it.
     """
-    data_term = float(np.sum((np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64)) ** 2))
+    data_term = float(np.sum(_residual(y, y_hat) ** 2))
     return data_term + kappa * norm if kappa != 0.0 else data_term
 
 
 def mae(y, y_hat) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.size == 0:
+    r = _residual(y, y_hat)
+    if r.size == 0:
         raise ValueError("MAE requires at least one observation")
-    return float(np.mean(np.abs(y - y_hat)))
+    return float(np.mean(np.abs(r)))
 
 
 def rmse(y, y_hat) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.size == 0:
+    r = _residual(y, y_hat)
+    if r.size == 0:
         raise ValueError("RMSE requires at least one observation")
-    return float(np.sqrt(np.mean((y - y_hat) ** 2)))
+    return float(np.sqrt(np.mean(r**2)))

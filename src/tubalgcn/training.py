@@ -17,7 +17,7 @@ branch per pass (see ``forward_model`` and ``compute_gradients``).
 from __future__ import annotations
 
 import contextlib
-import ctypes
+import functools
 import json
 import math
 import os
@@ -436,6 +436,7 @@ class EarlyStopping:
         return self.consecutive_rises >= self.patience
 
 
+@functools.cache
 def _keep_freed_heap():
     """Let the process reuse its freed heap instead of returning it (glibc).
 
@@ -443,19 +444,17 @@ def _keep_freed_heap():
     default trims the heap once twice the largest freed mmap'd block is
     free at its top; when no block of several MB is ever freed, as with a
     tube-sparse adjacency, that is ~2 MB, and each epoch faults its
-    temporaries in again (N=200, T=16: ~3,000 page faults per epoch).  The
-    values set are those glibc's own dynamic thresholds reach after a
-    32 MiB block is freed.
+    temporaries in again (N=200, T=16: ~3,000 page faults per epoch).  On
+    64-bit glibc, freeing an mmap'd block of at most 32 MiB raises the mmap
+    threshold to its size and the trim threshold to twice that (glibc's
+    dynamic M_MMAP_THRESHOLD), so this frees one such block, never written:
+    it costs address space, not RSS.  Once per process: a second block would
+    fall below the raised mmap threshold into the heap, where numpy's
+    huge-page advice on it can cost RSS.  An explicit MALLOC_MMAP_THRESHOLD_
+    or MALLOC_TRIM_THRESHOLD_ environment setting turns the dynamic
+    thresholds off, and then wins.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no C library symbol table, or not glibc
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
+    np.empty(((32 << 20) - (1 << 16)) // 8)
 
 
 def train(ds: DynamicGraphDataset, config: TrainConfig):

@@ -47,7 +47,7 @@ class TransformMatrix:
         object.__setattr__(self, "m", _readonly(self.m))
         object.__setattr__(self, "m_inv", _readonly(self.m.conj().T))
         err = np.max(np.abs(self.m @ self.m_inv - np.eye(t)))
-        if err > INVERSE_TOL:
+        if not err <= INVERSE_TOL:
             raise ValueError(f"M @ M^H deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e}): M is not unitary")
         kept = t // 2 + 1 if self.is_complex else t
         k = np.arange(kept)
@@ -58,7 +58,7 @@ class TransformMatrix:
         if paired.any():
             m_inv_kept = _readonly(m_inv_kept * np.where(paired, 2.0, 1.0))
         err = np.max(np.abs((m_inv_kept @ m_kept).real - np.eye(t)))
-        if err > INVERSE_TOL:
+        if not err <= INVERSE_TOL:
             raise ValueError(
                 f"Re(M_inv_kept @ M_kept) deviates from identity by {err:.3e} (> {INVERSE_TOL:.0e})"
             )

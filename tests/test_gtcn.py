@@ -192,6 +192,15 @@ class TestPreprocessAdjacency:
         with pytest.raises(ValueError, match="nonnegative"):
             preprocess_adjacency(raw)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        a = np.zeros((2, 2, 1))
+        a[0, 1, 0] = weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real, finite and nonnegative"):
+                preprocess_adjacency(slot_stack(a))
+
     @pytest.mark.parametrize("mode", ["raw_self_loops", "sym_normalized"])
     def test_leaves_raw_unchanged_and_matches_out_of_place_form(self, mode):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,16 @@ class TestMetrics:
             mae([], [])
         with pytest.raises(ValueError):
             rmse([], [])
+
+    @pytest.mark.parametrize("metric", [loss, mae, rmse])
+    @pytest.mark.parametrize(
+        "y,y_hat", [([1.0, 2.0, 3.0], [0.0]), ([[1.0], [2.0]], [1.0, 2.0]), ([1.0, 2.0], [[1.0, 2.0]]), ([1.0], 1.0)]
+    )
+    def test_mismatched_shapes_rejected(self, metric, y, y_hat):
+        # A prediction must not broadcast against the targets it is scored on.
+        message = f"y has shape {np.shape(y)} but y_hat has shape {np.shape(y_hat)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metric(y, y_hat)
 
     def test_rmse_dominates_mae(self):
         rng = np.random.default_rng(5)

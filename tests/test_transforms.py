@@ -140,6 +140,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match="square"):
             TransformMatrix("identity", np.ones((2, 3)))
 
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.array([[np.nan]])])
+    def test_nan_matrix_rejected_at_construction(self, m):
+        # NaN compares false with the tolerance, so the check must not read "err > tol".
+        with pytest.raises(ValueError, match="deviates from identity by nan"):
+            TransformMatrix("x", m)
+
     @pytest.mark.parametrize(
         "kind,t,message",
         [("haar", 3, "haar size must be a power of two, got 3"), ("haar", 0, "haar size must be a power of two, got 0")]
